@@ -208,34 +208,29 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+# tunnel kind -> (flags it needs, builder from profile, arrivals, local CPU and flags)
+_TUNNEL_KINDS = {
+    "full": ((), lambda p, a, loc, args: full_utilization_tunnel(p, args.buffer)),
+    "effective": (("offload",), lambda p, a, loc, args: effective_tunnel(p, args.offload, args.buffer)),
+    "proportional": (("offload",), lambda p, a, loc, args: proportional_tunnel(p, args.offload, args.buffer)),
+    "lazy": (("offload",), lambda p, a, loc, args: lazy_first_tunnel(p, args.offload, args.buffer)),
+    "bursty": (("arrivals", "ratio"), lambda p, a, loc, args: bursty_tunnel(p, a, args.ratio)),
+    "bursty-effective": (
+        ("arrivals", "ratio"),
+        lambda p, a, loc, args: bursty_effective_tunnel(p, a, args.ratio),
+    ),
+    "local": (("arrivals", "ratio"), lambda p, a, loc, args: local_compute_tunnel(a, loc, args.ratio)),
+}
+
+
 def _cmd_tunnel(args) -> int:
     profile, arrivals = _load_instance(args)
     local = LocalComputeParams(args.local_hz, args.cycles_per_bit, args.switched_cap)
-    kind = args.kind
-    if kind in ("bursty", "bursty-effective", "local"):
-        if arrivals is None:
-            raise ConfigError(f"tunnel kind {kind} needs --arrivals")
-        if args.ratio is None:
-            raise ConfigError(f"tunnel kind {kind} needs --ratio")
-        maker = {
-            "bursty": bursty_tunnel,
-            "bursty-effective": bursty_effective_tunnel,
-        }
-        if kind == "local":
-            tunnel = local_compute_tunnel(arrivals, local, args.ratio)
-        else:
-            tunnel = maker[kind](profile, arrivals, args.ratio)
-    else:
-        if args.offload is None and kind != "full":
-            raise ConfigError(f"tunnel kind {kind} needs --offload")
-        if kind == "full":
-            tunnel = full_utilization_tunnel(profile, args.buffer)
-        elif kind == "effective":
-            tunnel = effective_tunnel(profile, args.offload, args.buffer)
-        elif kind == "proportional":
-            tunnel = proportional_tunnel(profile, args.offload, args.buffer)
-        else:
-            tunnel = lazy_first_tunnel(profile, args.offload, args.buffer)
+    needs, build = _TUNNEL_KINDS[args.kind]
+    for flag in needs:
+        if getattr(args, flag) is None:
+            raise ConfigError(f"tunnel kind {args.kind} needs --{flag}")
+    tunnel = build(profile, arrivals, local, args)
     pairs = [
         ("kind", tunnel.kind),
         ("vertices", len(tunnel.times)),
@@ -302,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         default="effective",
-        choices=["full", "effective", "proportional", "lazy", "bursty", "bursty-effective", "local"],
+        choices=list(_TUNNEL_KINDS),
     )
     p.add_argument("--offload", type=_bits, help="transfer size, bits")
     p.add_argument("--ratio", type=float, help="per-chunk offload share")

@@ -11,6 +11,7 @@ CLI reads and writes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,22 +54,83 @@ def normalize_epochs(epochs) -> tuple[Epoch, ...]:
 
 
 @dataclass(frozen=True, eq=False)
+class CapacityCurve:
+    """Piecewise-linear cumulative capacity: slope ``rate`` on idle pieces, flat on busy ones.
+
+    ``boundaries`` holds the piece edges from 0.0 to the horizon, ``cum_bits[k]``
+    the capacity accumulated by ``boundaries[k]`` and ``idle[k]`` the state of
+    piece k.
+    """
+
+    boundaries: np.ndarray
+    cum_bits: np.ndarray
+    idle: np.ndarray
+    rate: float
+
+    @classmethod
+    def from_durations(cls, durations, idle, rate, horizon) -> "CapacityCurve":
+        """Curve over pieces of the given durations, ending exactly at ``horizon``."""
+        boundaries = np.concatenate(([0.0], np.cumsum(durations)))
+        boundaries[-1] = horizon
+        cum_bits = np.concatenate(([0.0], np.cumsum(np.where(idle, durations * rate, 0.0))))
+        return cls(boundaries, cum_bits, idle, rate)
+
+    @cached_property
+    def _pieces(self):
+        """Start time, start value and slope of every piece, padded with a flat
+        piece before 0 and one after the horizon so ``at`` has no end cases."""
+        starts = np.concatenate(([0.0], self.boundaries))
+        values = np.concatenate(([0.0], self.cum_bits))
+        slopes = np.concatenate(([0.0], np.where(self.idle, self.rate, 0.0), [0.0]))
+        return starts, values, slopes
+
+    def at(self, t):
+        """Curve values at the times in ``t`` (clamped to the window)."""
+        starts, values, slopes = self._pieces
+        k = self.boundaries.searchsorted(t, side="right")
+        return values[k] + (t - starts[k]) * slopes[k]
+
+    def time_at(self, level: float) -> float:
+        """Earliest time at which the curve reaches ``level``."""
+        if level <= 0.0:
+            return 0.0
+        if level > self.cum_bits[-1]:
+            raise ValueError("capacity level beyond the curve")
+        k = int(np.searchsorted(self.cum_bits, level, side="left"))
+        return float(self.boundaries[k - 1] + (level - self.cum_bits[k - 1]) / self.rate) if k > 0 else 0.0
+
+
+@dataclass(frozen=True, eq=False)
 class CpuIdlingProfile:
     """Normalized epoch sequence plus the cumulative capacity curve.
 
-    ``boundaries`` holds the K+1 epoch edges starting at 0.0 and ending at the
-    horizon; ``cum_bits[k]`` is the capacity accumulated by ``boundaries[k]``.
+    ``durations`` are the epoch lengths and ``curve`` the capacity curve over
+    the K+1 epoch edges. ``last_idle_index`` is the index of the last idle
+    epoch (None if the CPU is never idle) and ``capacity`` the total bits
+    computable for the user by the deadline.
     """
 
     epochs: tuple[Epoch, ...]
     helper_hz: float
     cycles_per_bit: float
-    boundaries: np.ndarray
-    cum_bits: np.ndarray
+    durations: np.ndarray
+    curve: CapacityCurve
+    last_idle_index: int | None
+    capacity: float
+
+    @property
+    def boundaries(self) -> np.ndarray:
+        """The K+1 epoch edges, starting at 0.0 and ending at the horizon."""
+        return self.curve.boundaries
+
+    @property
+    def cum_bits(self) -> np.ndarray:
+        """``cum_bits[k]`` is the capacity accumulated by ``boundaries[k]``."""
+        return self.curve.cum_bits
 
     @property
     def horizon(self) -> float:
-        return float(self.boundaries[-1])
+        return float(self.curve.boundaries[-1])
 
     @property
     def idle_rate(self) -> float:
@@ -76,47 +138,23 @@ class CpuIdlingProfile:
         return self.helper_hz / self.cycles_per_bit
 
     @property
-    def last_idle_index(self):
-        """Index of the last idle epoch, or None if the CPU is never idle."""
-        for k in range(len(self.epochs) - 1, -1, -1):
-            if self.epochs[k].idle:
-                return k
-        return None
-
-    @property
     def idle_end(self):
         """End of the last idle epoch: no offloaded bit is computable later."""
         k = self.last_idle_index
-        return None if k is None else float(self.boundaries[k + 1])
+        return None if k is None else float(self.curve.boundaries[k + 1])
 
-    @property
-    def capacity(self) -> float:
-        """Total bits computable for the user by the deadline."""
-        k = self.last_idle_index
-        return 0.0 if k is None else float(self.cum_bits[k + 1])
+    def capacity_at(self, t):
+        """Cumulative computable bits by time t (piecewise linear).
 
-    def capacity_at(self, t: float) -> float:
-        """Cumulative computable bits by time t (piecewise linear)."""
-        b = self.boundaries
-        if t < -TIME_ATOL or t > b[-1] + TIME_ATOL:
-            raise ValueError(f"time {t} outside [0, {b[-1]}]")
-        if t >= b[-1]:
-            return float(self.cum_bits[-1])
-        if t <= 0.0:
-            return 0.0
-        k = int(np.searchsorted(b, t, side="right")) - 1
-        base = float(self.cum_bits[k])
-        if self.epochs[k].idle:
-            base += (t - float(b[k])) * self.idle_rate
-        return base
-
-    def scaled(self, factor: float) -> "CpuIdlingProfile":
-        """Same epoch structure with the idle slope scaled by ``factor``."""
-        if not 0.0 < factor <= 1.0 + 1e-12:
-            raise ValueError(f"scale factor must be in (0, 1], got {factor}")
-        return build_profile(
-            self.epochs, self.helper_hz * factor, self.cycles_per_bit, self.horizon
-        )
+        ``t`` may be a scalar, which gives a float, or an array.
+        """
+        ts = np.asarray(t, dtype=float)
+        end = self.horizon
+        outside = ~((ts >= -TIME_ATOL) & (ts <= end + TIME_ATOL))
+        if np.any(outside):
+            raise ValueError(f"time {ts[outside].flat[0]} outside [0, {end}]")
+        values = self.curve.at(ts)
+        return float(values) if values.ndim == 0 else values
 
 
 def build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> CpuIdlingProfile:
@@ -128,15 +166,15 @@ def build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> CpuIdlingProfil
         raise ValueError("helper_hz and cycles_per_bit must be positive")
     eps = normalize_epochs(epochs)
     durs = np.array([ep.duration for ep in eps], dtype=float)
+    idle = np.array([ep.idle for ep in eps], dtype=bool)
     total = float(durs.sum())
     if abs(total - horizon) > TIME_ATOL:
         raise ValueError(f"epoch durations sum to {total}, expected horizon {horizon}")
-    boundaries = np.concatenate(([0.0], np.cumsum(durs)))
-    boundaries[-1] = horizon
-    slope = helper_hz / cycles_per_bit
-    gains = np.array([ep.duration * slope if ep.idle else 0.0 for ep in eps])
-    cum_bits = np.concatenate(([0.0], np.cumsum(gains)))
-    return CpuIdlingProfile(eps, float(helper_hz), float(cycles_per_bit), boundaries, cum_bits)
+    curve = CapacityCurve.from_durations(durs, idle, helper_hz / cycles_per_bit, horizon)
+    idle_at = np.flatnonzero(idle)
+    last = int(idle_at[-1]) if len(idle_at) else None
+    capacity = 0.0 if last is None else float(curve.cum_bits[last + 1])
+    return CpuIdlingProfile(eps, float(helper_hz), float(cycles_per_bit), durs, curve, last, capacity)
 
 
 def capacity_at(profile: CpuIdlingProfile, t: float) -> float:
@@ -238,17 +276,14 @@ class MergedTimeline:
     """Union of CPU epoch edges and arrival instants over one window.
 
     ``arrival_bits[v]`` is the data arriving exactly at ``times[v]``;
-    ``cpu_flip[v]`` is +1 where the CPU turns idle, -1 where it turns busy,
-    0 elsewhere; ``interval_idle[i]`` is the CPU state on
-    ``(times[i], times[i+1])``; ``idle_end_index`` locates the end of the last
-    idle epoch inside ``times`` (None when the CPU is never idle).
+    ``cum_capacity[v]`` is the helper capacity by then; ``idle_end_index``
+    locates the end of the last idle epoch inside ``times`` (None when the CPU
+    is never idle).
     """
 
     times: np.ndarray
     arrival_bits: np.ndarray
     cum_capacity: np.ndarray
-    interval_idle: np.ndarray
-    cpu_flip: np.ndarray
     idle_end_index: int | None
 
     @property
@@ -289,21 +324,11 @@ def merge_events(profile: CpuIdlingProfile, arrivals: ArrivalProcess) -> MergedT
             cpu_idx.append(-1)
             j += 1
     tarr = np.asarray(times)
-    barr = np.asarray(bits)
-    cum_capacity = np.array([profile.capacity_at(t) for t in tarr])
-    mids = 0.5 * (tarr[:-1] + tarr[1:])
-    epoch_of = np.clip(np.searchsorted(pb, mids, side="right") - 1, 0, len(profile.epochs) - 1)
-    interval_idle = np.array([profile.epochs[k].idle for k in epoch_of])
-    flips = np.zeros(len(tarr), dtype=int)
-    for v, k in enumerate(cpu_idx):
-        if 1 <= k <= len(profile.epochs) - 1:
-            was, now = profile.epochs[k - 1].idle, profile.epochs[k].idle
-            flips[v] = 1 if (now and not was) else -1
     idle_end_index = None
     k_last = profile.last_idle_index
     if k_last is not None:
         idle_end_index = cpu_idx.index(k_last + 1)
-    return MergedTimeline(tarr, barr, cum_capacity, interval_idle, flips, idle_end_index)
+    return MergedTimeline(tarr, np.asarray(bits), profile.capacity_at(tarr), idle_end_index)
 
 
 # ---------------------------------------------------------------------------

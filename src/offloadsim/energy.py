@@ -103,14 +103,17 @@ def schedule_energy(times, cumulative, channel: ChannelParams) -> float:
     cum = np.asarray(cumulative, dtype=float)
     if times.shape != cum.shape or times.ndim != 1 or len(times) < 2:
         raise ValueError("times and cumulative must be matching 1-D arrays")
-    total = 0.0
-    for k in range(len(times) - 1):
-        bits = cum[k + 1] - cum[k]
-        if bits < -1e-6:
-            raise ValueError("cumulative curve must be nondecreasing")
-        if bits > 0:
-            total += channel.epoch_energy(bits, times[k + 1] - times[k])
-    return total
+    bits = cum[1:] - cum[:-1]
+    if (bits < -1e-6).any():
+        raise ValueError("cumulative curve must be nondecreasing")
+    sent = bits > 0
+    if not sent.any():
+        return 0.0
+    bits, tau = bits[sent], (times[1:] - times[:-1])[sent]
+    if tau.min() <= 0:
+        return np.inf  # bits to send in no time
+    # summed in epoch order, like adding up epoch_energy one epoch at a time
+    return float((channel.rate_to_power(bits / tau) * tau).cumsum()[-1])
 
 
 def rate_table(channel: ChannelParams, rates) -> str:

@@ -28,9 +28,7 @@ from .tunnel import (
     proportional_tunnel,
 )
 
-_TAG_ONESHOT = 11
-_TAG_BUFFER = 12
-_TAG_BURSTY = 13
+_TAGS = {"oneshot": 11, "buffer": 12, "bursty": 13}  # seed-sequence tag per sweep kind
 _POOL = 128  # pre-drawn randomness per kind and trial
 
 
@@ -205,13 +203,14 @@ def _benchmark_energy(profile, channel, local, load_bits, low, high) -> float:
     return best
 
 
-def _lazy_energy(profile, channel, local, load_bits, buffer_bits, low, high) -> float:
-    """Best energy of the buffer-first policy over the split (scanned)."""
+def _scanned_energy(tunnel_fn, profile, channel, local, load_bits, buffer_bits, low, high) -> float:
+    """Best energy over the split (scanned) of the policy that pulls the
+    string through ``tunnel_fn(profile, offload_bits, buffer_bits)``."""
 
     def fn(l):
         e = local.local_energy(load_bits - l)
         if l > bits_tol(load_bits):
-            e += pull_string(lazy_first_tunnel(profile, l, buffer_bits)).energy(channel)
+            e += pull_string(tunnel_fn(profile, l, buffer_bits)).energy(channel)
         return e
 
     if high - low <= 1.0:
@@ -220,53 +219,27 @@ def _lazy_energy(profile, channel, local, load_bits, buffer_bits, low, high) -> 
     return f
 
 
-def _prop_energy(profile, channel, local, load_bits, buffer_bits, low, high) -> float:
-    """Best energy of the pure proportional-share scheme over the split."""
-
-    def fn(l):
-        e = local.local_energy(load_bits - l)
-        if l > bits_tol(load_bits):
-            e += pull_string(proportional_tunnel(profile, l, buffer_bits)).energy(channel)
-        return e
-
-    if high - low <= 1.0:
-        return fn(low)
-    _, f = scan_minimize(fn, low, high, coarse=13, tol=1.0)
-    return f
-
-
-def _oneshot_case(task):
-    cfg, axis, value, trial, tag = task
+def _split_case(task):
+    """One one-shot trial: the optimal split plus the kind's baseline policy
+    (late-transmit for oneshot, proportional pacing for buffer) and buffer-first."""
+    cfg, kind, axis, value, trial = task
     cfg_pt = _apply_axis(cfg, axis, value)
-    draws = draw_trial(cfg.seed, tag, trial)
+    draws = draw_trial(cfg.seed, _TAGS[kind], trial)
     profile = _profile_from_draws(draws, cfg_pt)
     gain = cfg_pt.mean_gain * (draws.gain_unit if cfg_pt.rayleigh_fading else 1.0)
     channel = cfg_pt.channel(gain)
     local = cfg_pt.local_params()
-    low, high = partition_bounds(profile, local, cfg_pt.load_bits)
-    if low > min(high, cfg_pt.load_bits) + bits_tol(cfg_pt.load_bits):
+    load, buffer_bits = cfg_pt.load_bits, cfg_pt.buffer_bits
+    low, high = partition_bounds(profile, local, load)
+    if low > min(high, load) + bits_tol(load):
         return (trial, False, nan, nan, nan, nan)
-    res = optimize_partition(profile, channel, local, cfg_pt.load_bits, cfg_pt.buffer_bits)
-    bench = _benchmark_energy(profile, channel, local, cfg_pt.load_bits, low, high)
-    lazy = _lazy_energy(profile, channel, local, cfg_pt.load_bits, cfg_pt.buffer_bits, low, high)
-    return (trial, True, res.energy, bench, lazy, res.offload_bits)
-
-
-def _buffer_case(task):
-    cfg, axis, value, trial, tag = task
-    cfg_pt = _apply_axis(cfg, axis, value)
-    draws = draw_trial(cfg.seed, tag, trial)
-    profile = _profile_from_draws(draws, cfg_pt)
-    gain = cfg_pt.mean_gain * (draws.gain_unit if cfg_pt.rayleigh_fading else 1.0)
-    channel = cfg_pt.channel(gain)
-    local = cfg_pt.local_params()
-    low, high = partition_bounds(profile, local, cfg_pt.load_bits)
-    if low > min(high, cfg_pt.load_bits) + bits_tol(cfg_pt.load_bits):
-        return (trial, False, nan, nan, nan, nan)
-    res = optimize_partition(profile, channel, local, cfg_pt.load_bits, cfg_pt.buffer_bits)
-    prop = _prop_energy(profile, channel, local, cfg_pt.load_bits, cfg_pt.buffer_bits, low, high)
-    lazy = _lazy_energy(profile, channel, local, cfg_pt.load_bits, cfg_pt.buffer_bits, low, high)
-    return (trial, True, res.energy, prop, lazy, res.offload_bits)
+    res = optimize_partition(profile, channel, local, load, buffer_bits)
+    if _SCHEMAS[kind][1] == "bench_energy":
+        baseline = _benchmark_energy(profile, channel, local, load, low, high)
+    else:
+        baseline = _scanned_energy(proportional_tunnel, profile, channel, local, load, buffer_bits, low, high)
+    lazy = _scanned_energy(lazy_first_tunnel, profile, channel, local, load, buffer_bits, low, high)
+    return (trial, True, res.energy, baseline, lazy, res.offload_bits)
 
 
 def _bursty_benchmark(profile, arrivals, channel, local, r_lo, r_hi, timeline) -> float:
@@ -282,10 +255,10 @@ def _bursty_benchmark(profile, arrivals, channel, local, r_lo, r_hi, timeline) -
 
 
 def _bursty_case(task):
-    cfg, axis, value, trial, tag = task
+    cfg, kind, axis, value, trial = task
     cfg_pt = _apply_axis(cfg, axis, value)
     scale = value if axis == "size_scale" else 1.0
-    draws = draw_trial(cfg.seed, tag, trial)
+    draws = draw_trial(cfg.seed, _TAGS[kind], trial)
     profile = _profile_from_draws(draws, cfg_pt)
     gain = cfg_pt.mean_gain * (draws.gain_unit if cfg_pt.rayleigh_fading else 1.0)
     channel = cfg_pt.channel(gain)
@@ -352,12 +325,12 @@ def _aggregate(kind, axis, value, cases) -> dict:
     return row
 
 
-def _run_sweep(cfg, axis, values, kind, worker, tag, jobs) -> SweepResult:
+def _run_sweep(cfg, axis, values, kind, worker, jobs) -> SweepResult:
     _check_axis(axis, kind)
     values = [float(v) for v in values]
     if not values:
         raise ConfigError("sweep needs at least one grid value")
-    tasks = [(cfg, axis, v, t, tag) for v in values for t in range(cfg.trials)]
+    tasks = [(cfg, kind, axis, v, t) for v in values for t in range(cfg.trials)]
     if jobs is not None and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(tasks) // (jobs * 8))
@@ -376,18 +349,18 @@ def _run_sweep(cfg, axis, values, kind, worker, tag, jobs) -> SweepResult:
 def run_oneshot_sweep(cfg: SimConfig, axis: str = "mean_idle", values=(0.01, 0.02, 0.04), jobs=None):
     """Sweep a scenario parameter; per trial, optimally split and schedule a
     one-shot load, and price the late-transmit and buffer-first policies."""
-    return _run_sweep(cfg, axis, values, "oneshot", _oneshot_case, _TAG_ONESHOT, jobs)
+    return _run_sweep(cfg, axis, values, "oneshot", _split_case, jobs)
 
 
 def run_buffer_sweep(cfg: SimConfig, values=(1e4, 1e5, 1e6, inf), jobs=None):
     """Sweep the receive buffer size with everything else held per-trial fixed,
     pricing the hybrid optimum, the proportional scheme, and buffer-first."""
-    return _run_sweep(cfg, "buffer_bits", values, "buffer", _buffer_case, _TAG_BUFFER, jobs)
+    return _run_sweep(cfg, "buffer_bits", values, "buffer", _split_case, jobs)
 
 
 def run_bursty_sweep(cfg: SimConfig, axis: str = "size_scale", values=(0.5, 1.0, 2.0), jobs=None):
     """Sweep chunked-arrival scenarios, optimizing the per-chunk offload share."""
-    return _run_sweep(cfg, axis, values, "bursty", _bursty_case, _TAG_BURSTY, jobs)
+    return _run_sweep(cfg, axis, values, "bursty", _bursty_case, jobs)
 
 
 def _fmt(v) -> str:

@@ -2,15 +2,27 @@
 
 A tunnel is a pair of piecewise-linear envelopes (floor, ceiling) over a
 shared vertex grid. Any nondecreasing cumulative-bits curve that stays inside
-the tunnel and ends at ``total`` is a schedule the helper can actually serve:
-the floor encodes "transmit early enough that the helper never runs out of
-work it still needs to finish", the ceiling encodes "never send data the
-receive buffer cannot hold or that has not arrived yet".
+the tunnel and ends at ``total`` is a schedule the serving CPU can actually
+keep up with: the floor encodes "transmit early enough that the CPU never runs
+out of work it still needs to finish", the ceiling encodes "never send data
+the receive buffer cannot hold or that has not arrived yet".
 
-All envelope breakpoints are materialized as vertices (capacity-curve kinks,
-buffer-cap crossings, arrival instants), so checking a piecewise-linear curve
-at the vertices alone is exact. Step-shaped availability ceilings are stored
-by their left limits, which is the binding value for a continuous curve.
+Every tunnel family is one construction, ``_build_tunnel``, applied to a
+capacity curve (the helper's idle profile, the same profile at a derated
+pace, or the user's own CPU as the line ``rate * t``):
+
+- floor = max(capacity - slack, 0), where ``slack`` is the capacity the
+  transfer may leave unused (zero for full utilization);
+- ceiling = min(floor + buffer, total) for a receive buffer, or the
+  offloaded share of the data that has already arrived for chunked
+  workloads.
+
+The families differ only in curve, slack and ceiling rule. All envelope
+breakpoints are materialized as vertices (capacity-curve kinks, the
+crossings of the slack and buffer levels, arrival instants), so checking a
+piecewise-linear curve at the vertices alone is exact. Step-shaped
+availability ceilings are stored by their left limits, which is the binding
+value for a continuous curve.
 """
 from __future__ import annotations
 
@@ -21,6 +33,7 @@ import numpy as np
 from .cpu_profile import (
     TIME_ATOL,
     ArrivalProcess,
+    CapacityCurve,
     CpuIdlingProfile,
     MergedTimeline,
     merge_events,
@@ -40,12 +53,11 @@ def bits_tol(scale: float) -> float:
 class FeasibilityTunnel:
     """Vertex grid plus envelopes and the bookkeeping verify checks need.
 
-    ``cum_capacity`` is the helper-side computing-capacity curve the tunnel
-    was built against (the scaled one for proportional tunnels);
-    ``arrival_bits[v]`` is data arriving exactly at vertex v (zero for
-    one-shot tunnels); ``cpu_flip[v]`` is +1 where the serving CPU turns
-    idle, -1 where it turns busy; ``interval_idle[i]`` is its state on
-    interval i. ``buffer_bits`` is the receive buffer size (may be inf).
+    ``cum_capacity`` is the computing-capacity curve the tunnel was built
+    against (the derated one for proportional tunnels); ``arrival_bits[v]`` is
+    data arriving exactly at vertex v (zero for one-shot tunnels);
+    ``cpu_flip[v]`` is +1 where the serving CPU turns idle, -1 where it turns
+    busy. ``buffer_bits`` is the receive buffer size (may be inf).
     """
 
     kind: str
@@ -55,7 +67,6 @@ class FeasibilityTunnel:
     total: float
     cum_capacity: np.ndarray
     arrival_bits: np.ndarray
-    interval_idle: np.ndarray
     cpu_flip: np.ndarray
     buffer_bits: float
 
@@ -63,7 +74,7 @@ class FeasibilityTunnel:
         n = len(self.times)
         if n < 2:
             raise ValueError("tunnel needs at least two vertices")
-        if np.any(np.diff(self.times) <= 0):
+        if (self.times[1:] <= self.times[:-1]).any():
             raise ValueError("tunnel vertex times must be strictly increasing")
 
     @property
@@ -89,57 +100,84 @@ class FeasibilityTunnel:
         )
 
 
-def _time_at_capacity(boundaries, cum_bits, idle_rate, level: float) -> float:
-    """Earliest time at which the capacity curve reaches ``level``."""
-    if level <= 0.0:
-        return 0.0
-    if level > cum_bits[-1]:
-        raise ValueError("capacity level beyond the curve")
-    k = int(np.searchsorted(cum_bits, level, side="left"))
-    return float(boundaries[k - 1] + (level - cum_bits[k - 1]) / idle_rate) if k > 0 else 0.0
-
-
 def time_at_capacity(profile: CpuIdlingProfile, level: float) -> float:
-    return _time_at_capacity(profile.boundaries, profile.cum_bits, profile.idle_rate, level)
+    """Earliest time at which the helper's capacity curve reaches ``level``."""
+    return profile.curve.time_at(level)
 
 
-def _insert_time(times: list[float], t: float):
-    """Insert t into a sorted time list unless an existing entry is within tolerance."""
-    i = int(np.searchsorted(times, t))
-    near_left = i > 0 and t - times[i - 1] <= TIME_ATOL
-    near_right = i < len(times) and times[i] - t <= TIME_ATOL
-    if not near_left and not near_right:
-        times.insert(i, t)
+def _build_tunnel(
+    kind: str,
+    curve: CapacityCurve,
+    times: np.ndarray,
+    total: float,
+    slack: float,
+    buffer_bits: float = np.inf,
+    bits: np.ndarray | None = None,
+    share: float | None = None,
+    late: float = 0.0,
+) -> FeasibilityTunnel:
+    """The one tunnel construction every family goes through.
 
-
-def _profile_vertices(profile: CpuIdlingProfile, levels) -> np.ndarray:
-    """Profile boundaries up to the last idle instant, plus capacity-level crossings."""
-    t_end = profile.idle_end
-    if t_end is None:
-        raise InfeasibleError("helper CPU is never idle, nothing can be offloaded")
-    times = [float(b) for b in profile.boundaries if b <= t_end + TIME_ATOL]
-    times[-1] = t_end
+    ``times`` are the base vertices, ending where the serving CPU computes its
+    last bit, and ``bits`` the data arriving at each (none by default). The
+    floor is ``max(curve - slack, 0)``, pinned to ``total`` at the end when
+    there is slack. Without ``share`` the ceiling is ``min(floor +
+    buffer_bits, total)``; with it, the ceiling is ``share`` of the data that
+    arrived before each vertex, and ``share`` of the ``late`` data (arriving
+    at or after the last vertex, so never served) lifts the floor's end above
+    ``total``. Vertices are added where the curve crosses ``slack`` and, for
+    a buffer smaller than the transfer, ``capacity - buffer_bits``.
+    """
+    capacity = float(curve.cum_bits[-1])
+    levels = [slack]
+    if share is None and buffer_bits < total:
+        levels.append(capacity - buffer_bits)  # above it the ceiling is flat
     for level in levels:
-        if 0.0 < level < profile.capacity:
-            _insert_time(times, time_at_capacity(profile, level))
-    return np.asarray(times)
-
-
-def _interval_state(profile: CpuIdlingProfile, times: np.ndarray):
-    mids = 0.5 * (times[:-1] + times[1:])
-    k = np.clip(np.searchsorted(profile.boundaries, mids, side="right") - 1, 0, len(profile.epochs) - 1)
-    idle = np.array([profile.epochs[i].idle for i in k])
+        if 0.0 < level < capacity:
+            t = curve.time_at(level)
+            i = int(times.searchsorted(t))
+            near_left = i > 0 and t - times[i - 1] <= TIME_ATOL
+            near_right = i < len(times) and times[i] - t <= TIME_ATOL
+            if not near_left and not near_right:
+                times = np.concatenate((times[:i], [t], times[i:]))
+                if bits is not None:
+                    bits = np.concatenate((bits[:i], [0.0], bits[i:]))
+    bits = np.zeros(len(times)) if bits is None else bits
+    cum = curve.at(times)
+    floor = np.maximum(cum - slack, 0.0)
+    if slack > 0.0:
+        floor[-1] = total
+    if share is None:
+        ceiling = np.minimum(floor + buffer_bits, total)
+        ceiling[0] = 0.0
+        ceiling[-1] = total
+    else:
+        ceiling = share * np.concatenate(([0.0], bits[:-1].cumsum()))
+        if share * late > bits_tol(total):
+            floor[-1] = max(floor[-1], total + share * late)
+    mids = 0.5 * (times[:-1] + times[1:])  # inside (0, horizon), so always on a piece
+    idle = curve.idle[curve.boundaries.searchsorted(mids, side="right") - 1].astype(int)
     flips = np.zeros(len(times), dtype=int)
-    change = idle[1:].astype(int) - idle[:-1].astype(int)
-    flips[1:-1] = change
-    return idle, flips
+    flips[1:-1] = idle[1:] - idle[:-1]
+    return FeasibilityTunnel(kind, times, floor, ceiling, total, cum, bits, flips, float(buffer_bits))
 
 
-def _oneshot_parts(profile: CpuIdlingProfile, levels):
-    times = _profile_vertices(profile, levels)
-    cum = np.array([profile.capacity_at(t) for t in times])
-    idle, flips = _interval_state(profile, times)
-    return times, cum, idle, flips
+def _idle_span(profile: CpuIdlingProfile) -> np.ndarray:
+    """Profile boundaries up to the last idle instant."""
+    k = profile.last_idle_index
+    if k is None:
+        raise InfeasibleError("helper CPU is never idle, nothing can be offloaded")
+    return profile.boundaries[: k + 2].copy()
+
+
+def _check_transfer(profile: CpuIdlingProfile, total: float):
+    tol = bits_tol(max(total, profile.capacity))
+    if total > profile.capacity + tol:
+        raise InfeasibleError(
+            f"transfer of {total} bits exceeds helper capacity {profile.capacity}",
+            deficit=total - profile.capacity,
+        )
+    return tol
 
 
 def full_utilization_tunnel(profile: CpuIdlingProfile, buffer_bits=np.inf) -> FeasibilityTunnel:
@@ -150,18 +188,8 @@ def full_utilization_tunnel(profile: CpuIdlingProfile, buffer_bits=np.inf) -> Fe
     """
     if buffer_bits < 0:
         raise ValueError("buffer_bits must be nonnegative")
-    total = profile.capacity
-    cap_level = total - buffer_bits  # above this capacity level the ceiling is flat
-    times, cum, idle, flips = _oneshot_parts(profile, [cap_level])
-    floor = cum.copy()
-    ceiling = np.minimum(cum + buffer_bits, total)
-    ceiling[0] = 0.0
-    floor[-1] = total
-    ceiling[-1] = total
-    return FeasibilityTunnel(
-        "full", times, floor, ceiling, total, cum,
-        np.zeros_like(cum), idle, flips, float(buffer_bits),
-    )
+    times = _idle_span(profile)
+    return _build_tunnel("full", profile.curve, times, profile.capacity, 0.0, buffer_bits)
 
 
 def effective_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits=np.inf) -> FeasibilityTunnel:
@@ -171,24 +199,11 @@ def effective_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits
     so the floor is the capacity curve shifted down by that slack and clamped.
     """
     total = float(offload_bits)
-    tol = bits_tol(max(total, profile.capacity))
-    if total > profile.capacity + tol:
-        raise InfeasibleError(
-            f"transfer of {total} bits exceeds helper capacity {profile.capacity}",
-            deficit=total - profile.capacity,
-        )
+    tol = _check_transfer(profile, total)
     if buffer_bits < total - tol:
         raise ValueError("effective tunnel assumes the buffer holds the whole transfer")
-    slack = profile.capacity - total
-    times, cum, idle, flips = _oneshot_parts(profile, [slack])
-    floor = np.maximum(cum - slack, 0.0)
-    ceiling = np.full_like(cum, total)
-    ceiling[0] = 0.0
-    floor[-1] = total
-    return FeasibilityTunnel(
-        "effective", times, floor, ceiling, total, cum,
-        np.zeros_like(cum), idle, flips, float(buffer_bits),
-    )
+    times = _idle_span(profile)
+    return _build_tunnel("effective", profile.curve, times, total, profile.capacity - total, buffer_bits)
 
 
 def proportional_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits) -> FeasibilityTunnel:
@@ -199,19 +214,16 @@ def proportional_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_b
     buffers smaller than the transfer.
     """
     total = float(offload_bits)
-    tol = bits_tol(max(total, profile.capacity))
-    if total > profile.capacity + tol:
-        raise InfeasibleError(
-            f"transfer of {total} bits exceeds helper capacity {profile.capacity}",
-            deficit=total - profile.capacity,
-        )
-    scaled = profile.scaled(min(total / profile.capacity, 1.0))
-    base = full_utilization_tunnel(scaled, buffer_bits)
-    return FeasibilityTunnel(
-        "proportional", base.times, base.floor, base.ceiling, base.total,
-        base.cum_capacity, base.arrival_bits, base.interval_idle, base.cpu_flip,
-        base.buffer_bits,
-    )
+    _check_transfer(profile, total)
+    if buffer_bits < 0:
+        raise ValueError("buffer_bits must be nonnegative")
+    times = _idle_span(profile)
+    factor = min(total / profile.capacity, 1.0)
+    if not factor > 0.0:
+        raise ValueError(f"offload_bits must be positive, got {offload_bits}")
+    rate = profile.helper_hz * factor / profile.cycles_per_bit
+    curve = CapacityCurve.from_durations(profile.durations, profile.curve.idle, rate, profile.horizon)
+    return _build_tunnel("proportional", curve, times, float(curve.cum_bits[-1]), 0.0, buffer_bits)
 
 
 def lazy_first_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits) -> FeasibilityTunnel:
@@ -221,48 +233,30 @@ def lazy_first_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bit
     effective floor), and the buffer constraint is taken relative to it.
     """
     total = float(offload_bits)
-    tol = bits_tol(max(total, profile.capacity))
-    if total > profile.capacity + tol:
-        raise InfeasibleError(
-            f"transfer of {total} bits exceeds helper capacity {profile.capacity}",
-            deficit=total - profile.capacity,
-        )
+    _check_transfer(profile, total)
     if buffer_bits < 0:
         raise ValueError("buffer_bits must be nonnegative")
-    slack = profile.capacity - total
-    times, cum, idle, flips = _oneshot_parts(profile, [slack, profile.capacity - buffer_bits])
-    floor = np.maximum(cum - slack, 0.0)
-    floor[-1] = total
-    ceiling = np.minimum(floor + buffer_bits, total)
-    ceiling[0] = 0.0
-    ceiling[-1] = total
-    return FeasibilityTunnel(
-        "lazy", times, floor, ceiling, total, cum,
-        np.zeros_like(cum), idle, flips, float(buffer_bits),
-    )
+    times = _idle_span(profile)
+    return _build_tunnel("lazy", profile.curve, times, total, profile.capacity - total, buffer_bits)
 
 
-def _merged_parts(profile, arrivals, timeline, extra_levels):
+def _chunked_tunnel(kind, profile, arrivals, ratio, timeline, effective) -> FeasibilityTunnel:
+    """Share ``ratio`` of every chunk offloaded; ``effective`` leaves the
+    helper's unused capacity as slack, otherwise the floor is its full curve."""
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError(f"offload ratio must be in [0, 1], got {ratio}")
     tl = timeline if timeline is not None else merge_events(profile, arrivals)
     if tl.idle_end_index is None:
         raise InfeasibleError("helper CPU is never idle, nothing can be offloaded")
     k_end = tl.idle_end_index
-    late = float(tl.arrival_bits[k_end:].sum())
-    times = [float(t) for t in tl.times[: k_end + 1]]
-    bits = list(tl.arrival_bits[: k_end + 1])
+    bits = tl.arrival_bits[: k_end + 1].copy()
     bits[-1] = 0.0  # data arriving at the last idle instant cannot be served
-    for level in extra_levels:
-        if 0.0 < level < profile.capacity:
-            t_star = time_at_capacity(profile, level)
-            before = len(times)
-            _insert_time(times, t_star)
-            if len(times) > before:
-                bits.insert(times.index(t_star), 0.0)
-    times = np.asarray(times)
-    bits = np.asarray(bits)
-    cum = np.array([profile.capacity_at(t) for t in times])
-    idle, flips = _interval_state(profile, times)
-    return times, bits, cum, idle, flips, late
+    total = ratio * float(bits.sum())
+    slack = profile.capacity - total if effective else 0.0
+    late = float(tl.arrival_bits[k_end:].sum())
+    return _build_tunnel(
+        kind, profile.curve, tl.times[: k_end + 1].copy(), total, slack, bits=bits, share=ratio, late=late
+    )
 
 
 def bursty_effective_tunnel(
@@ -278,24 +272,7 @@ def bursty_effective_tunnel(
     Chunks arriving at or after the last idle instant make every positive
     share infeasible, which shows up as a floor/ceiling conflict, not an error.
     """
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"offload ratio must be in [0, 1], got {ratio}")
-    times, bits, cum, idle, flips, late = _merged_parts(profile, arrivals, timeline, [])
-    served = float(bits.sum())
-    total = ratio * served
-    slack = profile.capacity - total
-    if slack > 0.0:
-        times, bits, cum, idle, flips, late = _merged_parts(profile, arrivals, timeline, [slack])
-    floor = np.maximum(cum - slack, 0.0)
-    if slack >= 0.0:
-        floor[-1] = total
-    if ratio * late > bits_tol(total):
-        floor[-1] = max(floor[-1], total + ratio * late)  # late chunks cannot be served
-    ceiling = ratio * np.concatenate(([0.0], np.cumsum(bits[:-1])))
-    return FeasibilityTunnel(
-        "bursty-effective", times, floor, ceiling, total, cum,
-        bits, idle, flips, np.inf,
-    )
+    return _chunked_tunnel("bursty-effective", profile, arrivals, ratio, timeline, True)
 
 
 def bursty_tunnel(
@@ -309,25 +286,14 @@ def bursty_tunnel(
     Only consistent (feasible) when the offloaded share equals the whole
     capacity; otherwise the endpoint mismatch reports as infeasible.
     """
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"offload ratio must be in [0, 1], got {ratio}")
-    times, bits, cum, idle, flips, late = _merged_parts(profile, arrivals, timeline, [])
-    total = ratio * float(bits.sum())
-    floor = cum.copy()
-    if ratio * late > bits_tol(total):
-        floor[-1] = max(floor[-1], total + ratio * late)
-    ceiling = ratio * np.concatenate(([0.0], np.cumsum(bits[:-1])))
-    return FeasibilityTunnel(
-        "bursty", times, floor, ceiling, total, cum,
-        bits, idle, flips, np.inf,
-    )
+    return _chunked_tunnel("bursty", profile, arrivals, ratio, timeline, False)
 
 
 def local_compute_tunnel(arrivals: ArrivalProcess, local, ratio: float) -> FeasibilityTunnel:
     """Feasibility tunnel for the user computing its own share of each chunk.
 
     The user CPU runs at a constant rate through the whole window, so the
-    capacity curve is a line through the origin; otherwise the construction
+    capacity curve is the line ``rate * t``; otherwise the construction
     mirrors the chunked-arrival transfer tunnel.
     """
     if not 0.0 <= ratio <= 1.0:
@@ -335,35 +301,16 @@ def local_compute_tunnel(arrivals: ArrivalProcess, local, ratio: float) -> Feasi
     share = 1.0 - ratio
     rate = local.cpu_hz / local.cycles_per_bit
     horizon = arrivals.horizon
+    at, sizes = arrivals.times, arrivals.sizes
+    inner = at[(at > TIME_ATOL) & (at < horizon - TIME_ATOL)]
+    times = np.concatenate(([0.0], inner, [horizon]))
+    bits = np.zeros(len(times))
+    chunks = sizes > 0
+    nearest = np.argmin(np.abs(times[None, :] - at[chunks, None]), axis=1)
+    np.add.at(bits, nearest, sizes[chunks])
+    line = CapacityCurve(np.array([0.0, horizon]), np.array([0.0, rate * horizon]), np.array([True]), rate)
     total = share * arrivals.total
-    slack = rate * horizon - total
-    times = [0.0] + [float(t) for t in arrivals.times if TIME_ATOL < t < horizon - TIME_ATOL]
-    times.append(horizon)
-    bits = [0.0] * len(times)
-    for t, s in zip(arrivals.times, arrivals.sizes):
-        if s <= 0:
-            continue
-        v = int(np.argmin(np.abs(np.asarray(times) - t)))
-        bits[v] += float(s)
-    if 0.0 < slack < rate * horizon:
-        t_star = slack / rate
-        before = len(times)
-        _insert_time(times, t_star)
-        if len(times) > before:
-            bits.insert(times.index(t_star), 0.0)
-    times = np.asarray(times)
-    bits = np.asarray(bits)
-    cum = rate * times
-    floor = np.maximum(cum - slack, 0.0)
-    if slack >= 0.0:
-        floor[-1] = total
-    ceiling = share * np.concatenate(([0.0], np.cumsum(bits[:-1])))
-    idle = np.ones(len(times) - 1, dtype=bool)
-    flips = np.zeros(len(times), dtype=int)
-    return FeasibilityTunnel(
-        "local", times, floor, ceiling, total, cum,
-        bits, idle, flips, np.inf,
-    )
+    return _build_tunnel("local", line, times, total, rate * horizon - total, bits=bits, share=share)
 
 
 def max_offload_ratio(

@@ -21,7 +21,6 @@ from offloadsim.sim_harness import (
     run_oneshot_sweep,
 )
 from offloadsim.string_pull import (
-    convex_reference_schedule,
     offload_energy,
     pull_string,
     verify_optimality,
@@ -36,6 +35,8 @@ from offloadsim.tunnel import (
     min_offload_ratio,
     proportional_tunnel,
 )
+
+from convex_reference import convex_reference_schedule
 
 HELPER_HZ = 5e9
 CPB = 500.0

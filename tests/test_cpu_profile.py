@@ -66,6 +66,40 @@ def test_capacity_at_rejects_times_outside_window():
         prof.capacity_at(0.1001)
 
 
+def capacity_by_epoch(prof, t):
+    """Reference: walk to t's epoch and add the idle slope on idle epochs."""
+    b = prof.boundaries
+    if t >= b[-1]:
+        return float(prof.cum_bits[-1])
+    if t <= 0.0:
+        return 0.0
+    k = int(np.searchsorted(b, t, side="right")) - 1
+    base = float(prof.cum_bits[k])
+    if prof.epochs[k].idle:
+        base += (t - float(b[k])) * prof.idle_rate
+    return base
+
+
+def test_capacity_at_array_matches_scalar_calls():
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        eps = sample_cpu_process(rng, 0.1, 0.02, 0.02)
+        prof = build_profile(eps, HELPER_HZ, CPB, 0.1)
+        ts = np.concatenate((
+            [0.0, -1e-13, 0.1, 0.1 + 1e-13],
+            prof.boundaries,
+            rng.uniform(0.0, 0.1, size=40),
+        ))
+        values = prof.capacity_at(ts)
+        assert values.shape == ts.shape
+        scalars = np.array([prof.capacity_at(float(t)) for t in ts])
+        assert values.tobytes() == scalars.tobytes()
+        by_epoch = np.array([capacity_by_epoch(prof, float(t)) for t in ts])
+        assert values.tobytes() == by_epoch.tobytes()
+    with pytest.raises(ValueError):
+        prof.capacity_at(np.array([0.05, 0.2]))
+
+
 def test_build_profile_rejects_horizon_mismatch():
     with pytest.raises(ValueError):
         build_profile([Epoch(0.05, True)], HELPER_HZ, CPB, 0.1)
@@ -83,19 +117,6 @@ def test_idle_bookkeeping():
     never = build_profile([Epoch(0.1, False)], HELPER_HZ, CPB, 0.1)
     assert never.idle_end is None
     assert never.capacity == 0.0
-
-
-def test_scaled_profile():
-    prof = three_epoch_profile()
-    slow = prof.scaled(0.6)
-    assert slow.capacity == pytest.approx(0.6 * prof.capacity)
-    assert np.allclose(slow.boundaries, prof.boundaries)
-    for t in (0.0, 0.03, 0.06, 0.1):
-        assert slow.capacity_at(t) == pytest.approx(0.6 * prof.capacity_at(t))
-    with pytest.raises(ValueError):
-        prof.scaled(0.0)
-    with pytest.raises(ValueError):
-        prof.scaled(1.5)
 
 
 def test_sample_cpu_process_shape_and_determinism():

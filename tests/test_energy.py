@@ -106,6 +106,23 @@ def test_schedule_energy_sums_epochs():
         schedule_energy(times, np.array([0.0, 5e5, 4e5, 7e5]), CHAN)
 
 
+def test_schedule_energy_matches_epoch_by_epoch_sum():
+    # the vectorized sum adds epochs in order, so it equals the plain loop
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        n = int(rng.integers(2, 30))
+        times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 0.1, n - 1))))
+        steps = rng.uniform(0.0, 2e5, n - 1) * (rng.random(n - 1) < 0.7)
+        cum = np.concatenate(([0.0], np.cumsum(steps)))
+        total = 0.0
+        for k in range(n - 1):
+            if cum[k + 1] - cum[k] > 0:
+                total += CHAN.epoch_energy(cum[k + 1] - cum[k], times[k + 1] - times[k])
+        assert schedule_energy(times, cum, CHAN) == total
+    assert schedule_energy([0.0, 0.1], [0.0, 0.0], CHAN) == 0.0
+    assert schedule_energy([0.0, 0.0, 0.1], [0.0, 5.0, 5.0], CHAN) == np.inf
+
+
 def test_rate_table_smoke():
     text = rate_table(CHAN, [1e5, 1e6, 1e7])
     lines = text.strip().splitlines()

@@ -5,7 +5,6 @@ from offloadsim.cpu_profile import ArrivalProcess, Epoch, build_profile, sample_
 from offloadsim.energy import ChannelParams, schedule_energy
 from offloadsim.errors import InfeasibleError
 from offloadsim.string_pull import (
-    convex_reference_schedule,
     floor_following_schedule,
     format_schedule,
     min_energy_offload,
@@ -23,6 +22,8 @@ from offloadsim.tunnel import (
     lazy_first_tunnel,
     proportional_tunnel,
 )
+
+from convex_reference import convex_reference_schedule
 
 HELPER_HZ = 5e9
 CPB = 500.0

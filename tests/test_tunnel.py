@@ -118,6 +118,45 @@ def test_lazy_first_tunnel_buffer_relative_to_floor():
     )
 
 
+def assert_same_geometry(a, b):
+    for name in ("times", "floor", "ceiling", "cum_capacity", "cpu_flip"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.total == b.total
+
+
+def test_lazy_first_with_whole_buffer_is_effective_tunnel():
+    # a buffer holding the whole transfer never binds, so buffer-first
+    # scheduling sees exactly the effective tunnel
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        prof = random_profile(rng)
+        if prof.capacity <= 0:
+            continue
+        l = rng.uniform(0.05, 1.0) * prof.capacity
+        for buf in (l, rng.uniform(1.0, 3.0) * l, np.inf):
+            assert_same_geometry(lazy_first_tunnel(prof, l, buf), effective_tunnel(prof, l, buf))
+
+
+def test_full_utilization_is_lazy_first_at_capacity():
+    rng = np.random.default_rng(25)
+    for _ in range(40):
+        prof = random_profile(rng)
+        if prof.capacity <= 0:
+            continue
+        for buf in (0.0, rng.uniform(0.05, 1.2) * prof.capacity, np.inf):
+            full = full_utilization_tunnel(prof, buf)
+            assert_same_geometry(full, lazy_first_tunnel(prof, prof.capacity, buf))
+            assert full.total == prof.capacity
+
+
+def test_busy_sliver_after_last_idle_epoch():
+    # a busy tail shorter than the time tolerance must not add a vertex
+    prof = build_profile([Epoch(0.05, True), Epoch(1e-12, False)], HELPER_HZ, CPB, 0.05 + 1e-12)
+    tun = effective_tunnel(prof, 2e5)
+    assert tun.times[-1] == prof.idle_end == 0.05
+    assert tun.is_feasible()
+
+
 def test_floor_nesting_in_transfer_size():
     # a larger transfer leaves less slack, so its floor sits higher everywhere
     rng = np.random.default_rng(21)
