@@ -140,8 +140,10 @@ def optimize_partition(
     use_shortcut: bool = True,
 ) -> PartitionResult:
     """Minimum-energy split of a one-shot load between local CPU and helper."""
-    if load_bits < 0:
-        raise ValueError("load_bits must be nonnegative")
+    if not 0 <= load_bits < np.inf:
+        raise ValueError(f"load_bits must be nonnegative and finite, got {load_bits}")
+    if not buffer_bits >= 0:
+        raise ValueError(f"buffer_bits must be nonnegative, got {buffer_bits}")
     low, high = partition_bounds(profile, local, load_bits)
     tol = bits_tol(max(load_bits, 1.0))
     if low > high + tol:

@@ -68,8 +68,10 @@ class SimConfig:
                 raise ConfigError(f"{name} must be positive and finite, got {v}")
         if not 0.0 <= self.idle_start_prob <= 1.0:
             raise ConfigError("idle_start_prob must be in [0, 1]")
-        if self.load_bits < 0 or self.buffer_bits < 0:
-            raise ConfigError("load_bits and buffer_bits must be nonnegative")
+        for name in ("load_bits", "buffer_bits"):
+            v = getattr(self, name)
+            if not v >= 0:
+                raise ConfigError(f"{name} must be nonnegative, got {v}")
         if not 0 <= self.size_low <= self.size_high:
             raise ConfigError("need 0 <= size_low <= size_high")
         if self.trials < 1:
@@ -108,6 +110,8 @@ _AXES = {
 
 def _apply_axis(cfg: SimConfig, axis: str, value: float) -> SimConfig:
     if axis == "size_scale":
+        if not 0.0 < value < inf:
+            raise ConfigError(f"size_scale must be positive and finite, got {value}")
         return cfg
     return dataclasses.replace(cfg, **{axis: value})
 
@@ -221,7 +225,12 @@ def _scanned_energy(tunnel_fn, profile, channel, local, load_bits, buffer_bits, 
 
 def _split_case(task):
     """One one-shot trial: the optimal split plus the kind's baseline policy
-    (late-transmit for oneshot, proportional pacing for buffer) and buffer-first."""
+    (late-transmit for oneshot, proportional pacing for buffer) and buffer-first.
+
+    When the buffer holds every candidate transfer, the buffer-first tunnel is
+    the effective tunnel the optimal split is searched on, so buffer-first is
+    priced by the optimum; only smaller buffers scan the lazy-first tunnel.
+    """
     cfg, kind, axis, value, trial = task
     cfg_pt = _apply_axis(cfg, axis, value)
     draws = draw_trial(cfg.seed, _TAGS[kind], trial)
@@ -238,7 +247,10 @@ def _split_case(task):
         baseline = _benchmark_energy(profile, channel, local, load, low, high)
     else:
         baseline = _scanned_energy(proportional_tunnel, profile, channel, local, load, buffer_bits, low, high)
-    lazy = _scanned_energy(lazy_first_tunnel, profile, channel, local, load, buffer_bits, low, high)
+    if buffer_bits >= max(high, low):
+        lazy = res.energy  # lazy_first_tunnel(p, l, B) == effective_tunnel(p, l, B) for B >= l
+    else:
+        lazy = _scanned_energy(lazy_first_tunnel, profile, channel, local, load, buffer_bits, low, high)
     return (trial, True, res.energy, baseline, lazy, res.offload_bits)
 
 
@@ -330,6 +342,8 @@ def _run_sweep(cfg, axis, values, kind, worker, jobs) -> SweepResult:
     values = [float(v) for v in values]
     if not values:
         raise ConfigError("sweep needs at least one grid value")
+    for v in values:
+        _apply_axis(cfg, axis, v)  # reject a bad grid value before any trial runs
     tasks = [(cfg, kind, axis, v, t) for v in values for t in range(cfg.trials)]
     if jobs is not None and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

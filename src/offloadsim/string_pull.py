@@ -249,10 +249,10 @@ def min_energy_offload(
     Picks the tunnel family by how the transfer compares to the helper's
     capacity and the receive buffer, then pulls the string through it.
     """
-    if offload_bits < 0:
-        raise ValueError("offload_bits must be nonnegative")
-    if buffer_bits < 0:
-        raise ValueError("buffer_bits must be nonnegative")
+    if not offload_bits >= 0:
+        raise ValueError(f"offload_bits must be nonnegative, got {offload_bits}")
+    if not buffer_bits >= 0:
+        raise ValueError(f"buffer_bits must be nonnegative, got {buffer_bits}")
     cap = profile.capacity
     tol = bits_tol(max(offload_bits, cap))
     if offload_bits <= tol:

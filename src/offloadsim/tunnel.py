@@ -128,6 +128,8 @@ def _build_tunnel(
     ``total``. Vertices are added where the curve crosses ``slack`` and, for
     a buffer smaller than the transfer, ``capacity - buffer_bits``.
     """
+    if not buffer_bits >= 0:
+        raise ValueError(f"buffer_bits must be nonnegative, got {buffer_bits}")
     capacity = float(curve.cum_bits[-1])
     levels = [slack]
     if share is None and buffer_bits < total:
@@ -186,8 +188,6 @@ def full_utilization_tunnel(profile: CpuIdlingProfile, buffer_bits=np.inf) -> Fe
     The helper must never starve, so the floor is the capacity curve itself;
     the ceiling adds the receive-buffer headroom, capped by the transfer size.
     """
-    if buffer_bits < 0:
-        raise ValueError("buffer_bits must be nonnegative")
     times = _idle_span(profile)
     return _build_tunnel("full", profile.curve, times, profile.capacity, 0.0, buffer_bits)
 
@@ -201,7 +201,7 @@ def effective_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits
     total = float(offload_bits)
     tol = _check_transfer(profile, total)
     if buffer_bits < total - tol:
-        raise ValueError("effective tunnel assumes the buffer holds the whole transfer")
+        raise ValueError(f"effective tunnel assumes buffer_bits holds the whole transfer, got {buffer_bits}")
     times = _idle_span(profile)
     return _build_tunnel("effective", profile.curve, times, total, profile.capacity - total, buffer_bits)
 
@@ -215,8 +215,6 @@ def proportional_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_b
     """
     total = float(offload_bits)
     _check_transfer(profile, total)
-    if buffer_bits < 0:
-        raise ValueError("buffer_bits must be nonnegative")
     times = _idle_span(profile)
     factor = min(total / profile.capacity, 1.0)
     if not factor > 0.0:
@@ -234,8 +232,6 @@ def lazy_first_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bit
     """
     total = float(offload_bits)
     _check_transfer(profile, total)
-    if buffer_bits < 0:
-        raise ValueError("buffer_bits must be nonnegative")
     times = _idle_span(profile)
     return _build_tunnel("lazy", profile.curve, times, total, profile.capacity - total, buffer_bits)
 

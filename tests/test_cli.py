@@ -109,6 +109,25 @@ def test_solve_error_paths(capsys, profile_file):
     assert code == 1
 
 
+def test_nan_bit_quantities_rejected(capsys, profile_file):
+    for argv in (
+        ("solve", "--profile", profile_file, "--load", "7e5", "--buffer", "nan"),
+        ("tunnel", "--profile", profile_file, "--kind", "lazy", "--offload", "5e5", "--buffer", "nan"),
+        ("buffer", "--values", "nan", "--trials", "5"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert "buffer_bits" in err, argv
+        assert "nan" not in out, argv
+    for argv, field in (
+        (("solve", "--profile", profile_file, "--load", "inf"), "load_bits"),
+        (("bursty", "--values", "nan", "--trials", "5"), "size_scale"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert field in err, argv
+
+
 def test_tunnel_subcommand(capsys, profile_file, tmp_path):
     code, out, _ = run_cli(
         capsys, "tunnel", "--profile", profile_file, "--kind", "full",

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from offloadsim.errors import ConfigError
+from offloadsim.partition import optimize_partition, partition_bounds
 from offloadsim.sim_harness import (
+    _TAGS,
     SimConfig,
+    _profile_from_draws,
+    _scanned_energy,
     draw_trial,
     find_crossover,
     format_csv,
@@ -13,8 +17,17 @@ from offloadsim.sim_harness import (
     wilson_interval,
     write_csv,
 )
+from offloadsim.string_pull import offload_energy
+from offloadsim.tunnel import lazy_first_tunnel
 
 SMALL = SimConfig(trials=40, seed=7)
+
+
+def trial_instance(cfg, kind, trial):
+    """The profile, channel and local CPU a sweep trial of ``kind`` draws."""
+    draws = draw_trial(cfg.seed, _TAGS[kind], trial)
+    gain = cfg.mean_gain * (draws.gain_unit if cfg.rayleigh_fading else 1.0)
+    return _profile_from_draws(draws, cfg), cfg.channel(gain), cfg.local_params()
 
 
 def test_config_validation():
@@ -26,6 +39,11 @@ def test_config_validation():
         SimConfig(idle_start_prob=1.5)
     with pytest.raises(ConfigError):
         SimConfig(size_low=2e5, size_high=1e5)
+    for name in ("load_bits", "buffer_bits"):
+        for bad in (np.nan, -1.0):
+            with pytest.raises(ConfigError, match=name):
+                SimConfig(**{name: bad})
+    assert SimConfig(buffer_bits=np.inf).buffer_bits == np.inf
 
 
 def test_config_from_dict():
@@ -126,3 +144,61 @@ def test_find_crossover():
     x = find_crossover([0.0, 1.0], [0.0, 1.0], [0.5, 0.5])
     assert x == pytest.approx(0.5)
     assert find_crossover([0.0, 1.0], [0.0, np.nan], [0.5, 0.5]) is None
+
+
+def test_whole_buffer_prices_buffer_first_by_the_optimum():
+    # with every candidate transfer inside the buffer the lazy-first tunnel is
+    # the effective tunnel, so the buffer-first column is the optimum itself
+    oneshot = run_oneshot_sweep(SMALL, "mean_idle", (0.01, 0.04))
+    buffer = run_buffer_sweep(SMALL, (1e4, 7e5, np.inf))
+    whole = oneshot.per_trial + [
+        cases for v, cases in zip(buffer.values, buffer.per_trial) if v >= SMALL.load_bits
+    ]
+    assert len(whole) == 4
+    for cases in whole:
+        feasible = [c for c in cases if c[1]]
+        assert feasible
+        assert all(c[4] == c[2] for c in feasible)
+    # below the load, a trial whose buffer is smaller than its largest
+    # transfer still scans the lazy-first tunnel
+    scanned = 0
+    for case in buffer.per_trial[0]:
+        trial, ok, opt, _, lazy, _ = case
+        if not ok:
+            continue
+        profile, channel, local = trial_instance(SMALL, "buffer", trial)
+        low, high = partition_bounds(profile, local, SMALL.load_bits)
+        assert 1e4 < high
+        expect = _scanned_energy(lazy_first_tunnel, profile, channel, local, SMALL.load_bits, 1e4, low, high)
+        assert lazy == expect
+        scanned += lazy != opt
+    assert scanned > 0
+
+
+def test_optimum_never_loses_to_scanned_buffer_first_with_whole_buffer():
+    # Both searches stop within one bit of the minimizer, so the scan may land
+    # a little closer to it; it must never beat the optimum by more than the
+    # objective moves within one bit of the optimum's split.
+    cfg = SimConfig()
+    rng = np.random.default_rng(31)
+    checked = 0
+    for trial in range(400):
+        profile, channel, local = trial_instance(cfg, "oneshot", trial)
+        load = float(rng.uniform(2e5, 1.2e6))
+        low, high = partition_bounds(profile, local, load)
+        if low > high:
+            continue
+        for buf in (high, float(rng.uniform(1.0, 2.0)) * high, np.inf):
+            res = optimize_partition(profile, channel, local, load, buf)
+            lazy = _scanned_energy(lazy_first_tunnel, profile, channel, local, load, buf, low, high)
+
+            def energy(l):
+                return local.local_energy(load - l) + offload_energy(profile, l, buf, channel)
+
+            x = res.offload_bits
+            one_bit = max(abs(energy(min(x + 1.0, high)) - res.energy), abs(energy(max(x - 1.0, low)) - res.energy))
+            assert lazy >= res.energy - one_bit
+        checked += 1
+        if checked == 100:
+            break
+    assert checked == 100

@@ -14,7 +14,7 @@ from offloadsim.partition import (
     replay_local_computing,
     scan_minimize,
 )
-from offloadsim.string_pull import bursty_offload_energy, offload_energy
+from offloadsim.string_pull import bursty_offload_energy, min_energy_offload, offload_energy
 
 HELPER_HZ = 5e9
 CPB = 500.0
@@ -79,6 +79,18 @@ def test_optimize_partition_accounting():
     assert res.offload_bits >= 5e5 - 1e-6  # local CPU cannot finish more
 
 
+def test_nan_bit_quantities_rejected():
+    prof = oneshot_profile()
+    with pytest.raises(ValueError, match="buffer_bits"):
+        optimize_partition(prof, CHAN, LOCAL, 7e5, np.nan)
+    with pytest.raises(ValueError, match="load_bits"):
+        optimize_partition(prof, CHAN, LOCAL, np.nan)
+    with pytest.raises(ValueError, match="buffer_bits"):
+        min_energy_offload(prof, 5e5, np.nan)
+    with pytest.raises(ValueError, match="offload_bits"):
+        min_energy_offload(prof, np.nan)
+
+
 def test_optimize_partition_matches_grid():
     rng = np.random.default_rng(41)
     checked = 0
@@ -99,6 +111,50 @@ def test_optimize_partition_matches_grid():
         assert res.energy <= gf * (1 + 1e-9)
         assert abs(res.offload_bits - gx) <= step * (1 + 1e-9) or res.energy <= gf
         checked += 1
+
+
+def closed_form_split(profile, channel, local, load_bits):
+    """Optimal split for a buffer that holds every transfer, in closed form.
+
+    Offloading one more bit raises every floor contact after the taut
+    string's first segment, so only the first-segment rate ``r1(l) = max_t
+    floor(t) / t`` moves and the transfer energy's slope is ``p'(r1)``.
+    Setting ``p'(r*)`` to the local energy per bit gives ``r* =
+    W log2(e_bit W h / (N0 ln 2))``, and ``r1(l) <= r*`` holds while ``l <=
+    r* t + C - c(t)`` at every profile boundary up to the last idle instant.
+    """
+    low, high = partition_bounds(profile, local, load_bits)
+    w, n0 = channel.bandwidth_hz, channel.noise_w
+    rate = w * np.log2(local.bit_energy * w * channel.gain / (n0 * np.log(2.0)))
+    t = profile.boundaries[1 : profile.last_idle_index + 2]
+    l = np.min(rate * t + profile.capacity - profile.capacity_at(t))
+    return float(np.clip(l, low, max(high, low)))
+
+
+def test_search_matches_closed_form_split():
+    rng = np.random.default_rng(51)
+    checked = interior = 0
+    while checked < 300:
+        k = int(rng.integers(10, 101))
+        idle_first = bool(rng.random() < 0.5)
+        durations = rng.exponential(0.1 / k, k)
+        epochs = [Epoch(float(d), (i % 2 == 0) == idle_first) for i, d in enumerate(durations)]
+        prof = build_profile(epochs, HELPER_HZ, CPB, sum(e.duration for e in epochs))
+        if prof.last_idle_index is None:
+            continue
+        chan = ChannelParams(CHAN.gain * 10 ** rng.uniform(-3, 3), CHAN.bandwidth_hz, CHAN.noise_w)
+        load = rng.uniform(0.3, 1.0) * (prof.capacity + LOCAL.cpu_hz / CPB * prof.horizon)
+        low, high = partition_bounds(prof, LOCAL, load)
+        if low > high:
+            continue
+        l_star = closed_form_split(prof, chan, LOCAL, load)
+        e_star = LOCAL.local_energy(load - l_star) + offload_energy(prof, l_star, np.inf, chan)
+        res = optimize_partition(prof, chan, LOCAL, load, np.inf)
+        assert abs(res.offload_bits - l_star) <= 1.0
+        assert res.energy <= e_star * (1 + 1e-9)
+        interior += low + 1.0 < l_star < high - 1.0
+        checked += 1
+    assert interior >= 30  # the formula, not only the clip, is exercised
 
 
 def test_shortcut_agrees_with_search_in_deep_fade():

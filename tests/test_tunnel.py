@@ -124,6 +124,21 @@ def assert_same_geometry(a, b):
     assert a.total == b.total
 
 
+def test_one_shot_builders_reject_nan_or_negative_buffer():
+    prof = oneshot_profile()
+    builders = (
+        lambda buf: full_utilization_tunnel(prof, buf),
+        lambda buf: effective_tunnel(prof, 5e5, buf),
+        lambda buf: proportional_tunnel(prof, 5e5, buf),
+        lambda buf: lazy_first_tunnel(prof, 5e5, buf),
+    )
+    for build in builders:
+        for bad in (np.nan, -1.0):
+            with pytest.raises(ValueError, match="buffer_bits"):
+                build(bad)
+        assert build(np.inf).is_feasible()
+
+
 def test_lazy_first_with_whole_buffer_is_effective_tunnel():
     # a buffer holding the whole transfer never binds, so buffer-first
     # scheduling sees exactly the effective tunnel
