@@ -162,8 +162,10 @@ def build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> CpuIdlingProfil
 
     Epoch durations must sum to the horizon within 1e-12 s.
     """
-    if helper_hz <= 0 or cycles_per_bit <= 0:
-        raise ValueError("helper_hz and cycles_per_bit must be positive")
+    if not 0 < helper_hz < np.inf:
+        raise ValueError(f"helper_hz must be positive and finite, got {helper_hz}")
+    if not 0 < cycles_per_bit < np.inf:
+        raise ValueError(f"cycles_per_bit must be positive and finite, got {cycles_per_bit}")
     eps = normalize_epochs(epochs)
     durs = np.array([ep.duration for ep in eps], dtype=float)
     idle = np.array([ep.idle for ep in eps], dtype=bool)

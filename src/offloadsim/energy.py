@@ -9,6 +9,7 @@ capacitance and the local CPU frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -30,8 +31,12 @@ class ChannelParams:
     noise_w: float  # noise power over the band, watts
 
     def __post_init__(self):
-        if self.gain <= 0 or self.bandwidth_hz <= 0 or self.noise_w <= 0:
-            raise ValueError("channel parameters must be positive")
+        if not 0 < self.gain < inf:
+            raise ValueError(f"gain must be positive and finite, got {self.gain}")
+        if not 0 < self.bandwidth_hz < inf:
+            raise ValueError(f"bandwidth_hz must be positive and finite, got {self.bandwidth_hz}")
+        if not 0 < self.noise_w < inf:
+            raise ValueError(f"noise_w must be positive and finite, got {self.noise_w}")
 
     def rate_to_power(self, rate):
         """Transmit power (W) needed to sustain ``rate`` bits/s."""
@@ -70,8 +75,12 @@ class LocalComputeParams:
     switched_cap: float  # effective switched capacitance, J*s^2
 
     def __post_init__(self):
-        if self.cpu_hz <= 0 or self.cycles_per_bit <= 0 or self.switched_cap <= 0:
-            raise ValueError("local compute parameters must be positive")
+        if not 0 < self.cpu_hz < inf:
+            raise ValueError(f"cpu_hz must be positive and finite, got {self.cpu_hz}")
+        if not 0 < self.cycles_per_bit < inf:
+            raise ValueError(f"cycles_per_bit must be positive and finite, got {self.cycles_per_bit}")
+        if not 0 < self.switched_cap < inf:
+            raise ValueError(f"switched_cap must be positive and finite, got {self.switched_cap}")
 
     @property
     def cycle_energy(self) -> float:

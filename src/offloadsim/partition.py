@@ -4,11 +4,14 @@ For a one-shot load the only coupling between the two sides is the split
 size, and both sides are convex in it: local energy is linear in the kept
 bits, transfer energy is convex in the offloaded bits (tunnels scale into
 each other under convex combinations of the split). Golden-section search on
-the sum therefore finds the global optimum whenever the buffer covers every
-candidate transfer; small buffers switch tunnel families mid-interval and get
-a coarse bracketing scan first. A closed-form marginal test handles the
-common case where offloading more than strictly necessary can never pay off,
-skipping the search entirely.
+the sum therefore finds the global optimum whenever one tunnel family covers
+every candidate transfer: a buffer holding every transfer (effective tunnels)
+or one below every transfer (proportional tunnels, whose floor ``(l/C) c(t)``
+is linear in the size ``l`` and whose ceiling ``min((l/C) c(t) + B, l)`` is
+concave in it). Only a buffer inside the feasible range switches tunnel
+families mid-interval, and gets a coarse bracketing scan first. A
+closed-form marginal test handles the common case where offloading more than
+strictly necessary can never pay off, skipping the search entirely.
 """
 from __future__ import annotations
 
@@ -162,7 +165,8 @@ def optimize_partition(
                 profile, l, buffer_bits, channel
             )
 
-        if buffer_bits >= high:
+        if buffer_bits >= high or buffer_bits < low:
+            # one tunnel family (effective, or proportional) covers the range
             best, _ = golden_section(objective, low, high, tol=1.0)
         else:
             # the solver switches tunnel families at l = buffer size, which can

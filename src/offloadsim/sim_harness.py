@@ -16,7 +16,7 @@ from math import inf, isfinite, isnan, nan, sqrt
 import numpy as np
 
 from .cpu_profile import ArrivalProcess, CpuIdlingProfile, Epoch, build_profile
-from .energy import ChannelParams, LocalComputeParams
+from .energy import ChannelParams, LocalComputeParams, schedule_energy
 from .errors import ConfigError, InfeasibleError, NumericError
 from .partition import optimize_partition, optimize_ratio, partition_bounds, scan_minimize
 from .string_pull import floor_following_schedule, pull_string
@@ -24,6 +24,7 @@ from .tunnel import (
     bits_tol,
     bursty_effective_tunnel,
     effective_tunnel,
+    full_utilization_tunnel,
     lazy_first_tunnel,
     proportional_tunnel,
 )
@@ -207,14 +208,14 @@ def _benchmark_energy(profile, channel, local, load_bits, low, high) -> float:
     return best
 
 
-def _scanned_energy(tunnel_fn, profile, channel, local, load_bits, buffer_bits, low, high) -> float:
-    """Best energy over the split (scanned) of the policy that pulls the
-    string through ``tunnel_fn(profile, offload_bits, buffer_bits)``."""
+def _scan_split(transfer_energy, local, load_bits, low, high) -> float:
+    """Best energy over the split (scanned) of local computing plus
+    ``transfer_energy(offload_bits)``."""
 
     def fn(l):
         e = local.local_energy(load_bits - l)
         if l > bits_tol(load_bits):
-            e += pull_string(tunnel_fn(profile, l, buffer_bits)).energy(channel)
+            e += transfer_energy(l)
         return e
 
     if high - low <= 1.0:
@@ -223,13 +224,42 @@ def _scanned_energy(tunnel_fn, profile, channel, local, load_bits, buffer_bits, 
     return f
 
 
+def _scanned_energy(tunnel_fn, profile, channel, local, load_bits, buffer_bits, low, high) -> float:
+    """Best energy over the split (scanned) of the policy that pulls the
+    string through ``tunnel_fn(profile, offload_bits, buffer_bits)``."""
+    return _scan_split(
+        lambda l: pull_string(tunnel_fn(profile, l, buffer_bits)).energy(channel),
+        local, load_bits, low, high,
+    )
+
+
+def _scaled_full_energy(profile, channel, local, load_bits, low, high) -> float:
+    """Proportional pacing scanned over the split when the buffer holds every
+    transfer: ``proportional_tunnel(p, l, B)`` for ``B >= l`` is
+    ``full_utilization_tunnel(p, inf)`` scaled by ``l / capacity``, and so is
+    its taut string, so one string pull prices every transfer size."""
+    full = None
+
+    def transfer_energy(l):
+        nonlocal full
+        if full is None:  # a pinned range never needs it; a never-idle profile has none
+            full = pull_string(full_utilization_tunnel(profile, inf))
+        return schedule_energy(full.times, (l / full.total) * full.cumulative, channel)
+
+    return _scan_split(transfer_energy, local, load_bits, low, high)
+
+
 def _split_case(task):
     """One one-shot trial: the optimal split plus the kind's baseline policy
     (late-transmit for oneshot, proportional pacing for buffer) and buffer-first.
 
-    When the buffer holds every candidate transfer, the buffer-first tunnel is
-    the effective tunnel the optimal split is searched on, so buffer-first is
-    priced by the optimum; only smaller buffers scan the lazy-first tunnel.
+    Where one tunnel family covers every candidate transfer, a policy is
+    priced without a search of its own. A buffer below every transfer makes
+    the optimal split's solver use the proportional tunnel throughout, so
+    proportional pacing is priced by the optimum; a buffer holding every
+    transfer makes the buffer-first tunnel the effective tunnel the optimum
+    is searched on, and proportional pacing one scaled full-utilization
+    string. Only a buffer inside the feasible range scans tunnels per size.
     """
     cfg, kind, axis, value, trial = task
     cfg_pt = _apply_axis(cfg, axis, value)
@@ -243,11 +273,16 @@ def _split_case(task):
     if low > min(high, load) + bits_tol(load):
         return (trial, False, nan, nan, nan, nan)
     res = optimize_partition(profile, channel, local, load, buffer_bits)
+    whole = buffer_bits >= max(high, low)
     if _SCHEMAS[kind][1] == "bench_energy":
         baseline = _benchmark_energy(profile, channel, local, load, low, high)
+    elif buffer_bits < low:
+        baseline = res.energy  # min_energy_offload(p, l, B) pulls proportional_tunnel(p, l, B) for l > B
+    elif whole:
+        baseline = _scaled_full_energy(profile, channel, local, load, low, high)
     else:
         baseline = _scanned_energy(proportional_tunnel, profile, channel, local, load, buffer_bits, low, high)
-    if buffer_bits >= max(high, low):
+    if whole:
         lazy = res.energy  # lazy_first_tunnel(p, l, B) == effective_tunnel(p, l, B) for B >= l
     else:
         lazy = _scanned_energy(lazy_first_tunnel, profile, channel, local, load, buffer_bits, low, high)

@@ -211,7 +211,10 @@ def proportional_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_b
 
     Scaling the idle rate by ``offload_bits / capacity`` and requiring full
     utilization of the scaled curve keeps the buffer constraint honest for
-    buffers smaller than the transfer.
+    buffers smaller than the transfer. A buffer holding the whole transfer
+    leaves the ceiling flat at the transfer size, so the tunnel is then
+    ``full_utilization_tunnel(profile, inf)`` scaled by ``offload_bits /
+    capacity``.
     """
     total = float(offload_bits)
     _check_transfer(profile, total)

@@ -128,6 +128,24 @@ def test_nan_bit_quantities_rejected(capsys, profile_file):
         assert field in err, argv
 
 
+def test_nan_or_infinite_physical_parameters_rejected(capsys, profile_file):
+    for flag, field in (
+        ("--gain", "gain"),
+        ("--noise-w", "noise_w"),
+        ("--bandwidth-hz", "bandwidth_hz"),
+        ("--helper-hz", "helper_hz"),
+        ("--local-hz", "cpu_hz"),
+        ("--cycles-per-bit", "cycles_per_bit"),
+        ("--switched-cap", "switched_cap"),
+    ):
+        for bad in ("nan", "inf"):
+            argv = ("solve", "--profile", profile_file, "--load", "7e5", flag, bad)
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1, argv
+            assert field in err, argv
+            assert "total_energy_j" not in out, argv
+
+
 def test_tunnel_subcommand(capsys, profile_file, tmp_path):
     code, out, _ = run_cli(
         capsys, "tunnel", "--profile", profile_file, "--kind", "full",

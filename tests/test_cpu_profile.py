@@ -100,6 +100,15 @@ def test_capacity_at_array_matches_scalar_calls():
         prof.capacity_at(np.array([0.05, 0.2]))
 
 
+def test_build_profile_rejects_bad_rate_by_name():
+    epochs = [Epoch(0.05, True), Epoch(0.05, False)]
+    for bad in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="helper_hz"):
+            build_profile(epochs, bad, CPB, 0.1)
+        with pytest.raises(ValueError, match="cycles_per_bit"):
+            build_profile(epochs, HELPER_HZ, bad, 0.1)
+
+
 def test_build_profile_rejects_horizon_mismatch():
     with pytest.raises(ValueError):
         build_profile([Epoch(0.05, True)], HELPER_HZ, CPB, 0.1)

@@ -73,13 +73,19 @@ def test_epoch_energy_pinned_value():
 
 
 def test_channel_rejects_nonpositive_parameters():
-    for bad in (
-        dict(gain=0.0, bandwidth_hz=1e6, noise_w=1e-10),
-        dict(gain=1e-6, bandwidth_hz=-1.0, noise_w=1e-10),
-        dict(gain=1e-6, bandwidth_hz=1e6, noise_w=0.0),
-    ):
-        with pytest.raises(ValueError):
-            ChannelParams(**bad)
+    good = dict(gain=1e-6, bandwidth_hz=1e6, noise_w=1e-10)
+    for name in good:
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=name):
+                ChannelParams(**{**good, name: bad})
+
+
+def test_local_compute_rejects_bad_parameters_by_name():
+    good = dict(cpu_hz=1e9, cycles_per_bit=500.0, switched_cap=1e-28)
+    for name in good:
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=name):
+                LocalComputeParams(**{**good, name: bad})
 
 
 def test_local_compute_energies():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from offloadsim.cpu_profile import Epoch, build_profile
+from offloadsim.energy import schedule_energy
 from offloadsim.errors import ConfigError
 from offloadsim.partition import optimize_partition, partition_bounds
 from offloadsim.sim_harness import (
@@ -17,8 +19,8 @@ from offloadsim.sim_harness import (
     wilson_interval,
     write_csv,
 )
-from offloadsim.string_pull import offload_energy
-from offloadsim.tunnel import lazy_first_tunnel
+from offloadsim.string_pull import offload_energy, pull_string
+from offloadsim.tunnel import full_utilization_tunnel, lazy_first_tunnel, proportional_tunnel
 
 SMALL = SimConfig(trials=40, seed=7)
 
@@ -202,3 +204,54 @@ def test_optimum_never_loses_to_scanned_buffer_first_with_whole_buffer():
         if checked == 100:
             break
     assert checked == 100
+
+
+def test_proportional_column_needs_no_scan_outside_the_feasible_range():
+    # below every candidate transfer the optimal split's solver already pulls
+    # proportional tunnels, so the prop column is the optimum itself; above
+    # every transfer it is a scan of scaled full-utilization strings, equal to
+    # the tunnel-by-tunnel scan; inside the range the tunnels are scanned
+    values = (1e4, 1e5, 6e5, 7e5, np.inf)
+    buffer = run_buffer_sweep(SMALL, values)
+    below = above = inside = 0
+    for buf, cases in zip(values, buffer.per_trial):
+        for trial, ok, opt, prop, _, _ in cases:
+            if not ok:
+                continue
+            profile, channel, local = trial_instance(SMALL, "buffer", trial)
+            low, high = partition_bounds(profile, local, SMALL.load_bits)
+            if buf < low:
+                assert prop == opt
+                below += 1
+                continue
+            expect = _scanned_energy(proportional_tunnel, profile, channel, local, SMALL.load_bits, buf, low, high)
+            if buf >= max(high, low):
+                assert prop == pytest.approx(expect, rel=1e-12, abs=0.0)
+                above += 1
+            else:
+                assert prop == expect
+                inside += 1
+    assert below > 0 and above > 0 and inside > 0
+
+
+def test_scaled_full_string_prices_proportional_tunnel_with_whole_buffer():
+    # for B >= l the proportional tunnel is full_utilization_tunnel(p, inf)
+    # scaled by l / capacity, and so is its taut string
+    rng = np.random.default_rng(61)
+    checked = 0
+    while checked < 300:
+        k = int(rng.integers(1, 60))
+        idle_first = bool(rng.random() < 0.5)
+        durations = rng.exponential(0.1 / k, k)
+        epochs = [Epoch(float(d), (i % 2 == 0) == idle_first) for i, d in enumerate(durations)]
+        profile = build_profile(epochs, 5e9, 500.0, sum(e.duration for e in epochs))
+        if profile.last_idle_index is None:
+            continue
+        channel = SMALL.channel(SMALL.mean_gain * 10 ** rng.uniform(-3, 3))
+        full = pull_string(full_utilization_tunnel(profile, np.inf))
+        l = float(rng.uniform(1e-6, 1.0)) * profile.capacity
+        buf = float(rng.choice([l, rng.uniform(1.0, 3.0) * l, np.inf]))
+        scaled = schedule_energy(full.times, (l / full.total) * full.cumulative, channel)
+        expect = pull_string(proportional_tunnel(profile, l, buf)).energy(channel)
+        assert scaled == pytest.approx(expect, rel=1e-12, abs=0.0)
+        checked += 1

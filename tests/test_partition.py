@@ -157,6 +157,33 @@ def test_search_matches_closed_form_split():
     assert interior >= 30  # the formula, not only the clip, is exercised
 
 
+def test_golden_search_below_the_buffer_matches_a_bracketing_scan():
+    # a buffer below every candidate transfer leaves one tunnel family, the
+    # proportional one, over the whole range, so the objective is convex and
+    # the golden search needs no bracketing scan
+    rng = np.random.default_rng(71)
+    searched = 0
+    for _ in range(200):
+        prof = random_profile(rng)
+        chan = ChannelParams(CHAN.gain * 10 ** rng.uniform(-1, 2), CHAN.bandwidth_hz, CHAN.noise_w)
+        load = rng.uniform(4e5, 9e5)
+        low, high = partition_bounds(prof, LOCAL, load)
+        if low > high:
+            continue
+        buffer_bits = float(rng.uniform(0.0, 1.0)) * low
+
+        def objective(l):
+            return LOCAL.local_energy(load - l) + offload_energy(prof, l, buffer_bits, chan)
+
+        res = optimize_partition(prof, chan, LOCAL, load, buffer_bits)
+        if res.method != "search":
+            continue
+        _, scanned = scan_minimize(objective, low, high, tol=1.0)
+        assert res.energy <= scanned * (1 + 1e-9)
+        searched += 1
+    assert searched >= 30
+
+
 def test_shortcut_agrees_with_search_in_deep_fade():
     # a nearly dead channel makes any extra transmitted bit a bad trade
     fade = ChannelParams(3e-9, 1e6, 1e-10)
