@@ -179,10 +179,6 @@ def build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> CpuIdlingProfil
     return CpuIdlingProfile(eps, float(helper_hz), float(cycles_per_bit), durs, curve, last, capacity)
 
 
-def capacity_at(profile: CpuIdlingProfile, t: float) -> float:
-    return profile.capacity_at(t)
-
-
 @dataclass(frozen=True, eq=False)
 class ArrivalProcess:
     """Workload arrival instants and sizes over one deadline window.
@@ -227,24 +223,17 @@ class ArrivalProcess:
         return cls(np.asarray(times), np.asarray(sizes), horizon)
 
 
-def sample_cpu_process(seed, horizon, mean_idle, mean_busy, idle_start_prob=0.5):
-    """Draw an alternating busy/idle epoch list with exponential durations.
+def epochs_from_units(idle, idle_units, busy_units, horizon, mean_idle, mean_busy) -> list[Epoch]:
+    """Alternating epochs from state ``idle`` on, each lasting its state's mean
+    times the next draw of that state's unit iterator (at least 1e-9 s).
 
     The final epoch is truncated so durations sum to the horizon exactly;
     a sub-tolerance sliver is folded into the preceding epoch instead.
     """
-    if horizon <= 0 or mean_idle <= 0 or mean_busy <= 0:
-        raise ValueError("horizon and epoch means must be positive")
-    if not 0.0 <= idle_start_prob <= 1.0:
-        raise ValueError("idle_start_prob must be in [0, 1]")
-    rng = as_generator(seed)
-    idle = bool(rng.random() < idle_start_prob)
     out: list[Epoch] = []
     elapsed = 0.0
     while True:
-        dur = rng.exponential(mean_idle if idle else mean_busy)
-        while dur <= 1e-9:
-            dur = rng.exponential(mean_idle if idle else mean_busy)
+        dur = max(mean_idle * next(idle_units) if idle else mean_busy * next(busy_units), 1e-9)
         if elapsed + dur >= horizon - MIN_EPOCH:
             tail = horizon - elapsed
             if tail >= MIN_EPOCH or not out:
@@ -258,6 +247,33 @@ def sample_cpu_process(seed, horizon, mean_idle, mean_busy, idle_start_prob=0.5)
         idle = not idle
 
 
+def arrivals_from_units(
+    gap_units, size_units, horizon, mean_interarrival, size_low, size_high, size_scale=1.0
+) -> ArrivalProcess:
+    """Arrivals on (0, horizon) spaced ``mean_interarrival`` times successive
+    gap units, each of ``size_scale * (low + (high - low) * u)`` bits for the
+    next size unit ``u``."""
+    events = []
+    t = 0.0
+    while True:
+        t += mean_interarrival * next(gap_units)
+        if t >= horizon - TIME_ATOL:
+            return ArrivalProcess.from_events(events, horizon)
+        events.append((t, size_scale * (size_low + (size_high - size_low) * next(size_units))))
+
+
+def sample_cpu_process(seed, horizon, mean_idle, mean_busy, idle_start_prob=0.5):
+    """Draw an alternating busy/idle epoch list with exponential durations."""
+    if horizon <= 0 or mean_idle <= 0 or mean_busy <= 0:
+        raise ValueError("horizon and epoch means must be positive")
+    if not 0.0 <= idle_start_prob <= 1.0:
+        raise ValueError("idle_start_prob must be in [0, 1]")
+    rng = as_generator(seed)
+    idle = bool(rng.random() < idle_start_prob)
+    units = iter(rng.standard_exponential, None)  # drawn lazily, one per epoch in order
+    return epochs_from_units(idle, units, units, horizon, mean_idle, mean_busy)
+
+
 def sample_arrivals(seed, horizon, mean_interarrival, size_low, size_high) -> ArrivalProcess:
     """Poisson arrivals on (0, horizon) with uniform sizes in [low, high]."""
     if mean_interarrival <= 0:
@@ -265,12 +281,9 @@ def sample_arrivals(seed, horizon, mean_interarrival, size_low, size_high) -> Ar
     if not 0 <= size_low <= size_high:
         raise ValueError("need 0 <= size_low <= size_high")
     rng = as_generator(seed)
-    events = []
-    t = rng.exponential(mean_interarrival)
-    while t < horizon - TIME_ATOL:
-        events.append((t, rng.uniform(size_low, size_high)))
-        t += rng.exponential(mean_interarrival)
-    return ArrivalProcess.from_events(events, horizon)
+    # drawn lazily from one generator: gap, size, gap, size, ..., final gap
+    gaps, sizes = iter(rng.standard_exponential, None), iter(rng.random, None)
+    return arrivals_from_units(gaps, sizes, horizon, mean_interarrival, size_low, size_high)
 
 
 @dataclass(frozen=True, eq=False)

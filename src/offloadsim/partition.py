@@ -188,25 +188,6 @@ def optimize_partition(
     )
 
 
-def offload_energy_slope(
-    profile: CpuIdlingProfile,
-    offload_bits: float,
-    buffer_bits,
-    channel: ChannelParams,
-    delta: float | None = None,
-) -> float:
-    """Central-difference slope of the optimal transfer energy in the size."""
-    if delta is None:
-        delta = max(1.0, 1e-6 * offload_bits)
-    lo = max(offload_bits - delta, 0.0)
-    hi = min(offload_bits + delta, profile.capacity)
-    if hi <= lo:
-        raise ValueError("no room to difference the transfer energy")
-    e_lo = offload_energy(profile, lo, buffer_bits, channel)
-    e_hi = offload_energy(profile, hi, buffer_bits, channel)
-    return (e_hi - e_lo) / (hi - lo)
-
-
 @dataclass(frozen=True)
 class RatioResult:
     ratio: float

@@ -5,6 +5,10 @@ regardless of worker count, and every grid point of a sweep reuses the same
 underlying draws (fading, epoch lengths, arrival pattern). That coupling makes
 cross-point comparisons paired: capacity grows pointwise with the mean idle
 duration, arrival sizes grow pointwise with the size scale, and so on.
+
+Epochs and arrivals come from the loops ``sample_cpu_process`` and
+``sample_arrivals`` use, fed by the trial's unit draws, which continue
+without end (see ``TrialDraws``), so any horizon runs.
 """
 from __future__ import annotations
 
@@ -15,9 +19,16 @@ from math import inf, isfinite, isnan, nan, sqrt
 
 import numpy as np
 
-from .cpu_profile import ArrivalProcess, CpuIdlingProfile, Epoch, build_profile
+from .cpu_profile import (
+    ArrivalProcess,
+    CpuIdlingProfile,
+    arrivals_from_units,
+    build_profile,
+    epochs_from_units,
+    merge_events,
+)
 from .energy import ChannelParams, LocalComputeParams, schedule_energy
-from .errors import ConfigError, InfeasibleError, NumericError
+from .errors import ConfigError, InfeasibleError
 from .partition import optimize_partition, optimize_ratio, partition_bounds, scan_minimize
 from .string_pull import floor_following_schedule, pull_string
 from .tunnel import (
@@ -30,7 +41,7 @@ from .tunnel import (
 )
 
 _TAGS = {"oneshot": 11, "buffer": 12, "bursty": 13}  # seed-sequence tag per sweep kind
-_POOL = 128  # pre-drawn randomness per kind and trial
+_POOL = 128  # pre-drawn values per unit pool, kind and trial
 
 
 @dataclass(frozen=True)
@@ -126,7 +137,13 @@ def _check_axis(axis: str, kind: str):
 
 @dataclass(frozen=True)
 class TrialDraws:
-    """All randomness for one trial, drawn in a fixed order and count."""
+    """All randomness for one trial.
+
+    The first ``_POOL`` values of each unit pool are drawn up front, in a fixed
+    order and count. ``_units`` continues a pool past them from a child stream
+    of its own, spawned from ``key``, so how far one pool runs never shifts
+    another's values.
+    """
 
     gain_unit: float
     idle_start: float
@@ -134,6 +151,19 @@ class TrialDraws:
     busy_units: np.ndarray
     gap_units: np.ndarray
     size_units: np.ndarray
+    key: tuple[int, int, int]  # (seed, tag, trial)
+
+
+def _units(pool, key, stream, uniform=False):
+    """Endless iterator: ``pool``, then child stream ``stream`` of ``key``
+    (uniform or unit-exponential draws, as the pool)."""
+    yield from pool.tolist()
+    # spawn_key keeps every child apart from the trial's own stream, which
+    # SeedSequence(key + [stream]) would not for stream 0
+    rng = np.random.default_rng(np.random.SeedSequence(key, spawn_key=(stream,)))
+    draw = rng.random if uniform else rng.standard_exponential
+    while True:
+        yield from draw(_POOL).tolist()
 
 
 def draw_trial(seed: int, tag: int, trial: int) -> TrialDraws:
@@ -145,50 +175,26 @@ def draw_trial(seed: int, tag: int, trial: int) -> TrialDraws:
         busy_units=rng.exponential(1.0, _POOL),
         gap_units=rng.exponential(1.0, _POOL),
         size_units=rng.random(_POOL),
+        key=(seed, tag, trial),
     )
 
 
 def _profile_from_draws(draws: TrialDraws, cfg: SimConfig) -> CpuIdlingProfile:
-    idle = draws.idle_start < cfg.idle_start_prob
-    epochs = []
-    elapsed = 0.0
-    i = j = 0
-    while True:
-        if idle:
-            if i >= _POOL:
-                raise NumericError("epoch pool exhausted; horizon too long for the harness")
-            dur = cfg.mean_idle * draws.idle_units[i]
-            i += 1
-        else:
-            if j >= _POOL:
-                raise NumericError("epoch pool exhausted; horizon too long for the harness")
-            dur = cfg.mean_busy * draws.busy_units[j]
-            j += 1
-        dur = max(dur, 1e-9)
-        if elapsed + dur >= cfg.horizon - 1e-12:
-            tail = cfg.horizon - elapsed
-            if tail >= 1e-12 or not epochs:
-                epochs.append(Epoch(tail, idle))
-            else:
-                last = epochs[-1]
-                epochs[-1] = Epoch(last.duration + tail, last.idle)
-            break
-        epochs.append(Epoch(dur, idle))
-        elapsed += dur
-        idle = not idle
+    epochs = epochs_from_units(
+        draws.idle_start < cfg.idle_start_prob,
+        _units(draws.idle_units, draws.key, 0),
+        _units(draws.busy_units, draws.key, 1),
+        cfg.horizon, cfg.mean_idle, cfg.mean_busy,
+    )
     return build_profile(epochs, cfg.helper_hz, cfg.cycles_per_bit, cfg.horizon)
 
 
 def _arrivals_from_draws(draws: TrialDraws, cfg: SimConfig, scale: float) -> ArrivalProcess:
-    events = []
-    t = 0.0
-    for k in range(_POOL):
-        t += cfg.mean_interarrival * draws.gap_units[k]
-        if t >= cfg.horizon - 1e-12:
-            return ArrivalProcess.from_events(events, cfg.horizon)
-        size = scale * (cfg.size_low + (cfg.size_high - cfg.size_low) * draws.size_units[k])
-        events.append((t, size))
-    raise NumericError("arrival pool exhausted; horizon too long for the harness")
+    return arrivals_from_units(
+        _units(draws.gap_units, draws.key, 2),
+        _units(draws.size_units, draws.key, 3, uniform=True),
+        cfg.horizon, cfg.mean_interarrival, cfg.size_low, cfg.size_high, scale,
+    )
 
 
 def _benchmark_energy(profile, channel, local, load_bits, low, high) -> float:
@@ -313,13 +319,12 @@ def _bursty_case(task):
     arrivals = _arrivals_from_draws(draws, cfg_pt, scale)
     if arrivals.total <= 0.0:
         return (trial, True, 0.0, 0.0, 0.0, 0.0)
+    timeline = merge_events(profile, arrivals)
     try:
-        res = optimize_ratio(profile, arrivals, channel, local)
+        res = optimize_ratio(profile, arrivals, channel, local, timeline)
     except InfeasibleError:
         return (trial, False, nan, nan, nan, nan)
-    bench = _bursty_benchmark(
-        profile, arrivals, channel, local, res.ratio_low, res.ratio_high, None
-    )
+    bench = _bursty_benchmark(profile, arrivals, channel, local, res.ratio_low, res.ratio_high, timeline)
     return (trial, True, res.ratio, res.energy, bench, res.offload_bits)
 
 

@@ -249,8 +249,8 @@ def min_energy_offload(
     Picks the tunnel family by how the transfer compares to the helper's
     capacity and the receive buffer, then pulls the string through it.
     """
-    if not offload_bits >= 0:
-        raise ValueError(f"offload_bits must be nonnegative, got {offload_bits}")
+    if not 0 <= offload_bits < np.inf:
+        raise ValueError(f"offload_bits must be nonnegative and finite, got {offload_bits}")
     if not buffer_bits >= 0:
         raise ValueError(f"buffer_bits must be nonnegative, got {buffer_bits}")
     cap = profile.capacity

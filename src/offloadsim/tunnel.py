@@ -100,11 +100,6 @@ class FeasibilityTunnel:
         )
 
 
-def time_at_capacity(profile: CpuIdlingProfile, level: float) -> float:
-    """Earliest time at which the helper's capacity curve reaches ``level``."""
-    return profile.curve.time_at(level)
-
-
 def _build_tunnel(
     kind: str,
     curve: CapacityCurve,
@@ -173,6 +168,8 @@ def _idle_span(profile: CpuIdlingProfile) -> np.ndarray:
 
 
 def _check_transfer(profile: CpuIdlingProfile, total: float):
+    if not 0 <= total < np.inf:
+        raise ValueError(f"offload_bits must be nonnegative and finite, got {total}")
     tol = bits_tol(max(total, profile.capacity))
     if total > profile.capacity + tol:
         raise InfeasibleError(

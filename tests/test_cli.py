@@ -122,6 +122,10 @@ def test_nan_bit_quantities_rejected(capsys, profile_file):
     for argv, field in (
         (("solve", "--profile", profile_file, "--load", "inf"), "load_bits"),
         (("bursty", "--values", "nan", "--trials", "5"), "size_scale"),
+        (("solve", "--profile", profile_file, "--offload", "inf"), "offload_bits"),
+        (("solve", "--profile", profile_file, "--offload", "nan"), "offload_bits"),
+        (("tunnel", "--profile", profile_file, "--kind", "effective", "--offload", "nan"), "offload_bits"),
+        (("tunnel", "--profile", profile_file, "--kind", "lazy", "--offload", "inf"), "offload_bits"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1, argv

@@ -5,7 +5,6 @@ from offloadsim.cpu_profile import (
     ArrivalProcess,
     Epoch,
     build_profile,
-    capacity_at,
     format_arrivals,
     format_epochs,
     merge_events,
@@ -55,7 +54,7 @@ def test_build_profile_capacity_curve():
     assert prof.capacity_at(0.0) == 0.0
     assert prof.capacity_at(0.06) == 5e5
     assert prof.capacity_at(0.09) == pytest.approx(6e5, abs=1e-6)
-    assert capacity_at(prof, 0.1) == 7e5
+    assert prof.capacity_at(0.1) == 7e5
 
 
 def test_capacity_at_rejects_times_outside_window():
@@ -138,6 +137,25 @@ def test_sample_cpu_process_shape_and_determinism():
         assert a.idle != b.idle  # alternating after normalization
     other = sample_cpu_process(43, 0.1, 0.02, 0.02)
     assert other != rng_draws
+
+
+def test_samplers_reproduce_recorded_draws():
+    # values these seeds gave before the samplers shared their loops with the harness
+    eps = sample_cpu_process(42, 0.1, 0.02, 0.02)
+    assert [(ep.duration, ep.idle) for ep in eps] == [
+        (0.04672379311648907, False),
+        (0.0476952199974851, True),
+        (0.005580986886025846, False),
+    ]
+    arr = sample_arrivals(11, 0.1, 0.02, 5e4, 1.5e5)
+    assert arr.times.tolist() == [
+        0.004591848626348808, 0.02704000225035579, 0.02937168972907718, 0.030799826934330272,
+        0.0366383619299126, 0.043559550978091874, 0.06388395499588094, 0.09329390043467266, 0.1,
+    ]
+    assert arr.sizes.tolist() == [
+        99927.7862440115, 52868.90083719445, 142821.10229603696, 62977.3949399298,
+        86899.3123729791, 116284.29525167993, 63796.80728669553, 117036.05841024838, 0.0,
+    ]
 
 
 def test_sample_cpu_process_mean_durations():

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from offloadsim.sim_harness import (
     SimConfig,
     _profile_from_draws,
     _scanned_energy,
+    _units,
     draw_trial,
     find_crossover,
     format_csv,
@@ -68,6 +71,44 @@ def test_draw_trial_reproducible_and_distinct():
     assert not np.array_equal(a.idle_units, c.idle_units)
     d = draw_trial(8, 11, 3)
     assert a.gain_unit != d.gain_unit
+
+
+def test_long_horizon_sweeps_run():
+    # a 5 s horizon needs more than the pre-drawn values of some pools
+    cfg = SimConfig(trials=3, seed=7)
+    for run in (run_oneshot_sweep, run_bursty_sweep):
+        res = run(cfg, "horizon", (0.1, 5.0))
+        assert [row["value"] for row in res.rows] == [0.1, 5.0]
+        assert all(row["trials"] == 3 for row in res.rows)
+
+
+def test_continued_idle_draws_keep_grid_points_paired():
+    # a 12 s horizon runs past the 128 pre-drawn idle units at both means
+    draws = draw_trial(7, _TAGS["oneshot"], 0)
+    idle = {}
+    for mean_idle in (0.02, 0.04):
+        prof = _profile_from_draws(draws, SimConfig(horizon=12.0, mean_idle=mean_idle))
+        idle[mean_idle] = [ep.duration for ep in prof.epochs[:-1] if ep.idle]
+    n = min(len(durations) for durations in idle.values())
+    assert n > 128
+    assert idle[0.04][:n] == [2.0 * d for d in idle[0.02][:n]]
+
+
+def test_continued_draws_do_not_replay_the_trial_stream():
+    # each pool's continuation is a stream of its own, not a replay of the
+    # stream its first values (and the channel gain) came from
+    for trial in range(5):
+        draws = draw_trial(7, _TAGS["oneshot"], trial)
+        pools = (draws.idle_units, draws.busy_units, draws.gap_units, draws.size_units)
+        seen = {draws.gain_unit, draws.idle_start}.union(*(pool.tolist() for pool in pools))
+        continued = []
+        for stream, pool in enumerate(pools):
+            units = list(islice(_units(pool, draws.key, stream, uniform=stream == 3), 2 * len(pool)))
+            assert units[: len(pool)] == pool.tolist()
+            continued.append(units[len(pool):])
+        fresh = set().union(*continued)
+        assert len(fresh) == sum(map(len, continued))
+        assert seen.isdisjoint(fresh)
 
 
 def test_wilson_interval():

@@ -7,7 +7,6 @@ from offloadsim.errors import InfeasibleError
 from offloadsim.partition import (
     golden_section,
     minimal_offload_is_best,
-    offload_energy_slope,
     optimize_partition,
     optimize_ratio,
     partition_bounds,
@@ -20,6 +19,19 @@ HELPER_HZ = 5e9
 CPB = 500.0
 CHAN = ChannelParams(1e-6, 1e6, 1e-10)
 LOCAL = LocalComputeParams(1e9, CPB, 1e-28)
+
+
+def offload_energy_slope(profile, offload_bits, buffer_bits, channel, delta=None):
+    """Central-difference slope of the optimal transfer energy in the size."""
+    if delta is None:
+        delta = max(1.0, 1e-6 * offload_bits)
+    lo = max(offload_bits - delta, 0.0)
+    hi = min(offload_bits + delta, profile.capacity)
+    if hi <= lo:
+        raise ValueError("no room to difference the transfer energy")
+    e_lo = offload_energy(profile, lo, buffer_bits, channel)
+    e_hi = offload_energy(profile, hi, buffer_bits, channel)
+    return (e_hi - e_lo) / (hi - lo)
 
 
 def oneshot_profile():

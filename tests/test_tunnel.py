@@ -16,7 +16,6 @@ from offloadsim.tunnel import (
     max_offload_ratio,
     min_offload_ratio,
     proportional_tunnel,
-    time_at_capacity,
 )
 
 HELPER_HZ = 5e9
@@ -48,13 +47,13 @@ def random_profile(rng, horizon=0.1):
 
 def test_time_at_capacity():
     prof = oneshot_profile()
-    assert time_at_capacity(prof, 0.0) == 0.0
-    assert time_at_capacity(prof, 2e5) == pytest.approx(0.02)
-    assert time_at_capacity(prof, 5e5) == pytest.approx(0.05)
-    assert time_at_capacity(prof, 6e5) == pytest.approx(0.09)
-    assert time_at_capacity(prof, 7e5) == pytest.approx(0.1)
+    assert prof.curve.time_at(0.0) == 0.0
+    assert prof.curve.time_at(2e5) == pytest.approx(0.02)
+    assert prof.curve.time_at(5e5) == pytest.approx(0.05)
+    assert prof.curve.time_at(6e5) == pytest.approx(0.09)
+    assert prof.curve.time_at(7e5) == pytest.approx(0.1)
     with pytest.raises(ValueError):
-        time_at_capacity(prof, 7e5 + 1.0)
+        prof.curve.time_at(7e5 + 1.0)
 
 
 def test_full_utilization_tunnel_unbounded_buffer():
