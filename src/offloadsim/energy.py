@@ -48,8 +48,14 @@ class ChannelParams:
         return self.bandwidth_hz * np.log2(1.0 + np.asarray(power) * self.gain / self.noise_w)
 
     def marginal_energy_per_bit(self, rate: float) -> float:
-        """d(power)/d(rate) at ``rate``: J per extra bit when stretching rate."""
-        return self.noise_w * np.log(2.0) / (self.bandwidth_hz * self.gain) * 2.0 ** (rate / self.bandwidth_hz)
+        """d(power)/d(rate) at ``rate``: J per extra bit when stretching rate.
+
+        Overflows to ``inf`` once ``rate`` passes about 1024 bandwidths, where
+        the power itself does.
+        """
+        base = self.noise_w * np.log(2.0) / (self.bandwidth_hz * self.gain)
+        with np.errstate(over="ignore"):
+            return base * 2.0 ** (np.asarray(rate) / self.bandwidth_hz)
 
     def energy_per_bit(self, rate: float) -> float:
         """Average J/bit at constant ``rate``; limit N0*ln2/(W*h^2) as rate->0."""

@@ -1,31 +1,38 @@
 """Splitting work between local computing and offloading.
 
 For a one-shot load the only coupling between the two sides is the split
-size, and both sides are convex in it: local energy is linear in the kept
-bits, transfer energy is convex in the offloaded bits (tunnels scale into
-each other under convex combinations of the split). Golden-section search on
-the sum therefore finds the global optimum whenever one tunnel family covers
-every candidate transfer: a buffer holding every transfer (effective tunnels)
-or one below every transfer (proportional tunnels, whose floor ``(l/C) c(t)``
-is linear in the size ``l`` and whose ceiling ``min((l/C) c(t) + B, l)`` is
-concave in it). Only a buffer inside the feasible range switches tunnel
-families mid-interval, and gets a coarse bracketing scan first. A
-closed-form marginal test handles the common case where offloading more than
-strictly necessary can never pay off, skipping the search entirely.
+size ``l``. Local energy is linear in the kept bits. Transfer energy is
+convex in ``l`` on each tunnel family, because the family's tunnels scale
+into each other under convex combinations of the split:
+
+- a buffer holding every transfer leaves effective tunnels, searched with
+  golden section;
+- a buffer below every transfer leaves proportional tunnels, whose floor
+  ``(l/C) c(t)`` is linear in ``l`` and whose ceiling ``min((l/C) c(t) + B,
+  l)`` is concave in it. One string pull gives the energy's slope in ``l``
+  (``string_pull.envelope_slope``), so the split is the root of that slope
+  minus the local energy per bit, found by safeguarded regula falsi;
+- a buffer inside the feasible range splits it at ``l = B`` into an
+  effective piece (golden section) and a proportional piece (root), and the
+  better of the two optima is the optimum.
+
+A closed-form marginal test handles the common case where offloading more
+than strictly necessary can never pay off, skipping the search entirely.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import ceil, inf, isnan, log2, sqrt
 
 import numpy as np
 
 from .cpu_profile import ArrivalProcess, CpuIdlingProfile, MergedTimeline, merge_events
 from .energy import ChannelParams, LocalComputeParams
-from .errors import InfeasibleError
+from .errors import InfeasibleError, NumericError
 from .string_pull import (
     OffloadSchedule,
     bursty_offload_energy,
+    envelope_slope,
     min_energy_offload,
     min_energy_offload_bursty,
     offload_energy,
@@ -73,23 +80,57 @@ def golden_section(fn, lo: float, hi: float, tol: float, max_iter: int = 200):
     return best[0], best[1]
 
 
-def scan_minimize(fn, lo: float, hi: float, coarse: int = 17, tol: float = 1.0):
-    """Coarse grid scan followed by golden refinement around the best cell.
+_SPARE_PROBES = 4  # secant probes a root search may spend beyond bisection's count
 
-    For objectives that are cheap but not certified unimodal.
+
+def split_root(slope, lo: float, hi: float, tol: float = 1.0) -> float:
+    """Offload size in [lo, hi] where a nondecreasing ``slope`` changes sign,
+    to within ``tol`` bits: ``lo`` if ``slope(lo) >= 0``, ``hi`` if
+    ``slope(hi) <= 0``, else the secant root inside the final bracket.
+
+    Illinois regula falsi: each probe is the secant root through the
+    bracket's ends, kept ``tol / 2`` inside them, and an end kept for a
+    second probe in a row has its value halved. A bracket with an infinite
+    end is bisected, and so is every bracket once the probes left only
+    cover bisection, so a search takes at most ``_SPARE_PROBES`` probes
+    more than bisection. A NaN slope raises ``NumericError``.
     """
-    if hi <= lo + tol:
-        x, f = golden_section(fn, lo, hi, tol)
-        return x, f
-    xs = np.linspace(lo, hi, coarse)
-    fs = [fn(x) for x in xs]
-    k = int(np.argmin(fs))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, coarse - 1)]
-    x, f = golden_section(fn, a, b, tol)
-    if fs[k] < f:
-        return float(xs[k]), fs[k]
-    return x, f
+
+    def g(x):
+        v = slope(x)
+        if isnan(v):
+            raise NumericError(f"energy slope is NaN at an offload of {x} bits")
+        return v
+
+    g_lo = g(lo)
+    if g_lo >= 0.0:
+        return lo
+    g_hi = g(hi)
+    if g_hi <= 0.0:
+        return hi
+    left = ceil(log2((hi - lo) / tol)) + _SPARE_PROBES if hi - lo > tol else 0
+    moved = 0  # +1 if the last probe replaced the right end, -1 the left
+    while hi - lo > tol:
+        if g_hi < inf and left > ceil(log2((hi - lo) / tol)):
+            x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+            x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        else:
+            x = 0.5 * (lo + hi)
+        left -= 1
+        g_x = g(x)
+        if g_x == 0.0:
+            return x
+        if g_x > 0.0:
+            hi, g_hi = x, g_x
+            if moved == 1:
+                g_lo *= 0.5
+            moved = 1
+        else:
+            lo, g_lo = x, g_x
+            if moved == -1:
+                g_hi *= 0.5
+            moved = -1
+    return lo - g_lo * (hi - lo) / (g_hi - g_lo)
 
 
 def partition_bounds(profile: CpuIdlingProfile, local: LocalComputeParams, load_bits: float):
@@ -134,6 +175,19 @@ def minimal_offload_is_best(
     return channel.energy_per_bit(low / t_end) >= local.bit_energy
 
 
+def _proportional_slope(schedule: OffloadSchedule, tunnel: FeasibilityTunnel, channel: ChannelParams) -> float:
+    """Slope in the transfer size of the energy of a proportional tunnel's
+    taut string (or of the full-utilization tunnel, its largest size).
+
+    The floor ``(l/C) c(t)`` moves by ``floor / total`` per bit, and so does
+    the ceiling ``floor + B`` below the total; where the ceiling is flat at
+    the total it moves by 1.
+    """
+    share = tunnel.floor / tunnel.total if tunnel.total > 0.0 else tunnel.floor
+    d_ceiling = np.where(tunnel.ceiling >= tunnel.total, 1.0, share)
+    return envelope_slope(schedule, channel, share, d_ceiling, 1.0)
+
+
 def optimize_partition(
     profile: CpuIdlingProfile,
     channel: ChannelParams,
@@ -142,7 +196,16 @@ def optimize_partition(
     buffer_bits=np.inf,
     use_shortcut: bool = True,
 ) -> PartitionResult:
-    """Minimum-energy split of a one-shot load between local CPU and helper."""
+    """Minimum-energy split of a one-shot load between local CPU and helper.
+
+    The split is pinned when the feasible range is under a bit wide, and the
+    smallest feasible transfer when the marginal test says so (``method`` is
+    ``"pinned"`` or ``"shortcut"``). Otherwise (``"search"``) the range is
+    searched on its tunnel families: golden section on effective tunnels up
+    to the buffer, a root of the envelope slope on proportional tunnels
+    above it, and the better of the two where the buffer splits the range.
+    Every search stops at a 1-bit bracket.
+    """
     if not 0 <= load_bits < np.inf:
         raise ValueError(f"load_bits must be nonnegative and finite, got {load_bits}")
     if not buffer_bits >= 0:
@@ -165,13 +228,21 @@ def optimize_partition(
                 profile, l, buffer_bits, channel
             )
 
-        if buffer_bits >= high or buffer_bits < low:
-            # one tunnel family (effective, or proportional) covers the range
+        def slope(l):  # of the objective, on proportional tunnels (l > buffer_bits)
+            schedule, tunnel = min_energy_offload(profile, l, buffer_bits)
+            return _proportional_slope(schedule, tunnel, channel) - local.bit_energy
+
+        if buffer_bits >= high:
             best, _ = golden_section(objective, low, high, tol=1.0)
+        elif buffer_bits < low:
+            best = split_root(slope, low, high)
         else:
-            # the solver switches tunnel families at l = buffer size, which can
-            # dent unimodality, so bracket with a coarse scan first
-            best, _ = scan_minimize(objective, low, high, tol=1.0)
+            # effective tunnels up to the buffer, proportional ones above it:
+            # two convex pieces, each with its own optimum
+            best, e_eff = golden_section(objective, low, buffer_bits, tol=1.0)
+            above = split_root(slope, np.nextafter(buffer_bits, inf), high)
+            if objective(above) < e_eff:
+                best = above
         method = "search"
     schedule, tunnel = min_energy_offload(profile, best, buffer_bits)
     e_off = schedule.energy(channel)

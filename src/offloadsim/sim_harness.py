@@ -29,7 +29,7 @@ from .cpu_profile import (
 )
 from .energy import ChannelParams, LocalComputeParams, schedule_energy
 from .errors import ConfigError, InfeasibleError
-from .partition import optimize_partition, optimize_ratio, partition_bounds, scan_minimize
+from .partition import golden_section, optimize_partition, optimize_ratio, partition_bounds, split_root
 from .string_pull import floor_following_schedule, pull_string
 from .tunnel import (
     bits_tol,
@@ -214,15 +214,43 @@ def _benchmark_energy(profile, channel, local, load_bits, low, high) -> float:
     return best
 
 
-def _scan_split(transfer_energy, local, load_bits, low, high) -> float:
-    """Best energy over the split (scanned) of local computing plus
-    ``transfer_energy(offload_bits)``."""
+def scan_minimize(fn, lo: float, hi: float, coarse: int = 17, tol: float = 1.0):
+    """Coarse grid scan followed by golden refinement around the best cell.
+
+    For objectives that are cheap but not certified unimodal, such as the
+    buffer-first policy's energy over the split.
+    """
+    if hi <= lo + tol:
+        x, f = golden_section(fn, lo, hi, tol)
+        return x, f
+    xs = np.linspace(lo, hi, coarse)
+    fs = [fn(x) for x in xs]
+    k = int(np.argmin(fs))
+    a = xs[max(k - 1, 0)]
+    b = xs[min(k + 1, coarse - 1)]
+    x, f = golden_section(fn, a, b, tol)
+    if fs[k] < f:
+        return float(xs[k]), fs[k]
+    return x, f
+
+
+def _split_energy(transfer_energy, local, load_bits, offload_bits) -> float:
+    """Local computing of the kept bits plus ``transfer_energy(offload_bits)``."""
+    e = local.local_energy(load_bits - offload_bits)
+    if offload_bits > bits_tol(load_bits):
+        e += transfer_energy(offload_bits)
+    return e
+
+
+def _scanned_energy(tunnel_fn, profile, channel, local, load_bits, buffer_bits, low, high) -> float:
+    """Best energy over the split (scanned) of the policy that pulls the
+    string through ``tunnel_fn(profile, offload_bits, buffer_bits)``."""
+
+    def transfer_energy(l):
+        return pull_string(tunnel_fn(profile, l, buffer_bits)).energy(channel)
 
     def fn(l):
-        e = local.local_energy(load_bits - l)
-        if l > bits_tol(load_bits):
-            e += transfer_energy(l)
-        return e
+        return _split_energy(transfer_energy, local, load_bits, l)
 
     if high - low <= 1.0:
         return fn(low)
@@ -230,29 +258,34 @@ def _scan_split(transfer_energy, local, load_bits, low, high) -> float:
     return f
 
 
-def _scanned_energy(tunnel_fn, profile, channel, local, load_bits, buffer_bits, low, high) -> float:
-    """Best energy over the split (scanned) of the policy that pulls the
-    string through ``tunnel_fn(profile, offload_bits, buffer_bits)``."""
-    return _scan_split(
-        lambda l: pull_string(tunnel_fn(profile, l, buffer_bits)).energy(channel),
-        local, load_bits, low, high,
-    )
+def _scaled_slope(full, channel, offload_bits) -> float:
+    """Slope in the transfer size of the energy of ``full`` scaled to
+    ``offload_bits``: ``sum over segments of p'(s r) * bits / C`` with ``s =
+    offload_bits / C``, ``r`` and ``bits`` the segments' rates and bits and
+    ``C`` the string's total. An overflowing ``p'`` only meets positive bits,
+    so the slope is then ``+inf``, never NaN."""
+    s = offload_bits / full.total
+    return float(channel.marginal_energy_per_bit(s * full.rates) @ full.bits) / full.total
 
 
 def _scaled_full_energy(profile, channel, local, load_bits, low, high) -> float:
-    """Proportional pacing scanned over the split when the buffer holds every
-    transfer: ``proportional_tunnel(p, l, B)`` for ``B >= l`` is
+    """Proportional pacing optimized over the split when the buffer holds
+    every transfer: ``proportional_tunnel(p, l, B)`` for ``B >= l`` is
     ``full_utilization_tunnel(p, inf)`` scaled by ``l / capacity``, and so is
-    its taut string, so one string pull prices every transfer size."""
-    full = None
+    its taut string, so one string pull prices every transfer size, and the
+    best size is the root of the scaled string's energy slope minus the local
+    energy per bit. That slope is in closed form, so the root is taken to a
+    thousandth of a bit."""
+    if high <= bits_tol(load_bits):  # nothing to offload; a never-idle profile has no string
+        return local.local_energy(load_bits - low)
+    full = pull_string(full_utilization_tunnel(profile, inf))
 
     def transfer_energy(l):
-        nonlocal full
-        if full is None:  # a pinned range never needs it; a never-idle profile has none
-            full = pull_string(full_utilization_tunnel(profile, inf))
         return schedule_energy(full.times, (l / full.total) * full.cumulative, channel)
 
-    return _scan_split(transfer_energy, local, load_bits, low, high)
+    if high - low > 1.0:
+        low = split_root(lambda l: _scaled_slope(full, channel, l) - local.bit_energy, low, high, tol=1e-3)
+    return _split_energy(transfer_energy, local, load_bits, low)
 
 
 def _split_case(task):
@@ -260,12 +293,15 @@ def _split_case(task):
     (late-transmit for oneshot, proportional pacing for buffer) and buffer-first.
 
     Where one tunnel family covers every candidate transfer, a policy is
-    priced without a search of its own. A buffer below every transfer makes
-    the optimal split's solver use the proportional tunnel throughout, so
-    proportional pacing is priced by the optimum; a buffer holding every
-    transfer makes the buffer-first tunnel the effective tunnel the optimum
-    is searched on, and proportional pacing one scaled full-utilization
-    string. Only a buffer inside the feasible range scans tunnels per size.
+    priced without a scan. A buffer below every transfer makes the optimal
+    split's solver use the proportional tunnel throughout, so proportional
+    pacing is priced by the optimum. A buffer holding every transfer makes
+    the buffer-first tunnel the effective tunnel the optimum is searched
+    on, and proportional pacing one scaled full-utilization string, priced
+    at the root of its energy slope. A buffer inside the feasible range
+    scans proportional tunnels per size, and every buffer below the largest
+    transfer scans lazy-first tunnels: buffer-first's energy over the split
+    is not known to be convex there.
     """
     cfg, kind, axis, value, trial = task
     cfg_pt = _apply_axis(cfg, axis, value)
@@ -385,9 +421,10 @@ def _run_sweep(cfg, axis, values, kind, worker, jobs) -> SweepResult:
     for v in values:
         _apply_axis(cfg, axis, v)  # reject a bad grid value before any trial runs
     tasks = [(cfg, kind, axis, v, t) for v in values for t in range(cfg.trials)]
-    if jobs is not None and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(tasks) // (jobs * 8))
+    workers = min(jobs or 1, len(tasks))  # the executor forks every worker at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(tasks) // (workers * 8))
             results = list(pool.map(worker, tasks, chunksize=chunk))
     else:
         results = [worker(task) for task in tasks]

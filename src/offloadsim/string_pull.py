@@ -5,7 +5,9 @@ through a feasibility tunnel the one minimizing energy is the shortest path,
 the taut string between the pinned endpoints. ``pull_string`` computes it by
 divide and conquer: test the straight chord, bend it at the worst-violated
 vertex (onto the floor or ceiling, whichever is hit harder), recurse on both
-halves.
+halves. ``envelope_slope`` reads off a pulled string how its energy moves
+with any parameter that moves the tunnel, from the multipliers at its
+contacts.
 """
 from __future__ import annotations
 
@@ -100,6 +102,30 @@ def pull_string(tunnel: FeasibilityTunnel) -> OffloadSchedule:
         )
     y = _taut_values(tunnel.times, tunnel.floor, tunnel.ceiling, 1e-3 * tol)
     return OffloadSchedule(tunnel.times.copy(), y)
+
+
+def envelope_slope(schedule: OffloadSchedule, channel: ChannelParams, d_floor, d_ceiling, d_total: float) -> float:
+    """Slope of a taut string's energy in a parameter that moves its tunnel.
+
+    With ``m`` the marginal power ``p'(rate)`` of each segment, the string
+    is held at interior vertex k by the multiplier ``w_k = m_{k-1} - m_k``:
+    positive where it bends down onto the floor, negative where it bends up
+    under the ceiling, zero where it runs straight. By the envelope theorem
+    the energy then moves by ``sum max(w, 0) * d_floor + sum min(w, 0) *
+    d_ceiling + m_last * d_total`` per unit of the parameter, given the
+    per-vertex slopes of the floor and ceiling and the slope of the total.
+
+    A marginal power that overflows makes the slope ``+inf`` (the energy is
+    infinite there too); a NaN rate makes it NaN.
+    """
+    m = channel.marginal_energy_per_bit(schedule.rates)
+    top = float(np.max(m))
+    if not 0.0 < top < np.inf:
+        return top
+    m = m / top  # so no sum below can overflow into inf - inf
+    w = m[:-1] - m[1:]
+    s = np.maximum(w, 0.0) @ d_floor[1:-1] + np.minimum(w, 0.0) @ d_ceiling[1:-1] + m[-1] * d_total
+    return top * float(s)
 
 
 def floor_following_schedule(tunnel: FeasibilityTunnel) -> OffloadSchedule:

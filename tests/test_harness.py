@@ -3,6 +3,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
+from offloadsim import sim_harness
 from offloadsim.cpu_profile import Epoch, build_profile
 from offloadsim.energy import schedule_energy
 from offloadsim.errors import ConfigError
@@ -171,6 +172,34 @@ def test_results_identical_across_worker_counts():
     assert serial == parallel
     again = format_csv(run_oneshot_sweep(SMALL, "mean_idle", (0.01, 0.04), jobs=2))
     assert serial == again
+
+
+def test_worker_pool_no_larger_than_the_sweep(monkeypatch):
+    # the executor forks all its workers at the first submit, so a pool
+    # wider than the task list starts processes that never get work
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sim_harness, "ProcessPoolExecutor", InProcessPool)
+    cfg = SimConfig(trials=1, seed=7)
+    serial = format_csv(run_oneshot_sweep(cfg, "mean_idle", (0.02,), jobs=None))
+    assert format_csv(run_oneshot_sweep(cfg, "mean_idle", (0.02,), jobs=500)) == serial
+    assert sizes == []  # one task runs in this process
+    run_oneshot_sweep(cfg, "mean_idle", (0.01, 0.02, 0.04), jobs=500)
+    run_oneshot_sweep(cfg, "mean_idle", (0.01, 0.02, 0.04), jobs=2)
+    assert sizes == [3, 2]
 
 
 def test_write_csv_unix_newlines(tmp_path):

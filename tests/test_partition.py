@@ -2,18 +2,27 @@ import numpy as np
 import pytest
 
 from offloadsim.cpu_profile import ArrivalProcess, Epoch, build_profile, sample_arrivals, sample_cpu_process
-from offloadsim.energy import ChannelParams, LocalComputeParams
-from offloadsim.errors import InfeasibleError
+from offloadsim.cli import main
+from offloadsim.energy import ChannelParams, LocalComputeParams, schedule_energy
+from offloadsim.errors import InfeasibleError, NumericError
 from offloadsim.partition import (
+    _proportional_slope,
     golden_section,
     minimal_offload_is_best,
     optimize_partition,
     optimize_ratio,
     partition_bounds,
     replay_local_computing,
-    scan_minimize,
 )
-from offloadsim.string_pull import bursty_offload_energy, min_energy_offload, offload_energy
+from offloadsim.sim_harness import _scaled_slope, scan_minimize
+from offloadsim.string_pull import (
+    bursty_offload_energy,
+    envelope_slope,
+    min_energy_offload,
+    offload_energy,
+    pull_string,
+)
+from offloadsim.tunnel import bursty_effective_tunnel, full_utilization_tunnel, max_offload_ratio
 
 HELPER_HZ = 5e9
 CPB = 500.0
@@ -43,6 +52,18 @@ def oneshot_profile():
 def random_profile(rng, horizon=0.1):
     eps = sample_cpu_process(rng, horizon, 0.02, 0.02)
     return build_profile(eps, HELPER_HZ, CPB, horizon)
+
+
+def epoch_profile(rng):
+    """Random profile of 10-100 epochs spanning about 0.1 s, idle somewhere."""
+    while True:
+        k = int(rng.integers(10, 101))
+        idle_first = bool(rng.random() < 0.5)
+        durations = rng.exponential(0.1 / k, k)
+        epochs = [Epoch(float(d), (i % 2 == 0) == idle_first) for i, d in enumerate(durations)]
+        prof = build_profile(epochs, HELPER_HZ, CPB, sum(e.duration for e in epochs))
+        if prof.last_idle_index is not None:
+            return prof
 
 
 def grid_best(fn, lo, hi, step):
@@ -167,6 +188,121 @@ def test_search_matches_closed_form_split():
         interior += low + 1.0 < l_star < high - 1.0
         checked += 1
     assert interior >= 30  # the formula, not only the clip, is exercised
+
+
+def central_slope(energy, x, delta):
+    """Central difference of ``energy`` at ``x``, or None where the forward
+    and backward differences disagree (an envelope kink within ``delta``)."""
+    e = energy(x)
+    fwd = (energy(x + delta) - e) / delta
+    bwd = (e - energy(x - delta)) / delta
+    mid = 0.5 * (fwd + bwd)
+    return mid if abs(fwd - bwd) <= 1e-4 * abs(mid) else None
+
+
+def test_envelope_slope_matches_central_differences():
+    # dE/dl = sum over contacts of the multiplier times the envelope's slope,
+    # plus the last segment's marginal power (sensitivity from multipliers)
+    rng = np.random.default_rng(81)
+    checked = kinks = 0
+    while checked < 150:
+        prof = epoch_profile(rng)
+        chan = ChannelParams(CHAN.gain * 10 ** rng.uniform(-3, 3), CHAN.bandwidth_hz, CHAN.noise_w)
+        l = float(rng.uniform(0.05, 0.95)) * prof.capacity
+        delta = 1e-6 * l
+        full = pull_string(full_utilization_tunnel(prof, np.inf))
+        scaled = central_slope(
+            lambda x: schedule_energy(full.times, (x / full.total) * full.cumulative, chan), l, delta
+        )
+        assert _scaled_slope(full, chan, l) == pytest.approx(scaled, rel=1e-6)
+        buffer_bits = float(rng.choice([0.0, rng.uniform(0.0, 0.999)])) * l
+        slope = _proportional_slope(*min_energy_offload(prof, l, buffer_bits), chan)
+        diff = central_slope(lambda x: offload_energy(prof, x, buffer_bits, chan), l, delta)
+        if diff is None:
+            kinks += 1
+            continue
+        assert slope == pytest.approx(diff, rel=1e-6)
+        checked += 1
+    assert kinks <= 15
+
+
+def test_envelope_slope_in_the_chunk_share_matches_central_differences():
+    # in the share r the ceiling r A(t) moves by A(t) and the floor by the
+    # offloaded total over r where it is positive: both envelopes count
+    rng = np.random.default_rng(83)
+    checked = 0
+    while checked < 60:
+        prof = random_profile(rng)
+        arr = sample_arrivals(rng, 0.1, 0.02, 5e4, 1.5e5)
+        if arr.total <= 0 or max_offload_ratio(prof, arr) < 1e-3:
+            continue
+        chan = ChannelParams(CHAN.gain * 10 ** rng.uniform(-3, 3), CHAN.bandwidth_hz, CHAN.noise_w)
+        r = float(rng.uniform(0.05, 0.95)) * max_offload_ratio(prof, arr)
+        tunnel = bursty_effective_tunnel(prof, arr, r)
+        d_floor = np.where(tunnel.floor > 0.0, tunnel.total / r, 0.0)
+        slope = envelope_slope(pull_string(tunnel), chan, d_floor, tunnel.ceiling / r, tunnel.total / r)
+        diff = central_slope(lambda x: bursty_offload_energy(prof, arr, x, chan), r, 1e-6 * r)
+        if diff is not None:
+            assert slope == pytest.approx(diff, rel=1e-6)
+            checked += 1
+
+
+def test_root_split_brackets_the_slope_sign_change():
+    # below the buffer the split is a root of g = dE/dl - local energy per bit
+    rng = np.random.default_rng(82)
+    interior = 0
+    while interior < 40:
+        prof = epoch_profile(rng)
+        chan = ChannelParams(CHAN.gain * 10 ** rng.uniform(-3, 0), CHAN.bandwidth_hz, CHAN.noise_w)
+        load = rng.uniform(0.3, 1.0) * (prof.capacity + LOCAL.cpu_hz / CPB * prof.horizon)
+        low, high = partition_bounds(prof, LOCAL, load)
+        if low > high:
+            continue
+        buffer_bits = float(rng.uniform(0.0, 1.0)) * low
+        res = optimize_partition(prof, chan, LOCAL, load, buffer_bits)
+        l_star = res.offload_bits
+        if res.method != "search" or not low + 1.0 < l_star < high - 1.0:
+            continue
+
+        def g(l):
+            return _proportional_slope(*min_energy_offload(prof, l, buffer_bits), chan) - LOCAL.bit_energy
+
+        assert g(l_star - 1.0) <= 0.0 <= g(l_star + 1.0)
+        interior += 1
+
+
+def test_overflowing_marginal_power_reads_as_an_infinite_slope():
+    # a narrow band and a very costly local CPU push the search into rates
+    # above 1024 bandwidths, where p'(rate) and the power overflow to inf
+    chan = ChannelParams(1e-6, 5.5e3, 1e-10)
+    local = LocalComputeParams(1e9, CPB, 4e268)
+    prof = oneshot_profile()
+    load, buffer_bits = 5e5, 1e3
+    low, high = partition_bounds(prof, local, load)
+    assert _proportional_slope(*min_energy_offload(prof, high, buffer_bits), chan) == np.inf
+    with np.errstate(invalid="raise"):  # no inf - inf or 0 * inf on the way
+        res = optimize_partition(prof, chan, local, load, buffer_bits)
+    assert res.method == "search"
+
+    def objective(l):
+        return local.local_energy(load - l) + offload_energy(prof, l, buffer_bits, chan)
+
+    step = 1e-3 * load
+    gx, gf = grid_best(objective, low, high, step)
+    assert np.isfinite(gf) and res.energy <= gf * (1 + 1e-9)
+    assert abs(res.offload_bits - gx) <= step
+
+
+def test_nan_slope_raises_numeric_error(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr("offloadsim.partition.envelope_slope", lambda *args: np.nan)
+    prof = oneshot_profile()
+    low, _ = partition_bounds(prof, LOCAL, 7e5)
+    with pytest.raises(NumericError, match=f"offload of {low} bits"):
+        optimize_partition(prof, CHAN, LOCAL, 7e5, 1e4)
+    path = tmp_path / "profile.txt"
+    path.write_text("0.05,idle\n0.03,busy\n0.02,idle\n")
+    assert main(["solve", "--profile", str(path), "--load", "7e5", "--buffer", "1e4"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_golden_search_below_the_buffer_matches_a_bracketing_scan():

@@ -5,6 +5,8 @@ from offloadsim.cpu_profile import ArrivalProcess, Epoch, build_profile, sample_
 from offloadsim.energy import ChannelParams, schedule_energy
 from offloadsim.errors import InfeasibleError
 from offloadsim.string_pull import (
+    OffloadSchedule,
+    envelope_slope,
     floor_following_schedule,
     format_schedule,
     min_energy_offload,
@@ -265,3 +267,20 @@ def test_schedule_text_round_trip():
     back = parse_schedule(format_schedule(sched))
     assert np.allclose(back.times, sched.times)
     assert np.allclose(back.cumulative, sched.cumulative)
+
+
+def test_envelope_slope_survives_marginal_powers_near_overflow():
+    # p'(rate) just below overflow, alternating floor and ceiling contacts:
+    # the unscaled sums would each overflow, to inf - inf
+    chan = ChannelParams(1e-6, 1e3, 1.0)
+    rates = np.array([1014.0, 0.0, 1014.0, 0.0, 1014.0]) * chan.bandwidth_hz
+    schedule = OffloadSchedule(np.arange(6.0), np.concatenate(([0.0], np.cumsum(rates))))
+    top = float(chan.marginal_energy_per_bit(rates[0]))
+    assert np.isfinite(top) and 2.0 * top == np.inf
+    ones = np.ones(6)
+    assert envelope_slope(schedule, chan, ones, ones, 1.0) == pytest.approx(top, rel=1e-12)
+    # past overflow the slope is +inf; a NaN rate makes it NaN
+    faster = OffloadSchedule(schedule.times, 1.01 * schedule.cumulative)
+    assert envelope_slope(faster, chan, ones, ones, 1.0) == np.inf
+    broken = OffloadSchedule(schedule.times, np.where(np.arange(6) == 3, np.nan, schedule.cumulative))
+    assert np.isnan(envelope_slope(broken, chan, ones, ones, 1.0))
