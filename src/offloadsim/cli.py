@@ -17,7 +17,7 @@ from pathlib import Path
 from .cpu_profile import build_profile, parse_arrivals, parse_epochs
 from .energy import ChannelParams, LocalComputeParams
 from .errors import ConfigError, InfeasibleError, NumericError
-from .partition import optimize_partition, optimize_ratio, replay_local_computing
+from .partition import optimize_partition, optimize_ratio
 from .sim_harness import (
     SimConfig,
     format_csv,
@@ -161,7 +161,7 @@ def _cmd_solve(args) -> int:
                     f"helper cannot absorb a {args.ratio:g} share of every chunk",
                     deficit=tunnel.deficit,
                 )
-            if not replay_local_computing(arrivals, local, args.ratio).completed:
+            if not local_compute_tunnel(arrivals, local, args.ratio).is_feasible():
                 raise InfeasibleError(
                     f"local CPU cannot finish its {1.0 - args.ratio:g} share by the deadline"
                 )

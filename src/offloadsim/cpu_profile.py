@@ -5,8 +5,8 @@ epochs whose spare cycles can compute offloaded bits. The cumulative number of
 bits the helper can have computed by time t grows at ``helper_hz /
 cycles_per_bit`` during idle epochs and is flat during busy ones. This module
 owns that piecewise-linear capacity curve, the workload arrival process, the
-random samplers used by the simulator, and the line-oriented text formats the
-CLI reads and writes.
+random samplers used by the simulator, and the parsers for the
+line-oriented text formats the CLI reads.
 """
 from __future__ import annotations
 
@@ -133,11 +133,6 @@ class CpuIdlingProfile:
         return float(self.curve.boundaries[-1])
 
     @property
-    def idle_rate(self) -> float:
-        """Capacity slope during idle epochs, bits per second."""
-        return self.helper_hz / self.cycles_per_bit
-
-    @property
     def idle_end(self):
         """End of the last idle epoch: no offloaded bit is computable later."""
         k = self.last_idle_index
@@ -198,16 +193,17 @@ class ArrivalProcess:
     @classmethod
     def from_events(cls, events, horizon) -> "ArrivalProcess":
         horizon = float(horizon)
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        pairs = sorted((float(t), float(s)) for t, s in events)
+        if not 0 < horizon < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {horizon}")
+        pairs = [(float(t), float(s)) for t, s in events]
+        for t, s in pairs:
+            if not -TIME_ATOL <= t <= horizon + TIME_ATOL:
+                raise ValueError(f"arrival time {t} outside [0, {horizon}]")
+            if not 0 <= s < np.inf:
+                raise ValueError(f"arrival size must be nonnegative and finite, got {s}")
         times: list[float] = []
         sizes: list[float] = []
-        for t, s in pairs:
-            if s < 0:
-                raise ValueError(f"arrival size must be nonnegative, got {s}")
-            if t < -TIME_ATOL or t > horizon + TIME_ATOL:
-                raise ValueError(f"arrival at {t} outside [0, {horizon}]")
+        for t, s in sorted(pairs):
             if t >= horizon - TIME_ATOL:
                 if s > 0:
                     raise ValueError("data arriving at the deadline cannot be served")
@@ -301,13 +297,6 @@ class MergedTimeline:
     cum_capacity: np.ndarray
     idle_end_index: int | None
 
-    @property
-    def offloadable_bits(self) -> float:
-        """Total data arriving strictly before the last idle instant."""
-        if self.idle_end_index is None:
-            return 0.0
-        return float(self.arrival_bits[: self.idle_end_index].sum())
-
 
 def merge_events(profile: CpuIdlingProfile, arrivals: ArrivalProcess) -> MergedTimeline:
     """Interleave CPU boundaries and arrival instants into one timeline."""
@@ -351,13 +340,6 @@ def merge_events(profile: CpuIdlingProfile, arrivals: ArrivalProcess) -> MergedT
 # a comment. Epochs are "duration_s,idle|busy"; arrivals are "time_s,bits".
 
 
-def format_epochs(epochs) -> str:
-    lines = ["# duration_s,state"]
-    for ep in epochs:
-        lines.append(f"{ep.duration:.12g},{'idle' if ep.idle else 'busy'}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_epochs(text: str) -> list[Epoch]:
     out = []
     for raw in text.splitlines():
@@ -371,13 +353,6 @@ def parse_epochs(text: str) -> list[Epoch]:
     if not out:
         raise ValueError("no epoch records found")
     return out
-
-
-def format_arrivals(arrivals: ArrivalProcess) -> str:
-    lines = ["# time_s,bits"]
-    for t, s in zip(arrivals.times, arrivals.sizes):
-        lines.append(f"{t:.12g},{s:.12g}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_arrivals(text: str, horizon: float) -> ArrivalProcess:

@@ -14,14 +14,6 @@ from math import inf
 import numpy as np
 
 
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
-def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
 @dataclass(frozen=True)
 class ChannelParams:
     """Static link between the user and the helper."""
@@ -43,10 +35,6 @@ class ChannelParams:
         with np.errstate(over="ignore"):
             return self.noise_w * np.expm1(np.asarray(rate) / self.bandwidth_hz * np.log(2.0)) / self.gain
 
-    def power_to_rate(self, power):
-        """Rate (bits/s) achievable with ``power`` watts."""
-        return self.bandwidth_hz * np.log2(1.0 + np.asarray(power) * self.gain / self.noise_w)
-
     def marginal_energy_per_bit(self, rate: float) -> float:
         """d(power)/d(rate) at ``rate``: J per extra bit when stretching rate.
 
@@ -62,14 +50,6 @@ class ChannelParams:
         if rate <= 0:
             return self.noise_w * np.log(2.0) / (self.bandwidth_hz * self.gain)
         return float(self.rate_to_power(rate)) / rate
-
-    def epoch_energy(self, bits: float, duration: float) -> float:
-        """Energy to move ``bits`` at constant rate over ``duration`` seconds."""
-        if bits <= 0:
-            return 0.0
-        if duration <= 0:
-            return np.inf
-        return float(self.rate_to_power(bits / duration)) * duration
 
 
 @dataclass(frozen=True)
@@ -127,24 +107,12 @@ def schedule_energy(times, cumulative, channel: ChannelParams) -> float:
     bits, tau = bits[sent], (times[1:] - times[:-1])[sent]
     if tau.min() <= 0:
         return np.inf  # bits to send in no time
-    # summed in epoch order, like adding up epoch_energy one epoch at a time
+    # summed in segment order, so it equals a plain loop adding one segment at a time
     return float((channel.rate_to_power(bits / tau) * tau).cumsum()[-1])
-
-
-def rate_table(channel: ChannelParams, rates) -> str:
-    """Small human-readable power table, used by the CLI."""
-    lines = ["# rate_bps,power_w,j_per_bit"]
-    for r in rates:
-        p = float(channel.rate_to_power(r))
-        lines.append(f"{r:.12g},{p:.12g},{(p / r if r > 0 else channel.energy_per_bit(0.0)):.12g}")
-    return "\n".join(lines) + "\n"
 
 
 __all__ = [
     "ChannelParams",
     "LocalComputeParams",
-    "db_to_linear",
-    "dbm_to_watts",
     "schedule_energy",
-    "rate_table",
 ]

@@ -323,28 +323,3 @@ def optimize_ratio(
         tunnel=tunnel,
     )
 
-
-@dataclass(frozen=True)
-class LocalTrace:
-    """Backlog of the user's own computing right after each arrival."""
-
-    times: np.ndarray
-    backlog: np.ndarray
-    completed: bool
-
-
-def replay_local_computing(arrivals: ArrivalProcess, local: LocalComputeParams, ratio: float) -> LocalTrace:
-    """Greedy replay of computing the kept share of each chunk locally."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"offload ratio must be in [0, 1], got {ratio}")
-    share = 1.0 - ratio
-    rate = local.cpu_hz / local.cycles_per_bit
-    backlog = np.empty(len(arrivals.times))
-    b = 0.0
-    prev_t = 0.0
-    for k, (t, s) in enumerate(zip(arrivals.times, arrivals.sizes)):
-        b = max(0.0, b - rate * (t - prev_t)) + share * s
-        backlog[k] = b
-        prev_t = t
-    completed = b <= bits_tol(share * max(arrivals.total, 1.0))
-    return LocalTrace(arrivals.times.copy(), backlog, completed)

@@ -84,10 +84,22 @@ class SimConfig:
             v = getattr(self, name)
             if not v >= 0:
                 raise ConfigError(f"{name} must be nonnegative, got {v}")
-        if not 0 <= self.size_low <= self.size_high:
-            raise ConfigError("need 0 <= size_low <= size_high")
+        for name in ("size_low", "size_high"):
+            v = getattr(self, name)
+            if not 0 <= v < inf:
+                raise ConfigError(f"{name} must be nonnegative and finite, got {v}")
+        if self.size_low > self.size_high:
+            raise ConfigError("need size_low <= size_high")
+        for name in ("trials", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not isinstance(self.rayleigh_fading, (bool, np.bool_)):
+            raise ConfigError(f"rayleigh_fading must be true or false, got {self.rayleigh_fading!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
@@ -97,9 +109,9 @@ class SimConfig:
             if key not in fields:
                 raise ConfigError(f"unknown configuration key {key!r}")
             if key == "rayleigh_fading":
-                kwargs[key] = bool(value)
+                kwargs[key] = value
             elif key in ("trials", "seed"):
-                kwargs[key] = int(value)
+                kwargs[key] = _integer(key, value)
             else:
                 try:
                     kwargs[key] = float(value)
@@ -112,6 +124,22 @@ class SimConfig:
 
     def local_params(self) -> LocalComputeParams:
         return LocalComputeParams(self.local_hz, self.cycles_per_bit, self.switched_cap)
+
+
+def _integer(key: str, value) -> int:
+    """``value`` as an int: an integer, an integral float or a numeric string."""
+    if isinstance(value, (int, np.integer, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass  # a string such as "3.0"
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        v = nan
+    if isinstance(value, bool) or not v.is_integer():
+        raise ConfigError(f"configuration key {key!r} needs an integer, got {value!r}")
+    return int(v)
 
 
 _AXES = {
@@ -197,19 +225,20 @@ def _arrivals_from_draws(draws: TrialDraws, cfg: SimConfig, scale: float) -> Arr
     )
 
 
-def _benchmark_energy(profile, channel, local, load_bits, low, high) -> float:
+def _benchmark_energy(channel, local, ends, tunnel_fn) -> float:
     """Best energy of the transmit-as-late-as-possible policy over the split.
 
     That policy always transmits at the helper's idle computing rate, so its
     transfer energy is linear in the transfer size and the best split sits at
-    an end of the feasible range.
+    an end of the feasible range. ``ends`` pairs each end's kept bits with
+    its offload (a size or a share), None where nothing is offloaded, and
+    ``tunnel_fn`` builds the tunnel of an offload.
     """
     best = inf
-    for l in (low, high):
-        e = local.local_energy(load_bits - l)
-        if l > bits_tol(load_bits):
-            tunnel = effective_tunnel(profile, l, inf)
-            e += floor_following_schedule(tunnel).energy(channel)
+    for kept, offload in ends:
+        e = local.local_energy(kept)
+        if offload is not None:
+            e += floor_following_schedule(tunnel_fn(offload)).energy(channel)
         best = min(best, e)
     return best
 
@@ -317,7 +346,8 @@ def _split_case(task):
     res = optimize_partition(profile, channel, local, load, buffer_bits)
     whole = buffer_bits >= max(high, low)
     if _SCHEMAS[kind][1] == "bench_energy":
-        baseline = _benchmark_energy(profile, channel, local, load, low, high)
+        ends = [(load - l, l if l > bits_tol(load) else None) for l in (low, high)]
+        baseline = _benchmark_energy(channel, local, ends, lambda l: effective_tunnel(profile, l, inf))
     elif buffer_bits < low:
         baseline = res.energy  # min_energy_offload(p, l, B) pulls proportional_tunnel(p, l, B) for l > B
     elif whole:
@@ -329,18 +359,6 @@ def _split_case(task):
     else:
         lazy = _scanned_energy(lazy_first_tunnel, profile, channel, local, load, buffer_bits, low, high)
     return (trial, True, res.energy, baseline, lazy, res.offload_bits)
-
-
-def _bursty_benchmark(profile, arrivals, channel, local, r_lo, r_hi, timeline) -> float:
-    best = inf
-    total = arrivals.total
-    for r in (r_lo, r_hi):
-        e = local.local_energy((1.0 - r) * total)
-        if r * total > bits_tol(total):
-            tunnel = bursty_effective_tunnel(profile, arrivals, r, timeline)
-            e += floor_following_schedule(tunnel).energy(channel)
-        best = min(best, e)
-    return best
 
 
 def _bursty_case(task):
@@ -360,7 +378,14 @@ def _bursty_case(task):
         res = optimize_ratio(profile, arrivals, channel, local, timeline)
     except InfeasibleError:
         return (trial, False, nan, nan, nan, nan)
-    bench = _bursty_benchmark(profile, arrivals, channel, local, res.ratio_low, res.ratio_high, timeline)
+    total = arrivals.total
+    ends = [
+        ((1.0 - r) * total, r if r * total > bits_tol(total) else None)
+        for r in (res.ratio_low, res.ratio_high)
+    ]
+    bench = _benchmark_energy(
+        channel, local, ends, lambda r: bursty_effective_tunnel(profile, arrivals, r, timeline)
+    )
     return (trial, True, res.ratio, res.energy, bench, res.offload_bits)
 
 

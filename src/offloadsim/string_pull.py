@@ -35,14 +35,6 @@ class OffloadSchedule:
     times: np.ndarray
     cumulative: np.ndarray
 
-    @classmethod
-    def from_cumulative(cls, times, cumulative) -> "OffloadSchedule":
-        times = np.asarray(times, dtype=float)
-        cumulative = np.asarray(cumulative, dtype=float)
-        if times.shape != cumulative.shape or times.ndim != 1 or len(times) < 2:
-            raise ValueError("need matching 1-D times and cumulative arrays")
-        return cls(times, cumulative)
-
     @property
     def bits(self) -> np.ndarray:
         return np.diff(self.cumulative)
@@ -260,7 +252,7 @@ def _zero_solution(profile: CpuIdlingProfile, buffer_bits) -> tuple[OffloadSched
     tunnel = FeasibilityTunnel(
         "effective", times, zeros.copy(), zeros.copy(), 0.0,
         np.array([0.0, profile.capacity_at(end)]),
-        zeros.copy(), np.zeros(2, dtype=int), float(buffer_bits),
+        zeros.copy(), float(buffer_bits),
     )
     return OffloadSchedule(times, zeros.copy()), tunnel
 
@@ -330,16 +322,3 @@ def format_schedule(schedule: OffloadSchedule) -> str:
     for t, c, r in zip(schedule.times, schedule.cumulative, rates):
         lines.append(f"{t:.12g},{c:.12g},{r:.12g}")
     return "\n".join(lines) + "\n"
-
-
-def parse_schedule(text: str) -> OffloadSchedule:
-    times = []
-    cum = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        times.append(float(fields[0]))
-        cum.append(float(fields[1]))
-    return OffloadSchedule.from_cumulative(times, cum)

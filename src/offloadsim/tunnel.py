@@ -27,6 +27,7 @@ value for a continuous curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,9 +56,9 @@ class FeasibilityTunnel:
 
     ``cum_capacity`` is the computing-capacity curve the tunnel was built
     against (the derated one for proportional tunnels); ``arrival_bits[v]`` is
-    data arriving exactly at vertex v (zero for one-shot tunnels);
-    ``cpu_flip[v]`` is +1 where the serving CPU turns idle, -1 where it turns
-    busy. ``buffer_bits`` is the receive buffer size (may be inf).
+    data arriving exactly at vertex v (zero for one-shot tunnels).
+    ``buffer_bits`` is the receive buffer size (may be inf). ``cpu_flip`` is
+    derived from ``cum_capacity`` when first read.
     """
 
     kind: str
@@ -67,7 +68,6 @@ class FeasibilityTunnel:
     total: float
     cum_capacity: np.ndarray
     arrival_bits: np.ndarray
-    cpu_flip: np.ndarray
     buffer_bits: float
 
     def __post_init__(self):
@@ -80,6 +80,16 @@ class FeasibilityTunnel:
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
+
+    @cached_property
+    def cpu_flip(self) -> np.ndarray:
+        """+1 at each interior vertex where the serving CPU turns idle, -1
+        where it turns busy, 0 elsewhere. Every capacity kink is a vertex, so
+        a segment is idle exactly when the capacity curve rises over it."""
+        idle = (self.cum_capacity[1:] > self.cum_capacity[:-1]).astype(int)
+        flips = np.zeros(len(self.times), dtype=int)
+        flips[1:-1] = idle[1:] - idle[:-1]
+        return flips
 
     @property
     def deficit(self) -> float:
@@ -152,11 +162,7 @@ def _build_tunnel(
         ceiling = share * np.concatenate(([0.0], bits[:-1].cumsum()))
         if share * late > bits_tol(total):
             floor[-1] = max(floor[-1], total + share * late)
-    mids = 0.5 * (times[:-1] + times[1:])  # inside (0, horizon), so always on a piece
-    idle = curve.idle[curve.boundaries.searchsorted(mids, side="right") - 1].astype(int)
-    flips = np.zeros(len(times), dtype=int)
-    flips[1:-1] = idle[1:] - idle[:-1]
-    return FeasibilityTunnel(kind, times, floor, ceiling, total, cum, bits, flips, float(buffer_bits))
+    return FeasibilityTunnel(kind, times, floor, ceiling, total, cum, bits, float(buffer_bits))
 
 
 def _idle_span(profile: CpuIdlingProfile) -> np.ndarray:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from offloadsim.cli import main
-from offloadsim.string_pull import parse_schedule
+
+from oracles import parse_schedule
 
 PROFILE = "0.05,idle\n0.03,busy\n0.02,idle\n"
 ARRIVALS = "0.0,4e5\n0.04,4e5\n"
@@ -238,6 +239,37 @@ def test_bursty_sweep_smoke(capsys, tmp_path):
     )
     assert code == 0
     assert len([ln for ln in out.splitlines() if not ln.startswith(("#", "axis,"))]) == 2
+
+
+def test_solve_rejects_share_the_local_cpu_cannot_finish(capsys, profile_file, arrivals_file):
+    # the user's CPU finishes 2e5 of the 8e5 bits in the window, so a 0.74
+    # share leaves it too much; the helper could absorb that share
+    code, out, err = run_cli(
+        capsys, "solve", "--profile", profile_file, "--arrivals", arrivals_file, "--ratio", "0.74"
+    )
+    assert code == 2
+    assert "local CPU cannot finish its 0.26 share" in err
+    assert "energy" not in out
+
+
+def test_non_finite_arrival_fields_rejected(capsys, profile_file, tmp_path):
+    path = tmp_path / "bad_arrivals.txt"
+    for text, field in (
+        ("0.0,nan\n0.04,4e5\n", "size"),
+        ("0.01,inf\n", "size"),
+        ("nan,4e5\n0.04,4e5\n", "time"),
+    ):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "solve", "--profile", profile_file, "--arrivals", str(path))
+        assert code == 1, text
+        assert f"arrival {field}" in err, text
+        assert "energy" not in out, text
+
+
+def test_negative_seed_rejected_by_name(capsys):
+    code, _, err = run_cli(capsys, "oneshot", "--seed", "-1", "--trials", "5")
+    assert code == 1
+    assert "seed" in err
 
 
 def test_bad_config_rejected(capsys, tmp_path):

@@ -5,8 +5,6 @@ from offloadsim.cpu_profile import (
     ArrivalProcess,
     Epoch,
     build_profile,
-    format_arrivals,
-    format_epochs,
     merge_events,
     normalize_epochs,
     parse_arrivals,
@@ -47,7 +45,7 @@ def test_normalize_rejects_bad_epochs():
 def test_build_profile_capacity_curve():
     prof = three_epoch_profile()
     assert prof.horizon == 0.1
-    assert prof.idle_rate == 1e7
+    assert prof.curve.rate == 1e7
     assert np.allclose(prof.boundaries, [0.0, 0.05, 0.08, 0.1])
     assert np.allclose(prof.cum_bits, [0.0, 5e5, 5e5, 7e5])
     assert prof.capacity == 7e5
@@ -75,7 +73,7 @@ def capacity_by_epoch(prof, t):
     k = int(np.searchsorted(b, t, side="right")) - 1
     base = float(prof.cum_bits[k])
     if prof.epochs[k].idle:
-        base += (t - float(b[k])) * prof.idle_rate
+        base += (t - float(b[k])) * prof.curve.rate
     return base
 
 
@@ -190,6 +188,23 @@ def test_arrival_process_from_events():
     assert np.allclose(empty.times, [0.1])
 
 
+def test_arrival_events_reject_non_finite_fields_by_name():
+    # a NaN passes "s < 0" and "t > horizon" alike, so each needs its own check
+    for events, field in (
+        ([(0.0, np.nan), (0.04, 4e5)], "size"),
+        ([(0.01, np.inf)], "size"),
+        ([(0.02, -np.inf)], "size"),
+        ([(np.nan, 4e5)], "time"),
+        ([(0.0, 1e5), (np.nan, 0.0)], "time"),
+        ([(np.inf, 4e5)], "time"),
+    ):
+        with pytest.raises(ValueError, match=f"arrival {field}"):
+            ArrivalProcess.from_events(events, 0.1)
+    for horizon in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="horizon"):
+            ArrivalProcess.from_events([(0.0, 1e5)], horizon)
+
+
 def test_sample_arrivals_ranges_and_mean():
     arr = sample_arrivals(11, 0.1, 0.02, 5e4, 1.5e5)
     assert arr.times[-1] == 0.1
@@ -213,20 +228,19 @@ def test_merge_events_grid_and_totals():
     for b in (0.04, 0.05, 0.08):
         assert np.any(np.isclose(tl.times, b))
     assert tl.arrival_bits.sum() == pytest.approx(8e5)
-    assert tl.offloadable_bits == pytest.approx(8e5)
+    assert tl.arrival_bits[: tl.idle_end_index].sum() == pytest.approx(8e5)
     for t, u in zip(tl.times, tl.cum_capacity):
         assert u == pytest.approx(prof.capacity_at(t), abs=1e-6)
     # chunks after the last idle second are not offloadable
     trail_busy = build_profile([Epoch(0.06, True), Epoch(0.04, False)], HELPER_HZ, CPB, 0.1)
     late = ArrivalProcess.from_events([(0.02, 1e5), (0.07, 2e5)], 0.1)
     tl2 = merge_events(trail_busy, late)
-    assert tl2.offloadable_bits == pytest.approx(1e5)
+    assert tl2.arrival_bits[: tl2.idle_end_index].sum() == pytest.approx(1e5)
 
 
 def test_epoch_text_round_trip():
     eps = [Epoch(0.05, True), Epoch(0.03, False), Epoch(0.02, True)]
-    text = format_epochs(eps)
-    back = parse_epochs(text)
+    back = parse_epochs("# duration_s,state\n0.05,idle\n0.03,busy\n0.02, 1\n")
     assert normalize_epochs(back) == normalize_epochs(eps)
     assert parse_epochs("# comment\n0.1,idle\n") == [Epoch(0.1, True)]
     with pytest.raises(ValueError):
@@ -235,6 +249,6 @@ def test_epoch_text_round_trip():
 
 def test_arrival_text_round_trip():
     arr = ArrivalProcess.from_events([(0.0, 4e5), (0.04, 4e5)], 0.1)
-    back = parse_arrivals(format_arrivals(arr), 0.1)
+    back = parse_arrivals("# time_s,bits\n0,4e5\n0.04, 400000  # second chunk\n0.1,0\n", 0.1)
     assert np.allclose(back.times, arr.times)
     assert np.allclose(back.sizes, arr.sizes)

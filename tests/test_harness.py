@@ -50,6 +50,20 @@ def test_config_validation():
             with pytest.raises(ConfigError, match=name):
                 SimConfig(**{name: bad})
     assert SimConfig(buffer_bits=np.inf).buffer_bits == np.inf
+    for name in ("size_low", "size_high"):
+        for bad in (np.nan, np.inf, -1.0):
+            with pytest.raises(ConfigError, match=name):
+                SimConfig(**{name: bad})
+    with pytest.raises(ConfigError, match="seed"):
+        SimConfig(seed=-1)
+    for name in ("trials", "seed"):
+        for bad in (2.7, 3.0, "3", True):
+            with pytest.raises(ConfigError, match=name):
+                SimConfig(**{name: bad})
+    for bad in ("false", 0, 1.0, None):
+        with pytest.raises(ConfigError, match="rayleigh_fading"):
+            SimConfig(rayleigh_fading=bad)
+    assert SimConfig(seed=np.int64(7), rayleigh_fading=np.bool_(False)).seed == 7
 
 
 def test_config_from_dict():
@@ -61,6 +75,29 @@ def test_config_from_dict():
     with pytest.raises(ConfigError) as exc:
         SimConfig.from_dict({"mean_idle": "fast"})
     assert "mean_idle" in str(exc.value)
+    # integral numbers and numeric strings load; nothing is rounded or coerced
+    cfg = SimConfig.from_dict({"trials": 7.0, "seed": "42", "rayleigh_fading": False})
+    assert (cfg.trials, cfg.seed, cfg.rayleigh_fading) == (7, 42, False)
+    assert type(cfg.trials) is int and type(cfg.seed) is int
+    assert SimConfig.from_dict({"seed": "3.0", "trials": "12"}).seed == 3
+    assert SimConfig.from_dict({"seed": 2**70}).seed == 2**70
+    for key, bad in (
+        ("trials", 2.7),
+        ("seed", 3.9),
+        ("trials", "2.5"),
+        ("seed", "many"),
+        ("trials", True),
+        ("seed", None),
+        ("seed", float("nan")),
+        ("seed", -1),
+        ("rayleigh_fading", "false"),
+        ("rayleigh_fading", 1),
+        ("size_high", float("inf")),
+        ("size_low", float("nan")),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            SimConfig.from_dict({key: bad})
+        assert key in str(exc.value), (key, bad)
 
 
 def test_draw_trial_reproducible_and_distinct():

@@ -12,7 +12,6 @@ from offloadsim.partition import (
     optimize_partition,
     optimize_ratio,
     partition_bounds,
-    replay_local_computing,
 )
 from offloadsim.sim_harness import _scaled_slope, scan_minimize
 from offloadsim.string_pull import (
@@ -22,7 +21,12 @@ from offloadsim.string_pull import (
     offload_energy,
     pull_string,
 )
-from offloadsim.tunnel import bursty_effective_tunnel, full_utilization_tunnel, max_offload_ratio
+from offloadsim.tunnel import (
+    bursty_effective_tunnel,
+    full_utilization_tunnel,
+    local_compute_tunnel,
+    max_offload_ratio,
+)
 
 HELPER_HZ = 5e9
 CPB = 500.0
@@ -439,8 +443,6 @@ def test_minimal_offload_is_best_limits():
 
 def test_replay_local_computing():
     arr = ArrivalProcess.from_events([(0.0, 4e5), (0.04, 4e5)], 0.1)
-    ok = replay_local_computing(arr, LOCAL, 0.75)
-    assert ok.completed
-    assert ok.backlog[-1] == pytest.approx(0.0, abs=1e-6)
-    tight = replay_local_computing(arr, LOCAL, 0.74)
-    assert not tight.completed
+    # the local CPU finishes 2e5 bits in the window: a 0.25 share of 8e5
+    assert local_compute_tunnel(arr, LOCAL, 0.75).is_feasible()
+    assert not local_compute_tunnel(arr, LOCAL, 0.74).is_feasible()

@@ -38,7 +38,7 @@ def corridors(draw):
     ceiling[0] = 0.0
     ceiling[-1] = total
     zeros = np.zeros(n)
-    return FeasibilityTunnel("corridor", times, floor, ceiling, total, floor.copy(), zeros, zeros.astype(int), np.inf)
+    return FeasibilityTunnel("corridor", times, floor, ceiling, total, floor.copy(), zeros, np.inf)
 
 
 @settings(PROPERTY, max_examples=50)

@@ -12,7 +12,6 @@ from offloadsim.string_pull import (
     min_energy_offload,
     min_energy_offload_bursty,
     offload_energy,
-    parse_schedule,
     pull_string,
     simulate_buffer,
     verify_optimality,
@@ -26,6 +25,7 @@ from offloadsim.tunnel import (
 )
 
 from convex_reference import convex_reference_schedule
+from oracles import parse_schedule
 
 HELPER_HZ = 5e9
 CPB = 500.0

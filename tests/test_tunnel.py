@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from offloadsim.cpu_profile import ArrivalProcess, Epoch, build_profile, merge_events, sample_cpu_process
+from offloadsim.cpu_profile import (
+    ArrivalProcess,
+    Epoch,
+    build_profile,
+    merge_events,
+    sample_arrivals,
+    sample_cpu_process,
+)
 from offloadsim.energy import LocalComputeParams
 from offloadsim.errors import InfeasibleError
 from offloadsim.string_pull import pull_string
@@ -291,3 +298,44 @@ def test_format_tunnel_lists_vertices():
     assert len(lines) == len(tun.times)
     t0, f0, c0 = (float(x) for x in lines[0].split(","))
     assert (t0, f0, c0) == (0.0, 0.0, 0.0)
+
+
+def idle_mask_flips(tunnel, curve):
+    """Oracle for ``cpu_flip``: the state of the capacity-curve piece that
+    holds each segment's midpoint, differenced at the interior vertices."""
+    mids = 0.5 * (tunnel.times[:-1] + tunnel.times[1:])
+    idle = curve.idle[curve.boundaries.searchsorted(mids, side="right") - 1].astype(int)
+    flips = np.zeros(len(tunnel.times), dtype=int)
+    flips[1:-1] = idle[1:] - idle[:-1]
+    return flips
+
+
+def test_cpu_flip_matches_idle_mask_of_the_capacity_curve():
+    rng = np.random.default_rng(57)
+    kinds = set()
+    for i in range(240):
+        horizon = (0.1, 1.0)[i % 2]
+        helper_hz = (1e6, 1e10, 10.0 ** rng.uniform(6.0, 10.0))[i % 3]
+        prof = build_profile(sample_cpu_process(rng, horizon, 0.02, 0.02), helper_hz, CPB, horizon)
+        if prof.last_idle_index is None:
+            continue
+        cap = prof.capacity
+        arr = sample_arrivals(rng, horizon, 0.2 * horizon, 0.0, 0.5 * cap)
+        size = rng.uniform(1e-3, 1.0) * cap
+        buf = rng.choice([0.0, 0.01, 0.3, 1.0, np.inf]) * cap
+        ratio = rng.uniform(0.0, 1.0)
+        for tun in (
+            full_utilization_tunnel(prof, buf),
+            effective_tunnel(prof, size, max(buf, size)),
+            proportional_tunnel(prof, size, buf),
+            lazy_first_tunnel(prof, size, buf),
+            bursty_tunnel(prof, arr, ratio),
+            bursty_effective_tunnel(prof, arr, ratio),
+        ):
+            assert np.array_equal(tun.cpu_flip, idle_mask_flips(tun, prof.curve)), (i, tun.kind)
+            kinds.add(tun.kind)
+        # the user's own CPU never idles
+        local = local_compute_tunnel(arr, LOCAL, ratio)
+        assert not local.cpu_flip.any()
+        kinds.add(local.kind)
+    assert len(kinds) == 7
