@@ -340,27 +340,43 @@ def merge_events(profile: CpuIdlingProfile, arrivals: ArrivalProcess) -> MergedT
 # a comment. Epochs are "duration_s,idle|busy"; arrivals are "time_s,bits".
 
 
-def parse_epochs(text: str) -> list[Epoch]:
-    out = []
-    for raw in text.splitlines():
+def _records(text: str, form: str):
+    """Yield ``(where, fields)`` for each record line: ``where`` names the
+    line by number and content, and ``fields`` are its two stripped fields. A
+    line without exactly two fields is rejected with the expected ``form``."""
+    for no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        dur_s, state = (field.strip() for field in line.split(","))
+        where = f"line {no}: {raw.strip()!r}"
+        fields = [part.strip() for part in line.split(",")]
+        if len(fields) != 2:
+            raise ValueError(f"{where} is not a {form} record")
+        yield where, fields
+
+
+def _number(field: str, where: str, form: str) -> float:
+    try:
+        return float(field)
+    except ValueError:
+        raise ValueError(f"{where} is not a {form} record ({field!r} is not a number)") from None
+
+
+def parse_epochs(text: str) -> list[Epoch]:
+    form = "duration_s,idle|busy"
+    out = []
+    for where, (dur_s, state) in _records(text, form):
         if state not in ("idle", "busy", "0", "1"):
-            raise ValueError(f"unknown CPU state {state!r}")
-        out.append(Epoch(float(dur_s), state in ("idle", "1")))
+            raise ValueError(f"{where} is not a {form} record (unknown CPU state {state!r})")
+        out.append(Epoch(_number(dur_s, where, form), state in ("idle", "1")))
     if not out:
         raise ValueError("no epoch records found")
     return out
 
 
 def parse_arrivals(text: str, horizon: float) -> ArrivalProcess:
-    events = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        t_s, s_s = (field.strip() for field in line.split(","))
-        events.append((float(t_s), float(s_s)))
+    form = "time_s,bits"
+    events = [
+        (_number(t_s, where, form), _number(s_s, where, form)) for where, (t_s, s_s) in _records(text, form)
+    ]
     return ArrivalProcess.from_events(events, horizon)

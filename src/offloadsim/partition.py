@@ -22,7 +22,7 @@ than strictly necessary can never pay off, skipping the search entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, inf, isnan, log2, sqrt
+from math import ceil, inf, isnan, log2, nextafter, sqrt
 
 import numpy as np
 
@@ -240,7 +240,7 @@ def optimize_partition(
             # effective tunnels up to the buffer, proportional ones above it:
             # two convex pieces, each with its own optimum
             best, e_eff = golden_section(objective, low, buffer_bits, tol=1.0)
-            above = split_root(slope, np.nextafter(buffer_bits, inf), high)
+            above = split_root(slope, nextafter(buffer_bits, inf), high)
             if objective(above) < e_eff:
                 best = above
         method = "search"

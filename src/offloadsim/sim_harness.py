@@ -13,7 +13,6 @@ without end (see ``TrialDraws``), so any horizon runs.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import inf, isfinite, isnan, nan, sqrt
 
@@ -252,14 +251,14 @@ def scan_minimize(fn, lo: float, hi: float, coarse: int = 17, tol: float = 1.0):
     if hi <= lo + tol:
         x, f = golden_section(fn, lo, hi, tol)
         return x, f
-    xs = np.linspace(lo, hi, coarse)
+    xs = np.linspace(lo, hi, coarse).tolist()
     fs = [fn(x) for x in xs]
     k = int(np.argmin(fs))
     a = xs[max(k - 1, 0)]
     b = xs[min(k + 1, coarse - 1)]
     x, f = golden_section(fn, a, b, tol)
     if fs[k] < f:
-        return float(xs[k]), fs[k]
+        return xs[k], fs[k]
     return x, f
 
 
@@ -445,9 +444,15 @@ def _run_sweep(cfg, axis, values, kind, worker, jobs) -> SweepResult:
         raise ConfigError("sweep needs at least one grid value")
     for v in values:
         _apply_axis(cfg, axis, v)  # reject a bad grid value before any trial runs
+    if jobs is not None and not jobs >= 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     tasks = [(cfg, kind, axis, v, t) for v in values for t in range(cfg.trials)]
     workers = min(jobs or 1, len(tasks))  # the executor forks every worker at once
     if workers > 1:
+        # imported here: the pool machinery adds to every import of the
+        # package, and most sweeps run in one process
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (workers * 8))
             results = list(pool.map(worker, tasks, chunksize=chunk))

@@ -5,9 +5,12 @@ through a feasibility tunnel the one minimizing energy is the shortest path,
 the taut string between the pinned endpoints. ``pull_string`` computes it by
 divide and conquer: test the straight chord, bend it at the worst-violated
 vertex (onto the floor or ceiling, whichever is hit harder), recurse on both
-halves. ``envelope_slope`` reads off a pulled string how its energy moves
-with any parameter that moves the tunnel, from the multipliers at its
-contacts.
+halves. A chord over fewer than ``_SHORT_SPAN`` interior vertices is checked
+in a plain Python loop over float lists, where numpy's cost per call would
+dominate; a longer one with numpy slices. The two scans do the same float64
+arithmetic and break ties alike, so they pull the same string bit for bit.
+``envelope_slope`` reads off a pulled string how its energy moves with any
+parameter that moves the tunnel, from the multipliers at its contacts.
 """
 from __future__ import annotations
 
@@ -51,37 +54,64 @@ class OffloadSchedule:
         return schedule_energy(self.times, self.cumulative, channel)
 
 
+# Measured crossover: one chord scan alone breaks even at 32-40 vertices for a
+# chord that stays straight and about 50 for one that bends; on whole solves
+# over ~100-vertex tunnels 24 ran fastest of 24, 32 and 48.
+_SHORT_SPAN = 24
+
+
 def _taut_values(times, floor, ceiling, tol):
     """Vertex values of the shortest path between the envelopes.
 
     Endpoints are pinned to the envelope midpoints (equal there for any
     consistent tunnel). Each recursion step fixes the chord's worst-violating
     vertex onto the envelope it breaches, preferring the floor on ties and the
-    earliest vertex among equals, then splits.
+    earliest vertex among equals, then splits. Both chord scans evaluate the
+    chord as ``y_lo + slope * (t - t_lo)`` in float64, so they give the same
+    bits.
     """
     n = len(times) - 1
-    y = np.empty(n + 1)
-    y[0] = 0.5 * (floor[0] + ceiling[0])
-    y[n] = 0.5 * (floor[n] + ceiling[n])
+    t, f, c = times.tolist(), floor.tolist(), ceiling.tolist()
+    y = [0.0] * (n + 1)
+    y[0] = 0.5 * (f[0] + c[0])
+    y[n] = 0.5 * (f[n] + c[n])
     stack = [(0, n)]
     while stack:
         lo, hi = stack.pop()
         if hi - lo < 2:
             continue
-        slope = (y[hi] - y[lo]) / (times[hi] - times[lo])
-        seg = y[lo] + slope * (times[lo + 1 : hi] - times[lo])
-        below = floor[lo + 1 : hi] - seg
-        above = seg - ceiling[lo + 1 : hi]
-        viol = np.maximum(below, above)
-        k = int(np.argmax(viol))
-        if viol[k] <= tol:
-            y[lo + 1 : hi] = seg
-            continue
-        idx = lo + 1 + k
-        y[idx] = floor[idx] if below[k] >= above[k] else ceiling[idx]
+        y_lo, t_lo = y[lo], t[lo]
+        slope = (y[hi] - y_lo) / (t[hi] - t_lo)
+        if hi - lo - 1 < _SHORT_SPAN:
+            worst, idx = tol, 0  # strict > keeps the earliest of equal violations
+            for i in range(lo + 1, hi):
+                s = y_lo + slope * (t[i] - t_lo)
+                viol = f[i] - s  # the larger of the floor and ceiling breaches
+                above = s - c[i]
+                if above > viol:
+                    viol = above
+                if viol > worst:
+                    worst, idx = viol, i
+            if not idx:
+                for i in range(lo + 1, hi):
+                    y[i] = y_lo + slope * (t[i] - t_lo)
+                continue
+            s = y_lo + slope * (t[idx] - t_lo)
+            y[idx] = f[idx] if f[idx] - s >= s - c[idx] else c[idx]
+        else:
+            seg = y_lo + slope * (times[lo + 1 : hi] - t_lo)
+            below = floor[lo + 1 : hi] - seg
+            above = seg - ceiling[lo + 1 : hi]
+            viol = np.maximum(below, above)
+            k = int(viol.argmax())
+            if viol[k] <= tol:
+                y[lo + 1 : hi] = seg.tolist()
+                continue
+            idx = lo + 1 + k
+            y[idx] = f[idx] if below[k] >= above[k] else c[idx]
         stack.append((idx, hi))
         stack.append((lo, idx))
-    return y
+    return np.array(y)
 
 
 def pull_string(tunnel: FeasibilityTunnel) -> OffloadSchedule:

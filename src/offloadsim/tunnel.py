@@ -337,7 +337,7 @@ def max_offload_ratio(
         if tails[k] <= 0.0:
             break
         best = min(best, max(cap - tl.cum_capacity[k], 0.0) / tails[k])
-    return best
+    return float(best)
 
 
 def min_offload_ratio(arrivals: ArrivalProcess, local) -> float:
@@ -357,7 +357,7 @@ def min_offload_ratio(arrivals: ArrivalProcess, local) -> float:
             break
         room = rate * (horizon - t)
         worst = max(worst, 1.0 - room / tail)
-    return worst
+    return float(worst)
 
 
 def format_tunnel(tunnel: FeasibilityTunnel) -> str:

@@ -266,6 +266,33 @@ def test_non_finite_arrival_fields_rejected(capsys, profile_file, tmp_path):
         assert "energy" not in out, text
 
 
+def test_malformed_input_lines_are_named(capsys, profile_file, tmp_path):
+    path = tmp_path / "bad.txt"
+    for text, flag, expected in (
+        ("0.05,idle,x\n", "--profile", "line 1: '0.05,idle,x' is not a duration_s,idle|busy record"),
+        ("0.05,idle\n0.0\n", "--profile", "line 2: '0.0' is not a duration_s,idle|busy record"),
+        ("0.0,4e5\n0.04\n", "--arrivals", "line 2: '0.04' is not a time_s,bits record"),
+        ("0.0,x\n", "--arrivals", "line 1: '0.0,x' is not a time_s,bits record"),
+    ):
+        path.write_text(text)
+        if flag == "--profile":
+            argv = ("solve", "--profile", str(path), "--load", "1e5")
+        else:
+            argv = ("solve", "--profile", profile_file, "--arrivals", str(path))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, text
+        assert expected in err, text
+        assert "energy" not in out, text
+
+
+def test_non_positive_jobs_rejected_by_name(capsys):
+    for jobs in ("0", "-4"):
+        code, out, err = run_cli(capsys, "oneshot", "--trials", "3", "--values", "0.02", "--jobs", jobs)
+        assert code == 1, jobs
+        assert "jobs" in err, jobs
+        assert out == "", jobs
+
+
 def test_negative_seed_rejected_by_name(capsys):
     code, _, err = run_cli(capsys, "oneshot", "--seed", "-1", "--trials", "5")
     assert code == 1

@@ -247,6 +247,25 @@ def test_epoch_text_round_trip():
         parse_epochs("0.05,unknown\n")
 
 
+def test_malformed_record_lines_are_named():
+    for text, line, form in (
+        ("0.05,idle\n0.05,idle,x\n", "line 2: '0.05,idle,x'", "duration_s,idle|busy"),
+        ("# header\n0.0\n", "line 2: '0.0'", "duration_s,idle|busy"),
+        ("fast,idle\n", "line 1: 'fast,idle'", "duration_s,idle|busy"),
+    ):
+        with pytest.raises(ValueError) as err:
+            parse_epochs(text)
+        assert line in str(err.value) and form in str(err.value), text
+    for text, line in (
+        ("0.0,4e5\n0.04\n", "line 2: '0.04'"),
+        ("0.0,4e5,1\n", "line 1: '0.0,4e5,1'"),
+        ("0.0,4e5\n\n0.04,lots  # second\n", "line 3: '0.04,lots  # second'"),
+    ):
+        with pytest.raises(ValueError) as err:
+            parse_arrivals(text, 0.1)
+        assert line in str(err.value) and "time_s,bits" in str(err.value), text
+
+
 def test_arrival_text_round_trip():
     arr = ArrivalProcess.from_events([(0.0, 4e5), (0.04, 4e5)], 0.1)
     back = parse_arrivals("# time_s,bits\n0,4e5\n0.04, 400000  # second chunk\n0.1,0\n", 0.1)

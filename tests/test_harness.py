@@ -1,9 +1,9 @@
+import concurrent.futures
 from itertools import islice
 
 import numpy as np
 import pytest
 
-from offloadsim import sim_harness
 from offloadsim.cpu_profile import Epoch, build_profile
 from offloadsim.energy import schedule_energy
 from offloadsim.errors import ConfigError
@@ -229,7 +229,7 @@ def test_worker_pool_no_larger_than_the_sweep(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(sim_harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     cfg = SimConfig(trials=1, seed=7)
     serial = format_csv(run_oneshot_sweep(cfg, "mean_idle", (0.02,), jobs=None))
     assert format_csv(run_oneshot_sweep(cfg, "mean_idle", (0.02,), jobs=500)) == serial
@@ -237,6 +237,29 @@ def test_worker_pool_no_larger_than_the_sweep(monkeypatch):
     run_oneshot_sweep(cfg, "mean_idle", (0.01, 0.02, 0.04), jobs=500)
     run_oneshot_sweep(cfg, "mean_idle", (0.01, 0.02, 0.04), jobs=2)
     assert sizes == [3, 2]
+
+
+def test_non_positive_worker_counts_rejected_by_name():
+    cfg = SimConfig(trials=1, seed=7)
+    for jobs in (0, -4):
+        with pytest.raises(ConfigError, match="jobs"):
+            run_oneshot_sweep(cfg, "mean_idle", (0.02,), jobs=jobs)
+    assert run_oneshot_sweep(cfg, "mean_idle", (0.02,), jobs=None).rows[0]["trials"] == 1
+
+
+def test_per_trial_results_hold_plain_numbers():
+    # numpy scalars would show as np.float64(...) in the results' repr
+    cfg = SimConfig(trials=12, seed=7)
+    results = (
+        run_oneshot_sweep(cfg, "mean_idle", (0.01, 0.04)),
+        run_buffer_sweep(cfg, (1e4, 5e5, np.inf)),  # below, inside and above the feasible range
+        run_bursty_sweep(cfg, "size_scale", (0.5, 2.0)),
+    )
+    for res in results:
+        for cases in res.per_trial:
+            for case in cases:
+                assert {type(x) for x in case} <= {int, bool, float}, (res.kind, case)
+        assert "np." not in repr(res.per_trial)
 
 
 def test_write_csv_unix_newlines(tmp_path):

@@ -1,13 +1,15 @@
 """Property tests over generated inputs, derandomized so every run draws the
 same examples and bounded so the suite stays fast."""
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from offloadsim import string_pull
 from offloadsim.cpu_profile import Epoch, build_profile
 from offloadsim.energy import ChannelParams, LocalComputeParams
 from offloadsim.partition import optimize_partition, partition_bounds
-from offloadsim.string_pull import offload_energy, pull_string
+from offloadsim.string_pull import _taut_values, offload_energy, pull_string
 from offloadsim.tunnel import FeasibilityTunnel
 
 from convex_reference import convex_reference_schedule
@@ -79,3 +81,38 @@ def test_split_below_the_transfers_never_loses_to_a_dense_grid(
     grid = np.clip(np.arange(low, high + step, step), low, high)
     best = min(local.local_energy(load - l) + offload_energy(prof, l, buffer_bits, chan) for l in grid)
     assert res.energy <= best * (1 + 1e-9)
+
+
+def _pulled_by_each_scan(pull, *args):
+    """``pull(*args)`` with every chord scanned by numpy slices, then by the
+    Python loop."""
+    out = []
+    for span in (0, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(string_pull, "_SHORT_SPAN", span)
+            out.append(pull(*args))
+    return out
+
+
+@settings(PROPERTY, max_examples=50)
+@given(tunnel=corridors())
+def test_both_chord_scans_pull_the_same_string(tunnel):
+    by_numpy, by_loop = _pulled_by_each_scan(pull_string, tunnel)
+    assert np.array_equal(by_numpy.cumulative, by_loop.cumulative)
+
+
+def test_both_chord_scans_break_ties_alike():
+    times = np.arange(5.0)
+    # chord y = t; vertices 2 and 3 breach it by 4 each, and the earliest is
+    # fixed first (the rule shows only where the envelopes cross)
+    floor = np.array([0.0, 0.0, 6.0, 7.0, 4.0])
+    ceiling = np.array([0.0, 5.0, 2.0, 3.0, 4.0])
+    for y in _pulled_by_each_scan(_taut_values, times, floor, ceiling, 0.0):
+        assert np.array_equal(y, [0.0, 3.0, 6.0, 7.0, 4.0])
+    # vertex 1 is 0.5 under its floor and 0.5 over its ceiling: the floor wins
+    times = np.arange(3.0)
+    for y in _pulled_by_each_scan(_taut_values, times, np.array([0.0, 1.5, 2.0]), np.array([0.0, 0.5, 2.0]), 0.0):
+        assert np.array_equal(y, [0.0, 1.5, 2.0])
+    # a breach of exactly the tolerance leaves the chord straight
+    for y in _pulled_by_each_scan(_taut_values, times, np.array([0.0, 1.25, 2.0]), np.array([0.0, 2.0, 2.0]), 0.25):
+        assert np.array_equal(y, [0.0, 1.0, 2.0])
