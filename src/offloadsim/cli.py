@@ -68,10 +68,13 @@ def _add_instance_flags(p: argparse.ArgumentParser):
     p.add_argument("--arrivals", help="arrival file: time_s,bits per line (chunked workload)")
 
 
-def _add_radio_flags(p: argparse.ArgumentParser):
+def _add_channel_flags(p: argparse.ArgumentParser):
     p.add_argument("--gain", type=float, default=1e-6, help="squared channel gain incl. path loss")
     p.add_argument("--bandwidth-hz", type=float, default=1e6)
     p.add_argument("--noise-w", type=float, default=1e-10, help="noise power over the band, W")
+
+
+def _add_local_flags(p: argparse.ArgumentParser):
     p.add_argument("--local-hz", type=float, default=1e9, help="user CPU frequency")
     p.add_argument("--switched-cap", type=float, default=1e-28, help="switched capacitance, J*s^2")
 
@@ -112,13 +115,14 @@ def _filter_policy(result, policy):
 
 
 def _load_instance(args):
+    """The helper's profile, the arrivals (if given) and the user's CPU."""
     epochs = parse_epochs(Path(args.profile).read_text())
     horizon = sum(e.duration for e in epochs)
     profile = build_profile(epochs, args.helper_hz, args.cycles_per_bit, horizon)
     arrivals = None
     if args.arrivals:
         arrivals = parse_arrivals(Path(args.arrivals).read_text(), horizon)
-    return profile, arrivals
+    return profile, arrivals, LocalComputeParams(args.local_hz, args.cycles_per_bit, args.switched_cap)
 
 
 def _load_config(args) -> SimConfig:
@@ -130,15 +134,8 @@ def _load_config(args) -> SimConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    cfg = SimConfig.from_dict(data)
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        cfg = SimConfig.from_dict({**data, **overrides})
-    return cfg
+    overrides = {key: getattr(args, key) for key in ("trials", "seed") if getattr(args, key) is not None}
+    return SimConfig.from_dict({**data, **overrides})
 
 
 def _emit(pairs):
@@ -150,21 +147,21 @@ def _emit(pairs):
 
 
 def _cmd_solve(args) -> int:
-    profile, arrivals = _load_instance(args)
+    profile, arrivals, local = _load_instance(args)
     channel = ChannelParams(args.gain, args.bandwidth_hz, args.noise_w)
-    local = LocalComputeParams(args.local_hz, args.cycles_per_bit, args.switched_cap)
     if arrivals is not None:
         if args.ratio is not None:
-            schedule, tunnel = min_energy_offload_bursty(profile, arrivals, args.ratio)
-            if not tunnel.is_feasible():
+            r_hi = max_offload_ratio(profile, arrivals)
+            if args.ratio > r_hi + 1e-12:
                 raise InfeasibleError(
-                    f"helper cannot absorb a {args.ratio:g} share of every chunk",
-                    deficit=tunnel.deficit,
+                    f"helper cannot absorb a {args.ratio:g} share of every chunk (at most {r_hi:.6g})",
+                    deficit=(args.ratio - r_hi) * arrivals.total,
                 )
             if not local_compute_tunnel(arrivals, local, args.ratio).is_feasible():
                 raise InfeasibleError(
                     f"local CPU cannot finish its {1.0 - args.ratio:g} share by the deadline"
                 )
+            schedule, tunnel = min_energy_offload_bursty(profile, arrivals, args.ratio)
             e_off = schedule.energy(channel)
             e_loc = local.local_energy((1.0 - args.ratio) * arrivals.total)
             pairs = [("ratio", args.ratio)]
@@ -224,8 +221,7 @@ _TUNNEL_KINDS = {
 
 
 def _cmd_tunnel(args) -> int:
-    profile, arrivals = _load_instance(args)
-    local = LocalComputeParams(args.local_hz, args.cycles_per_bit, args.switched_cap)
+    profile, arrivals, local = _load_instance(args)
     needs, build = _TUNNEL_KINDS[args.kind]
     for flag in needs:
         if getattr(args, flag) is None:
@@ -257,14 +253,16 @@ def _cmd_tunnel(args) -> int:
     return 0
 
 
-def _run_sweep_cmd(args, runner, default_axis, default_values) -> int:
+def _run_sweep_cmd(args) -> int:
+    """Run ``args.runner`` with only the grid flags given, so that the runner's
+    own defaults fill in the rest."""
     cfg = _load_config(args)
-    axis = getattr(args, "axis", default_axis) or default_axis
-    values = _values(args.values) if args.values else list(default_values)
-    if runner is run_buffer_sweep:
-        result = runner(cfg, values, jobs=args.jobs)
-    else:
-        result = runner(cfg, axis, values, jobs=args.jobs)
+    grid = {}
+    if getattr(args, "axis", None):
+        grid["axis"] = args.axis
+    if args.values:
+        grid["values"] = _values(args.values)
+    result = args.runner(cfg, jobs=args.jobs, **grid)
     result = _filter_policy(result, args.policy)
     if args.out:
         write_csv(result, args.out)
@@ -284,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="optimal schedule and split for one instance")
     _add_instance_flags(p)
-    _add_radio_flags(p)
+    _add_channel_flags(p)
+    _add_local_flags(p)
     p.add_argument("--load", type=_bits, help="total one-shot load to split, bits")
     p.add_argument("--offload", type=_bits, help="fixed transfer size, bits (skip the split search)")
     p.add_argument("--ratio", type=float, help="fixed per-chunk offload share (with --arrivals)")
@@ -293,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tunnel", help="construct a feasibility tunnel")
     _add_instance_flags(p)
-    _add_radio_flags(p)
+    _add_local_flags(p)  # the local kind and the share bounds; a tunnel needs no channel
     p.add_argument(
         "--kind",
         default="effective",
@@ -307,20 +306,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oneshot", help="Monte Carlo sweep over a scenario parameter")
     _add_sweep_flags(p)
-    p.add_argument("--axis", default="mean_idle")
+    p.add_argument("--axis", help="SimConfig field to sweep")
     p.add_argument("--values", help="comma-separated grid, e.g. 0.01,0.02,0.04")
-    p.set_defaults(fn=lambda a: _run_sweep_cmd(a, run_oneshot_sweep, "mean_idle", (0.01, 0.02, 0.04)))
+    p.set_defaults(fn=_run_sweep_cmd, runner=run_oneshot_sweep)
 
     p = sub.add_parser("buffer", help="Monte Carlo sweep over the receive buffer size")
     _add_sweep_flags(p)
     p.add_argument("--values", help="comma-separated buffer sizes, inf allowed")
-    p.set_defaults(fn=lambda a: _run_sweep_cmd(a, run_buffer_sweep, "buffer_bits", (1e4, 1e5, 1e6, inf)))
+    p.set_defaults(fn=_run_sweep_cmd, runner=run_buffer_sweep)
 
     p = sub.add_parser("bursty", help="Monte Carlo sweep for chunked arrivals")
     _add_sweep_flags(p)
-    p.add_argument("--axis", default="size_scale")
+    p.add_argument("--axis", help="SimConfig field to sweep, or size_scale")
     p.add_argument("--values", help="comma-separated grid, e.g. 0.5,1,2")
-    p.set_defaults(fn=lambda a: _run_sweep_cmd(a, run_bursty_sweep, "size_scale", (0.5, 1.0, 2.0)))
+    p.set_defaults(fn=_run_sweep_cmd, runner=run_bursty_sweep)
 
     return parser
 
@@ -330,10 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except InfeasibleError as exc:

@@ -22,6 +22,7 @@ than strictly necessary can never pay off, skipping the search entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import ceil, inf, isnan, log2, nextafter, sqrt
 
 import numpy as np
@@ -40,9 +41,11 @@ from .string_pull import (
 from .tunnel import FeasibilityTunnel, bits_tol, max_offload_ratio, min_offload_ratio
 
 _INVPHI = (sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_MAX_ITER = 200  # golden-section steps before a search gives up narrowing
+_RATIO_TOL = 1e-6  # bracket width at which the per-chunk share search stops
 
 
-def golden_section(fn, lo: float, hi: float, tol: float, max_iter: int = 200):
+def golden_section(fn, lo: float, hi: float, tol: float):
     """Minimize a unimodal function on [lo, hi]; returns (x, fn(x)).
 
     Endpoints are always evaluated, so a minimum sitting on the boundary is
@@ -66,7 +69,7 @@ def golden_section(fn, lo: float, hi: float, tol: float, max_iter: int = 200):
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = ev(c), ev(d)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_MAX_ITER):
         if b - a <= tol:
             break
         if fc <= fd:
@@ -188,6 +191,14 @@ def _proportional_slope(schedule: OffloadSchedule, tunnel: FeasibilityTunnel, ch
     return envelope_slope(schedule, channel, share, d_ceiling, 1.0)
 
 
+def _split_slope(profile, channel, local, buffer_bits, offload_bits) -> float:
+    """Slope in ``offload_bits`` of the split objective (local energy of the
+    kept bits plus the optimal transfer's energy) for a transfer above the
+    buffer, whose optimal transfer pulls a proportional tunnel."""
+    schedule, tunnel = min_energy_offload(profile, offload_bits, buffer_bits)
+    return _proportional_slope(schedule, tunnel, channel) - local.bit_energy
+
+
 def optimize_partition(
     profile: CpuIdlingProfile,
     channel: ChannelParams,
@@ -224,14 +235,9 @@ def optimize_partition(
         best, method = low, "shortcut"
     else:
         def objective(l):
-            return local.local_energy(load_bits - l) + offload_energy(
-                profile, l, buffer_bits, channel
-            )
+            return local.local_energy(load_bits - l) + offload_energy(profile, l, buffer_bits, channel)
 
-        def slope(l):  # of the objective, on proportional tunnels (l > buffer_bits)
-            schedule, tunnel = min_energy_offload(profile, l, buffer_bits)
-            return _proportional_slope(schedule, tunnel, channel) - local.bit_energy
-
+        slope = partial(_split_slope, profile, channel, local, buffer_bits)  # for l > buffer_bits
         if buffer_bits >= high:
             best, _ = golden_section(objective, low, high, tol=1.0)
         elif buffer_bits < low:
@@ -279,7 +285,6 @@ def optimize_ratio(
     channel: ChannelParams,
     local: LocalComputeParams,
     timeline: MergedTimeline | None = None,
-    tol: float = 1e-6,
 ) -> RatioResult:
     """Minimum-energy per-chunk offload share for chunked arrivals.
 
@@ -306,7 +311,7 @@ def optimize_ratio(
             profile, arrivals, r, channel, tl
         )
 
-    best, _ = golden_section(objective, r_lo, min(r_hi, 1.0), tol=tol)
+    best, _ = golden_section(objective, r_lo, min(r_hi, 1.0), tol=_RATIO_TOL)
     schedule, tunnel = min_energy_offload_bursty(profile, arrivals, best, tl)
     e_off = schedule.energy(channel)
     e_loc = local.local_energy((1.0 - best) * total)

@@ -9,11 +9,16 @@ duration, arrival sizes grow pointwise with the size scale, and so on.
 Epochs and arrivals come from the loops ``sample_cpu_process`` and
 ``sample_arrivals`` use, fed by the trial's unit draws, which continue
 without end (see ``TrialDraws``), so any horizon runs.
+
+Policies whose energy is convex in the offload size are priced by one solver
+each, the optimal split and proportional pacing (``_paced_energy``). Only
+buffer-first is scanned, because its energy over the split is not convex.
 """
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cache
 from math import inf, isfinite, isnan, nan, sqrt
 
 import numpy as np
@@ -28,15 +33,14 @@ from .cpu_profile import (
 )
 from .energy import ChannelParams, LocalComputeParams, schedule_energy
 from .errors import ConfigError, InfeasibleError
-from .partition import golden_section, optimize_partition, optimize_ratio, partition_bounds, split_root
-from .string_pull import floor_following_schedule, pull_string
+from .partition import _split_slope, golden_section, optimize_partition, optimize_ratio, partition_bounds, split_root
+from .string_pull import floor_following_schedule, offload_energy, pull_string
 from .tunnel import (
     bits_tol,
     bursty_effective_tunnel,
     effective_tunnel,
     full_utilization_tunnel,
     lazy_first_tunnel,
-    proportional_tunnel,
 )
 
 _TAGS = {"oneshot": 11, "buffer": 12, "bursty": 13}  # seed-sequence tag per sweep kind
@@ -249,8 +253,7 @@ def scan_minimize(fn, lo: float, hi: float, coarse: int = 17, tol: float = 1.0):
     buffer-first policy's energy over the split.
     """
     if hi <= lo + tol:
-        x, f = golden_section(fn, lo, hi, tol)
-        return x, f
+        return golden_section(fn, lo, hi, tol)
     xs = np.linspace(lo, hi, coarse).tolist()
     fs = [fn(x) for x in xs]
     k = int(np.argmin(fs))
@@ -270,20 +273,19 @@ def _split_energy(transfer_energy, local, load_bits, offload_bits) -> float:
     return e
 
 
-def _scanned_energy(tunnel_fn, profile, channel, local, load_bits, buffer_bits, low, high) -> float:
-    """Best energy over the split (scanned) of the policy that pulls the
-    string through ``tunnel_fn(profile, offload_bits, buffer_bits)``."""
+def _scanned_energy(profile, channel, local, load_bits, buffer_bits, low, high) -> float:
+    """Best energy over the split (scanned) of buffer-first transmission,
+    which pulls the string through ``lazy_first_tunnel(profile, l, B)``."""
 
     def transfer_energy(l):
-        return pull_string(tunnel_fn(profile, l, buffer_bits)).energy(channel)
+        return pull_string(lazy_first_tunnel(profile, l, buffer_bits)).energy(channel)
 
     def fn(l):
         return _split_energy(transfer_energy, local, load_bits, l)
 
     if high - low <= 1.0:
         return fn(low)
-    _, f = scan_minimize(fn, low, high, coarse=13, tol=1.0)
-    return f
+    return scan_minimize(fn, low, high, coarse=13, tol=1.0)[1]
 
 
 def _scaled_slope(full, channel, offload_bits) -> float:
@@ -296,23 +298,30 @@ def _scaled_slope(full, channel, offload_bits) -> float:
     return float(channel.marginal_energy_per_bit(s * full.rates) @ full.bits) / full.total
 
 
-def _scaled_full_energy(profile, channel, local, load_bits, low, high) -> float:
-    """Proportional pacing optimized over the split when the buffer holds
-    every transfer: ``proportional_tunnel(p, l, B)`` for ``B >= l`` is
-    ``full_utilization_tunnel(p, inf)`` scaled by ``l / capacity``, and so is
-    its taut string, so one string pull prices every transfer size, and the
-    best size is the root of the scaled string's energy slope minus the local
-    energy per bit. That slope is in closed form, so the root is taken to a
-    thousandth of a bit."""
+def _paced_energy(profile, channel, local, load_bits, buffer_bits, low, high) -> float:
+    """Proportional pacing optimized over the split: the root of its energy
+    slope minus the local energy per bit, to a thousandth of a bit. Its
+    tunnel's floor ``(l/C) c(t)`` is linear in the size ``l`` and its ceiling
+    ``min(floor + B, l)`` concave, so the energy is convex in ``l``. A size
+    the buffer holds is priced on the full-utilization string scaled by
+    ``l / C``, pulled at most once; a larger one on its own tunnel."""
     if high <= bits_tol(load_bits):  # nothing to offload; a never-idle profile has no string
         return local.local_energy(load_bits - low)
-    full = pull_string(full_utilization_tunnel(profile, inf))
+    full = cache(lambda: pull_string(full_utilization_tunnel(profile, inf)))
+
+    def slope(l):
+        if l > buffer_bits:
+            return _split_slope(profile, channel, local, buffer_bits, l)
+        return _scaled_slope(full(), channel, l) - local.bit_energy
 
     def transfer_energy(l):
-        return schedule_energy(full.times, (l / full.total) * full.cumulative, channel)
+        if l > buffer_bits:
+            return offload_energy(profile, l, buffer_bits, channel)
+        string = full()
+        return schedule_energy(string.times, (l / string.total) * string.cumulative, channel)
 
     if high - low > 1.0:
-        low = split_root(lambda l: _scaled_slope(full, channel, l) - local.bit_energy, low, high, tol=1e-3)
+        low = split_root(slope, low, high, tol=1e-3)
     return _split_energy(transfer_energy, local, load_bits, low)
 
 
@@ -320,16 +329,13 @@ def _split_case(task):
     """One one-shot trial: the optimal split plus the kind's baseline policy
     (late-transmit for oneshot, proportional pacing for buffer) and buffer-first.
 
-    Where one tunnel family covers every candidate transfer, a policy is
-    priced without a scan. A buffer below every transfer makes the optimal
-    split's solver use the proportional tunnel throughout, so proportional
-    pacing is priced by the optimum. A buffer holding every transfer makes
-    the buffer-first tunnel the effective tunnel the optimum is searched
-    on, and proportional pacing one scaled full-utilization string, priced
-    at the root of its energy slope. A buffer inside the feasible range
-    scans proportional tunnels per size, and every buffer below the largest
-    transfer scans lazy-first tunnels: buffer-first's energy over the split
-    is not known to be convex there.
+    A buffer below every transfer makes the optimal split's solver pace
+    proportionally throughout, so the optimum prices proportional pacing;
+    any other buffer prices it at its slope root (``_paced_energy``). A
+    buffer holding every transfer makes the buffer-first tunnel the
+    effective tunnel the optimum is searched on; below the largest transfer,
+    buffer-first's energy is not convex (it can have two local minima), so
+    lazy-first tunnels are scanned.
     """
     cfg, kind, axis, value, trial = task
     cfg_pt = _apply_axis(cfg, axis, value)
@@ -343,20 +349,17 @@ def _split_case(task):
     if low > min(high, load) + bits_tol(load):
         return (trial, False, nan, nan, nan, nan)
     res = optimize_partition(profile, channel, local, load, buffer_bits)
-    whole = buffer_bits >= max(high, low)
     if _SCHEMAS[kind][1] == "bench_energy":
         ends = [(load - l, l if l > bits_tol(load) else None) for l in (low, high)]
         baseline = _benchmark_energy(channel, local, ends, lambda l: effective_tunnel(profile, l, inf))
     elif buffer_bits < low:
         baseline = res.energy  # min_energy_offload(p, l, B) pulls proportional_tunnel(p, l, B) for l > B
-    elif whole:
-        baseline = _scaled_full_energy(profile, channel, local, load, low, high)
     else:
-        baseline = _scanned_energy(proportional_tunnel, profile, channel, local, load, buffer_bits, low, high)
-    if whole:
+        baseline = _paced_energy(profile, channel, local, load, buffer_bits, low, high)
+    if buffer_bits >= max(high, low):
         lazy = res.energy  # lazy_first_tunnel(p, l, B) == effective_tunnel(p, l, B) for B >= l
     else:
-        lazy = _scanned_energy(lazy_first_tunnel, profile, channel, local, load, buffer_bits, low, high)
+        lazy = _scanned_energy(profile, channel, local, load, buffer_bits, low, high)
     return (trial, True, res.energy, baseline, lazy, res.offload_bits)
 
 

@@ -23,6 +23,7 @@ from .energy import ChannelParams, schedule_energy
 from .errors import InfeasibleError
 from .tunnel import (
     FeasibilityTunnel,
+    _build_tunnel,
     bits_tol,
     bursty_effective_tunnel,
     effective_tunnel,
@@ -114,14 +115,21 @@ def _taut_values(times, floor, ceiling, tol):
     return np.array(y)
 
 
-def pull_string(tunnel: FeasibilityTunnel) -> OffloadSchedule:
-    """Minimum-energy schedule through a feasible tunnel."""
+def _check_feasible(tunnel: FeasibilityTunnel) -> float:
+    """The tunnel's bit tolerance; raises ``InfeasibleError`` if no schedule
+    fits through the tunnel within it."""
     tol = bits_tol(tunnel.total)
     if not tunnel.is_feasible(tol):
         raise InfeasibleError(
             f"tunnel admits no schedule (deficit {tunnel.deficit:.6g} bits)",
             deficit=tunnel.deficit,
         )
+    return tol
+
+
+def pull_string(tunnel: FeasibilityTunnel) -> OffloadSchedule:
+    """Minimum-energy schedule through a feasible tunnel."""
+    tol = _check_feasible(tunnel)
     y = _taut_values(tunnel.times, tunnel.floor, tunnel.ceiling, 1e-3 * tol)
     return OffloadSchedule(tunnel.times.copy(), y)
 
@@ -152,12 +160,7 @@ def envelope_slope(schedule: OffloadSchedule, channel: ChannelParams, d_floor, d
 
 def floor_following_schedule(tunnel: FeasibilityTunnel) -> OffloadSchedule:
     """Benchmark policy: transmit as late as the tunnel floor allows."""
-    tol = bits_tol(tunnel.total)
-    if not tunnel.is_feasible(tol):
-        raise InfeasibleError(
-            f"tunnel admits no schedule (deficit {tunnel.deficit:.6g} bits)",
-            deficit=tunnel.deficit,
-        )
+    _check_feasible(tunnel)
     return OffloadSchedule(tunnel.times.copy(), tunnel.floor.copy())
 
 
@@ -276,15 +279,11 @@ def verify_optimality(tunnel: FeasibilityTunnel, schedule: OffloadSchedule, tol=
 
 
 def _zero_solution(profile: CpuIdlingProfile, buffer_bits) -> tuple[OffloadSchedule, FeasibilityTunnel]:
+    """The empty transfer, over [0, the last idle instant or the horizon]."""
     end = profile.idle_end if profile.idle_end is not None else profile.horizon
     times = np.array([0.0, end])
-    zeros = np.zeros(2)
-    tunnel = FeasibilityTunnel(
-        "effective", times, zeros.copy(), zeros.copy(), 0.0,
-        np.array([0.0, profile.capacity_at(end)]),
-        zeros.copy(), float(buffer_bits),
-    )
-    return OffloadSchedule(times, zeros.copy()), tunnel
+    tunnel = _build_tunnel("effective", profile.curve, times, 0.0, profile.capacity, buffer_bits)
+    return OffloadSchedule(times, np.zeros(2)), tunnel
 
 
 def min_energy_offload(

@@ -77,10 +77,6 @@ class FeasibilityTunnel:
         if (self.times[1:] <= self.times[:-1]).any():
             raise ValueError("tunnel vertex times must be strictly increasing")
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
     @cached_property
     def cpu_flip(self) -> np.ndarray:
         """+1 at each interior vertex where the serving CPU turns idle, -1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from offloadsim.cli import main
+from offloadsim.sim_harness import SimConfig, format_csv, run_buffer_sweep, run_bursty_sweep, run_oneshot_sweep
 
 from oracles import parse_schedule
 
@@ -95,6 +96,7 @@ def test_solve_chunked(capsys, profile_file, arrivals_file):
     )
     assert bad_code == 2
     assert "infeasible" in err
+    assert "helper cannot absorb a 0.9 share of every chunk" in err
 
 
 def test_solve_error_paths(capsys, profile_file):
@@ -175,6 +177,23 @@ def test_tunnel_subcommand(capsys, profile_file, tmp_path):
     assert out_path.exists() and sched_path.exists()
 
 
+def test_tunnel_takes_no_channel_flags(capsys, profile_file):
+    # a tunnel never reads the channel, so its flags are usage errors there
+    argv = ["tunnel", "--profile", profile_file, "--kind", "effective", "--offload", "5e5"]
+    for flag in ("--gain", "--bandwidth-hz", "--noise-w"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "1"])
+        assert exc.value.code == 2, flag
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err, flag
+    # the local CPU flags it keeps build the LocalComputeParams that checks them
+    for flag, field in (("--local-hz", "cpu_hz"), ("--switched-cap", "switched_cap")):
+        for bad in ("nan", "inf", "-1"):
+            code, out, err = run_cli(capsys, *argv, flag, bad)
+            assert code == 1, (flag, bad)
+            assert field in err, (flag, bad)
+            assert "kind" not in out, (flag, bad)
+
+
 def test_tunnel_chunked_kinds(capsys, profile_file, arrivals_file):
     code, out, _ = run_cli(
         capsys,
@@ -239,6 +258,19 @@ def test_bursty_sweep_smoke(capsys, tmp_path):
     )
     assert code == 0
     assert len([ln for ln in out.splitlines() if not ln.startswith(("#", "axis,"))]) == 2
+
+
+def test_sweep_defaults_are_the_runners(capsys):
+    # without --axis or --values each sweep command runs its runner's defaults
+    cfg = SimConfig(trials=2, seed=3)
+    for command, runner in (
+        ("oneshot", run_oneshot_sweep),
+        ("buffer", run_buffer_sweep),
+        ("bursty", run_bursty_sweep),
+    ):
+        code, out, _ = run_cli(capsys, command, "--trials", "2", "--seed", "3")
+        assert code == 0, command
+        assert out == format_csv(runner(cfg)), command
 
 
 def test_solve_rejects_share_the_local_cpu_cannot_finish(capsys, profile_file, arrivals_file):

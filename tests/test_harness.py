@@ -20,11 +20,12 @@ from offloadsim.sim_harness import (
     run_buffer_sweep,
     run_bursty_sweep,
     run_oneshot_sweep,
+    scan_minimize,
     wilson_interval,
     write_csv,
 )
 from offloadsim.string_pull import offload_energy, pull_string
-from offloadsim.tunnel import full_utilization_tunnel, lazy_first_tunnel, proportional_tunnel
+from offloadsim.tunnel import bits_tol, full_utilization_tunnel, proportional_tunnel
 
 SMALL = SimConfig(trials=40, seed=7)
 
@@ -301,7 +302,7 @@ def test_whole_buffer_prices_buffer_first_by_the_optimum():
         profile, channel, local = trial_instance(SMALL, "buffer", trial)
         low, high = partition_bounds(profile, local, SMALL.load_bits)
         assert 1e4 < high
-        expect = _scanned_energy(lazy_first_tunnel, profile, channel, local, SMALL.load_bits, 1e4, low, high)
+        expect = _scanned_energy(profile, channel, local, SMALL.load_bits, 1e4, low, high)
         assert lazy == expect
         scanned += lazy != opt
     assert scanned > 0
@@ -322,7 +323,7 @@ def test_optimum_never_loses_to_scanned_buffer_first_with_whole_buffer():
             continue
         for buf in (high, float(rng.uniform(1.0, 2.0)) * high, np.inf):
             res = optimize_partition(profile, channel, local, load, buf)
-            lazy = _scanned_energy(lazy_first_tunnel, profile, channel, local, load, buf, low, high)
+            lazy = _scanned_energy(profile, channel, local, load, buf, low, high)
 
             def energy(l):
                 return local.local_energy(load - l) + offload_energy(profile, l, buf, channel)
@@ -336,11 +337,25 @@ def test_optimum_never_loses_to_scanned_buffer_first_with_whole_buffer():
     assert checked == 100
 
 
-def test_proportional_column_needs_no_scan_outside_the_feasible_range():
+def paced_split_energy(profile, channel, local, load, buf):
+    """Proportional pacing's energy over the split, one proportional tunnel
+    per offload size."""
+
+    def energy(l):
+        e = local.local_energy(load - l)
+        if l > bits_tol(load):
+            e += pull_string(proportional_tunnel(profile, l, buf)).energy(channel)
+        return e
+
+    return energy
+
+
+def test_proportional_column_is_the_optimum_or_the_slope_root():
     # below every candidate transfer the optimal split's solver already pulls
-    # proportional tunnels, so the prop column is the optimum itself; above
-    # every transfer it is a scan of scaled full-utilization strings, equal to
-    # the tunnel-by-tunnel scan; inside the range the tunnels are scanned
+    # proportional tunnels, so the prop column is the optimum itself; for any
+    # other buffer it is the root of the pacing energy's slope, equal to a
+    # scan of the proportional tunnels above every transfer, and beaten
+    # neither by that scan nor by a dense grid inside the range
     values = (1e4, 1e5, 6e5, 7e5, np.inf)
     buffer = run_buffer_sweep(SMALL, values)
     below = above = inside = 0
@@ -354,12 +369,16 @@ def test_proportional_column_needs_no_scan_outside_the_feasible_range():
                 assert prop == opt
                 below += 1
                 continue
-            expect = _scanned_energy(proportional_tunnel, profile, channel, local, SMALL.load_bits, buf, low, high)
+            energy = paced_split_energy(profile, channel, local, SMALL.load_bits, buf)
+            expect = energy(low) if high - low <= 1.0 else scan_minimize(energy, low, high, coarse=13, tol=1.0)[1]
             if buf >= max(high, low):
                 assert prop == pytest.approx(expect, rel=1e-12, abs=0.0)
                 above += 1
             else:
-                assert prop == expect
+                assert prop <= expect * (1 + 1e-12)
+                step = 1e-3 * SMALL.load_bits
+                grid = np.clip(np.arange(low, high + step, step), low, high)
+                assert prop <= min(energy(l) for l in grid) * (1 + 1e-9)
                 inside += 1
     assert below > 0 and above > 0 and inside > 0
 

@@ -309,10 +309,10 @@ def test_nan_slope_raises_numeric_error(monkeypatch, capsys, tmp_path):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_golden_search_below_the_buffer_matches_a_bracketing_scan():
+def test_root_search_below_the_buffer_matches_a_bracketing_scan():
     # a buffer below every candidate transfer leaves one tunnel family, the
     # proportional one, over the whole range, so the objective is convex and
-    # the golden search needs no bracketing scan
+    # the root search needs no bracketing scan
     rng = np.random.default_rng(71)
     searched = 0
     for _ in range(200):

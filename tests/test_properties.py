@@ -10,7 +10,7 @@ from offloadsim.cpu_profile import Epoch, build_profile
 from offloadsim.energy import ChannelParams, LocalComputeParams
 from offloadsim.partition import optimize_partition, partition_bounds
 from offloadsim.string_pull import _taut_values, offload_energy, pull_string
-from offloadsim.tunnel import FeasibilityTunnel
+from offloadsim.tunnel import FeasibilityTunnel, proportional_tunnel
 
 from convex_reference import convex_reference_schedule
 
@@ -81,6 +81,37 @@ def test_split_below_the_transfers_never_loses_to_a_dense_grid(
     grid = np.clip(np.arange(low, high + step, step), low, high)
     best = min(local.local_energy(load - l) + offload_energy(prof, l, buffer_bits, chan) for l in grid)
     assert res.energy <= best * (1 + 1e-9)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(
+    durations=st.lists(st.floats(2e-3, 3e-2), min_size=1, max_size=12),
+    idle_first=st.booleans(),
+    top_frac=st.floats(0.3, 1.0),
+    buffer_frac=st.floats(0.01, 0.5),
+    bottom_frac=st.floats(0.0, 1.0),
+    gain_exp=st.floats(-2.0, 2.0),
+)
+def test_paced_energy_is_midpoint_convex_across_the_buffer(
+    durations, idle_first, top_frac, buffer_frac, bottom_frac, gain_exp
+):
+    # proportional pacing's floor (l/C) c(t) is linear in the size l and its
+    # ceiling min(floor + B, l) concave, so its energy is convex in l on both
+    # sides of l = B; a buffer far below the largest size makes the ceiling
+    # bind there
+    epochs = [Epoch(d, (i % 2 == 0) == idle_first) for i, d in enumerate(durations)]
+    prof = build_profile(epochs, 5e9, 500.0, sum(durations))
+    assume(prof.capacity > 1e3)
+    top = top_frac * prof.capacity
+    buffer_bits = buffer_frac * top
+    bottom = max(bottom_frac * buffer_bits, 1.0)
+    chan = channel(gain_exp)
+
+    def energy(l):
+        return pull_string(proportional_tunnel(prof, l, buffer_bits)).energy(chan)
+
+    mid = 0.5 * (bottom + top)
+    assert energy(mid) <= 0.5 * (energy(bottom) + energy(top)) * (1 + 1e-9)
 
 
 def _pulled_by_each_scan(pull, *args):

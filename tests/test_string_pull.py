@@ -227,6 +227,24 @@ def test_min_energy_offload_dispatch():
         assert rep.ok, rep.notes
 
 
+def test_zero_transfer_tunnel_is_pinned_at_zero():
+    # the empty transfer's tunnel runs from 0 to the last idle instant (the
+    # horizon when there is none) with both envelopes at 0
+    idle = oneshot_profile()
+    never = build_profile([Epoch(0.1, False)], HELPER_HZ, CPB, 0.1)
+    for prof, end in ((idle, 0.1), (never, 0.1)):
+        for buffer_bits in (0.0, 1e4, np.inf):
+            sched, tun = min_energy_offload(prof, 0.0, buffer_bits)
+            assert (tun.kind, tun.total, tun.buffer_bits) == ("effective", 0.0, buffer_bits)
+            for arr in (tun.times, sched.times):
+                assert np.array_equal(arr, [0.0, end])
+            for arr in (tun.floor, tun.ceiling, tun.arrival_bits, sched.cumulative):
+                assert np.array_equal(arr, [0.0, 0.0])
+            assert np.array_equal(tun.cum_capacity, [0.0, prof.capacity])
+    sched, tun = min_energy_offload_bursty(idle, ArrivalProcess(np.array([0.0, 0.1]), np.array([4e5, 0.0]), 0.1), 0.0)
+    assert tun.buffer_bits == np.inf and np.array_equal(tun.floor, [0.0, 0.0])
+
+
 def test_offload_energy_monotone_in_size():
     prof = oneshot_profile()
     sizes = np.linspace(5e4, prof.capacity, 12)
