@@ -2,8 +2,8 @@
 
 Five subcommands: ``solve`` and ``tunnel`` work on explicit instances read
 from small text files; ``oneshot``, ``buffer``, and ``bursty`` run Monte Carlo
-sweeps and emit CSV. Exit codes: 0 success, 1 bad configuration, 2 infeasible
-instance, 3 numerical failure.
+sweeps and emit CSV. Exit codes: 0 success, 1 bad configuration (usage
+errors included), 2 infeasible instance, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -64,7 +64,7 @@ def _add_instance_flags(p: argparse.ArgumentParser):
     p.add_argument("--profile", required=True, help="epoch file: duration_s,idle|busy per line")
     p.add_argument("--helper-hz", type=float, default=5e9, help="helper CPU frequency")
     p.add_argument("--cycles-per-bit", type=float, default=500.0, help="CPU cycles per bit of work")
-    p.add_argument("--buffer", type=_bits, default=inf, help="helper receive buffer in bits (or inf)")
+    p.add_argument("--buffer", type=_bits, help="helper receive buffer in bits (default inf); one-shot only")
     p.add_argument("--arrivals", help="arrival file: time_s,bits per line (chunked workload)")
 
 
@@ -114,6 +114,15 @@ def _filter_policy(result, policy):
     return dataclasses.replace(result, rows=rows)
 
 
+def _check_buffer(args, chunked: bool):
+    """Default ``--buffer`` to inf; the chunked-arrival models have no
+    receive buffer, so there the flag is a configuration error."""
+    if args.buffer is None:
+        args.buffer = inf
+    elif chunked:
+        raise ConfigError("--buffer does not apply to chunked arrivals, which have no receive buffer model")
+
+
 def _load_instance(args):
     """The helper's profile, the arrivals (if given) and the user's CPU."""
     epochs = parse_epochs(Path(args.profile).read_text())
@@ -147,6 +156,7 @@ def _emit(pairs):
 
 
 def _cmd_solve(args) -> int:
+    _check_buffer(args, bool(args.arrivals))
     profile, arrivals, local = _load_instance(args)
     channel = ChannelParams(args.gain, args.bandwidth_hz, args.noise_w)
     if arrivals is not None:
@@ -221,8 +231,9 @@ _TUNNEL_KINDS = {
 
 
 def _cmd_tunnel(args) -> int:
-    profile, arrivals, local = _load_instance(args)
     needs, build = _TUNNEL_KINDS[args.kind]
+    _check_buffer(args, "arrivals" in needs)
+    profile, arrivals, local = _load_instance(args)
     for flag in needs:
         if getattr(args, flag) is None:
             raise ConfigError(f"tunnel kind {args.kind} needs --{flag}")
@@ -272,8 +283,16 @@ def _run_sweep_cmd(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, the code for bad input: 2 means infeasible."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="offloadsim",
         description="Energy-optimal peer-to-peer computation offloading: "
         "schedule solvers and Monte Carlo sweeps.",

@@ -5,6 +5,11 @@ Transmission over a bandwidth-W channel with gain h and noise power N0 costs
 is the sum of that power times duration over its constant-rate stretches.
 Local computation costs a fixed energy per cycle set by the switched
 capacitance and the local CPU frequency.
+
+``schedule_energy`` prices a schedule over fewer than ``_SHORT_SPAN`` interior
+vertices on Python float lists, calling numpy only for ``expm1``; a longer one
+with array arithmetic. Both do the same float64 operations per segment and
+add the segments in order, so they give the same energy bit for bit.
 """
 from __future__ import annotations
 
@@ -12,6 +17,11 @@ from dataclasses import dataclass
 from math import inf
 
 import numpy as np
+
+from .cpu_profile import _SHORT_SPAN
+
+_LN2 = float(np.log(2.0))
+_EXPM1_SAFE = 709.0  # expm1 cannot overflow below ln(DBL_MAX) = 709.78..., so needs no errstate
 
 
 @dataclass(frozen=True)
@@ -98,6 +108,8 @@ def schedule_energy(times, cumulative, channel: ChannelParams) -> float:
     cum = np.asarray(cumulative, dtype=float)
     if times.shape != cum.shape or times.ndim != 1 or len(times) < 2:
         raise ValueError("times and cumulative must be matching 1-D arrays")
+    if len(times) - 2 < _SHORT_SPAN:
+        return _list_energy(times.tolist(), cum.tolist(), channel)
     bits = cum[1:] - cum[:-1]
     if (bits < -1e-6).any():
         raise ValueError("cumulative curve must be nondecreasing")
@@ -109,6 +121,39 @@ def schedule_energy(times, cumulative, channel: ChannelParams) -> float:
         return np.inf  # bits to send in no time
     # summed in segment order, so it equals a plain loop adding one segment at a time
     return float((channel.rate_to_power(bits / tau) * tau).cumsum()[-1])
+
+
+def _list_energy(t: list, c: list, channel: ChannelParams) -> float:
+    """``schedule_energy`` on float lists: each sent segment's ``rate_to_power``
+    exponent and power in the same operations, summed in segment order."""
+    w = channel.bandwidth_hz
+    xs, taus, stalled = [], [], []
+    for i in range(len(t) - 1):
+        b = c[i + 1] - c[i]
+        if b > 0:
+            d = t[i + 1] - t[i]
+            if d > 0:
+                xs.append(b / d / w * _LN2)
+                taus.append(d)
+            else:
+                stalled.append(d)
+        elif b < -1e-6:
+            raise ValueError("cumulative curve must be nondecreasing")
+    if stalled:
+        # bits to send in no time; a NaN duration makes the array sum NaN instead
+        return np.nan if any(d != d for d in stalled) else np.inf
+    if not xs:
+        return 0.0
+    if max(xs) > _EXPM1_SAFE:
+        with np.errstate(over="ignore"):
+            grown = np.expm1(xs).tolist()
+    else:
+        grown = np.expm1(xs).tolist()
+    noise, gain = channel.noise_w, channel.gain
+    total = 0.0
+    for g, d in zip(grown, taus):
+        total += noise * g / gain * d
+    return total
 
 
 __all__ = [

@@ -9,6 +9,8 @@ halves. A chord over fewer than ``_SHORT_SPAN`` interior vertices is checked
 in a plain Python loop over float lists, where numpy's cost per call would
 dominate; a longer one with numpy slices. The two scans do the same float64
 arithmetic and break ties alike, so they pull the same string bit for bit.
+The feasibility check before the pull reads the same float lists when the
+whole tunnel is that short.
 ``envelope_slope`` reads off a pulled string how its energy moves with any
 parameter that moves the tunnel, from the multipliers at its contacts.
 """
@@ -18,12 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpu_profile import ArrivalProcess, CpuIdlingProfile, MergedTimeline
+from .cpu_profile import _SHORT_SPAN, ArrivalProcess, CpuIdlingProfile, MergedTimeline
 from .energy import ChannelParams, schedule_energy
 from .errors import InfeasibleError
 from .tunnel import (
     FeasibilityTunnel,
     _build_tunnel,
+    _fits,
     bits_tol,
     bursty_effective_tunnel,
     effective_tunnel,
@@ -55,13 +58,7 @@ class OffloadSchedule:
         return schedule_energy(self.times, self.cumulative, channel)
 
 
-# Measured crossover: one chord scan alone breaks even at 32-40 vertices for a
-# chord that stays straight and about 50 for one that bends; on whole solves
-# over ~100-vertex tunnels 24 ran fastest of 24, 32 and 48.
-_SHORT_SPAN = 24
-
-
-def _taut_values(times, floor, ceiling, tol):
+def _taut_values(times, floor, ceiling, tol, lists=None):
     """Vertex values of the shortest path between the envelopes.
 
     Endpoints are pinned to the envelope midpoints (equal there for any
@@ -69,10 +66,10 @@ def _taut_values(times, floor, ceiling, tol):
     vertex onto the envelope it breaches, preferring the floor on ties and the
     earliest vertex among equals, then splits. Both chord scans evaluate the
     chord as ``y_lo + slope * (t - t_lo)`` in float64, so they give the same
-    bits.
+    bits. ``lists`` may pass the three arrays already read as float lists.
     """
     n = len(times) - 1
-    t, f, c = times.tolist(), floor.tolist(), ceiling.tolist()
+    t, f, c = lists or (times.tolist(), floor.tolist(), ceiling.tolist())
     y = [0.0] * (n + 1)
     y[0] = 0.5 * (f[0] + c[0])
     y[n] = 0.5 * (f[n] + c[n])
@@ -115,11 +112,16 @@ def _taut_values(times, floor, ceiling, tol):
     return np.array(y)
 
 
-def _check_feasible(tunnel: FeasibilityTunnel) -> float:
+def _check_feasible(tunnel: FeasibilityTunnel, floor=None, ceiling=None) -> float:
     """The tunnel's bit tolerance; raises ``InfeasibleError`` if no schedule
-    fits through the tunnel within it."""
+    fits through the tunnel within it. A short tunnel whose envelopes are
+    given as float lists is checked on them."""
     tol = bits_tol(tunnel.total)
-    if not tunnel.is_feasible(tol):
+    if floor is not None and len(floor) - 2 < _SHORT_SPAN:
+        feasible = _fits(floor, ceiling, tunnel.total, tol)
+    else:
+        feasible = tunnel.is_feasible(tol)
+    if not feasible:
         raise InfeasibleError(
             f"tunnel admits no schedule (deficit {tunnel.deficit:.6g} bits)",
             deficit=tunnel.deficit,
@@ -129,8 +131,9 @@ def _check_feasible(tunnel: FeasibilityTunnel) -> float:
 
 def pull_string(tunnel: FeasibilityTunnel) -> OffloadSchedule:
     """Minimum-energy schedule through a feasible tunnel."""
-    tol = _check_feasible(tunnel)
-    y = _taut_values(tunnel.times, tunnel.floor, tunnel.ceiling, 1e-3 * tol)
+    lists = tunnel.times.tolist(), tunnel.floor.tolist(), tunnel.ceiling.tolist()
+    tol = _check_feasible(tunnel, *lists[1:])
+    y = _taut_values(tunnel.times, tunnel.floor, tunnel.ceiling, 1e-3 * tol, lists)
     return OffloadSchedule(tunnel.times.copy(), y)
 
 

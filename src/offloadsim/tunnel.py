@@ -23,15 +23,24 @@ crossings of the slack and buffer levels, arrival instants), so checking a
 piecewise-linear curve at the vertices alone is exact. Step-shaped
 availability ceilings are stored by their left limits, which is the binding
 value for a continuous curve.
+
+A one-shot tunnel (full, effective, lazy-first, proportional) over fewer than
+``_SHORT_SPAN`` interior vertices is built on Python float lists, where
+numpy's fixed cost per call would dominate, and so are the strict-increase
+check of a short tunnel and the feasibility check the string pull runs on
+one (``_fits``). Each list branch does the numpy branch's float64 operations
+and comparisons, so both give the same arrays and verdicts bit for bit.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .cpu_profile import (
+    _SHORT_SPAN,
     TIME_ATOL,
     ArrivalProcess,
     CapacityCurve,
@@ -74,7 +83,11 @@ class FeasibilityTunnel:
         n = len(self.times)
         if n < 2:
             raise ValueError("tunnel needs at least two vertices")
-        if (self.times[1:] <= self.times[:-1]).any():
+        if n - 2 < _SHORT_SPAN:
+            increasing = _increasing(self.times.tolist())
+        else:
+            increasing = not (self.times[1:] <= self.times[:-1]).any()
+        if not increasing:
             raise ValueError("tunnel vertex times must be strictly increasing")
 
     @cached_property
@@ -104,6 +117,26 @@ class FeasibilityTunnel:
             abs(float(self.floor[-1]) - self.total) <= tol
             and abs(float(self.ceiling[-1]) - self.total) <= tol
         )
+
+
+def _increasing(t: list) -> bool:
+    """No time at or below the one before it (a NaN passes, as in numpy)."""
+    prev = t[0]
+    for v in t[1:]:
+        if v <= prev:
+            return False
+        prev = v
+    return True
+
+
+def _fits(floor: list, ceiling: list, total: float, tol: float) -> bool:
+    """``FeasibilityTunnel.is_feasible`` on the envelopes as float lists."""
+    for lo, hi in zip(floor, ceiling):
+        if lo > hi + tol:
+            return False
+    if floor[0] > tol or ceiling[0] > tol:
+        return False
+    return abs(floor[-1] - total) <= tol and abs(ceiling[-1] - total) <= tol
 
 
 def _build_tunnel(
@@ -161,12 +194,62 @@ def _build_tunnel(
     return FeasibilityTunnel(kind, times, floor, ceiling, total, cum, bits, float(buffer_bits))
 
 
-def _idle_span(profile: CpuIdlingProfile) -> np.ndarray:
-    """Profile boundaries up to the last idle instant."""
+def _idle_span(profile: CpuIdlingProfile) -> int:
+    """Number of profile boundaries up to the last idle instant."""
     k = profile.last_idle_index
     if k is None:
         raise InfeasibleError("helper CPU is never idle, nothing can be offloaded")
-    return profile.boundaries[: k + 2].copy()
+    return k + 2
+
+
+def _oneshot_tunnel(kind, curve: CapacityCurve, n: int, total: float, slack: float, buffer_bits) -> FeasibilityTunnel:
+    """``_build_tunnel`` over the curve's first ``n`` boundaries, the last of
+    them where the curve stops rising, without arrivals.
+
+    Below the size switch the same construction runs on float lists. The
+    curve's values at its own boundaries are its ``cum_bits``, which is
+    exactly what ``curve.at`` returns there, so only an inserted crossing is
+    evaluated, with ``time_at``'s and ``at``'s formulas.
+    """
+    if n - 2 >= _SHORT_SPAN:
+        return _build_tunnel(kind, curve, curve.boundaries[:n].copy(), total, slack, buffer_bits)
+    if not buffer_bits >= 0:
+        raise ValueError(f"buffer_bits must be nonnegative, got {buffer_bits}")
+    edges, cum = curve.boundaries[:n].tolist(), curve.cum_bits[:n].tolist()
+    times, values = edges[:], cum[:]
+    capacity = float(curve.cum_bits[-1])
+    rate = curve.rate
+    levels = [slack]
+    if buffer_bits < total:
+        levels.append(capacity - buffer_bits)
+    for level in levels:
+        if 0.0 < level < capacity:
+            j = bisect_left(cum, level)
+            t = edges[j - 1] + (level - cum[j - 1]) / rate
+            i = bisect_left(times, t)
+            near_left = i > 0 and t - times[i - 1] <= TIME_ATOL
+            near_right = i < len(times) and times[i] - t <= TIME_ATOL
+            if not near_left and not near_right:
+                k = bisect_right(edges, t)  # the piece ``at`` reads t on; past edge n-1 it is flat
+                slope = rate if k < n and curve.idle[k - 1] else 0.0
+                times.insert(i, t)
+                values.insert(i, cum[k - 1] + (t - edges[k - 1]) * slope)
+    floor = [v if v > 0.0 else 0.0 for v in [c - slack for c in values]]
+    if slack > 0.0:
+        floor[-1] = total
+    ceiling = [v if v < total else total for v in [f + buffer_bits for f in floor]]
+    ceiling[0] = 0.0
+    ceiling[-1] = total
+    return FeasibilityTunnel(
+        kind,
+        np.array(times),
+        np.array(floor),
+        np.array(ceiling),
+        total,
+        np.array(values),
+        np.zeros(len(times)),
+        float(buffer_bits),
+    )
 
 
 def _check_transfer(profile: CpuIdlingProfile, total: float):
@@ -187,8 +270,8 @@ def full_utilization_tunnel(profile: CpuIdlingProfile, buffer_bits=np.inf) -> Fe
     The helper must never starve, so the floor is the capacity curve itself;
     the ceiling adds the receive-buffer headroom, capped by the transfer size.
     """
-    times = _idle_span(profile)
-    return _build_tunnel("full", profile.curve, times, profile.capacity, 0.0, buffer_bits)
+    n = _idle_span(profile)
+    return _oneshot_tunnel("full", profile.curve, n, profile.capacity, 0.0, buffer_bits)
 
 
 def effective_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits=np.inf) -> FeasibilityTunnel:
@@ -201,8 +284,8 @@ def effective_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits
     tol = _check_transfer(profile, total)
     if buffer_bits < total - tol:
         raise ValueError(f"effective tunnel assumes buffer_bits holds the whole transfer, got {buffer_bits}")
-    times = _idle_span(profile)
-    return _build_tunnel("effective", profile.curve, times, total, profile.capacity - total, buffer_bits)
+    n = _idle_span(profile)
+    return _oneshot_tunnel("effective", profile.curve, n, total, profile.capacity - total, buffer_bits)
 
 
 def proportional_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits) -> FeasibilityTunnel:
@@ -217,13 +300,13 @@ def proportional_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_b
     """
     total = float(offload_bits)
     _check_transfer(profile, total)
-    times = _idle_span(profile)
+    n = _idle_span(profile)
     factor = min(total / profile.capacity, 1.0)
     if not factor > 0.0:
         raise ValueError(f"offload_bits must be positive, got {offload_bits}")
     rate = profile.helper_hz * factor / profile.cycles_per_bit
     curve = CapacityCurve.from_durations(profile.durations, profile.curve.idle, rate, profile.horizon)
-    return _build_tunnel("proportional", curve, times, float(curve.cum_bits[-1]), 0.0, buffer_bits)
+    return _oneshot_tunnel("proportional", curve, n, float(curve.cum_bits[-1]), 0.0, buffer_bits)
 
 
 def lazy_first_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits) -> FeasibilityTunnel:
@@ -234,8 +317,8 @@ def lazy_first_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bit
     """
     total = float(offload_bits)
     _check_transfer(profile, total)
-    times = _idle_span(profile)
-    return _build_tunnel("lazy", profile.curve, times, total, profile.capacity - total, buffer_bits)
+    n = _idle_span(profile)
+    return _oneshot_tunnel("lazy", profile.curve, n, total, profile.capacity - total, buffer_bits)
 
 
 def _chunked_tunnel(kind, profile, arrivals, ratio, timeline, effective) -> FeasibilityTunnel:

@@ -183,7 +183,7 @@ def test_tunnel_takes_no_channel_flags(capsys, profile_file):
     for flag in ("--gain", "--bandwidth-hz", "--noise-w"):
         with pytest.raises(SystemExit) as exc:
             main(argv + [flag, "1"])
-        assert exc.value.code == 2, flag
+        assert exc.value.code == 1, flag
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err, flag
     # the local CPU flags it keeps build the LocalComputeParams that checks them
     for flag, field in (("--local-hz", "cpu_hz"), ("--switched-cap", "switched_cap")):
@@ -344,11 +344,38 @@ def test_bad_config_rejected(capsys, tmp_path):
     assert code == 1
 
 
-def test_argparse_usage_errors():
-    with pytest.raises(SystemExit):
-        main([])
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+def test_argparse_usage_errors(capsys):
+    # a usage error is bad input, exit 1; exit 2 is kept for infeasible instances
+    for argv in ([], ["frobnicate"], ["tunnel", "--kind", "bogus"], ["solve", "--load", "1e5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        assert "usage:" in capsys.readouterr().err, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+
+
+def test_buffer_flag_rejected_for_chunked_arrivals(capsys, profile_file, arrivals_file):
+    # the chunked-arrival models have no receive buffer, so --buffer (even inf)
+    # is refused there instead of being ignored
+    instance = ["--profile", profile_file, "--arrivals", arrivals_file]
+    chunked = [
+        ["solve", *instance],
+        ["solve", *instance, "--ratio", "0.75"],
+        *(["tunnel", *instance, "--kind", kind, "--ratio", "0.5"] for kind in ("bursty", "bursty-effective", "local")),
+    ]
+    for argv in chunked:
+        assert run_cli(capsys, *argv)[0] == 0, argv
+        for value in ("1e3", "inf"):
+            code, out, err = run_cli(capsys, *argv, "--buffer", value)
+            assert code == 1, (argv, value)
+            assert "--buffer" in err, (argv, value)
+            assert out == "", (argv, value)
+    # one-shot commands keep it, with arrivals given or not
+    code, out, _ = run_cli(capsys, "tunnel", *instance, "--kind", "full", "--buffer", "1e5")
+    assert code == 0
+    assert "buffer=100000" in out
 
 
 def test_module_entry_point(tmp_path):

@@ -1,16 +1,26 @@
 """Property tests over generated inputs, derandomized so every run draws the
 same examples and bounded so the suite stays fast."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from offloadsim import string_pull
+from offloadsim import energy, string_pull, tunnel as tunnel_module
 from offloadsim.cpu_profile import Epoch, build_profile
-from offloadsim.energy import ChannelParams, LocalComputeParams
+from offloadsim.energy import ChannelParams, LocalComputeParams, schedule_energy
+from offloadsim.errors import InfeasibleError
 from offloadsim.partition import optimize_partition, partition_bounds
 from offloadsim.string_pull import _taut_values, offload_energy, pull_string
-from offloadsim.tunnel import FeasibilityTunnel, proportional_tunnel
+from offloadsim.tunnel import (
+    FeasibilityTunnel,
+    bits_tol,
+    effective_tunnel,
+    full_utilization_tunnel,
+    lazy_first_tunnel,
+    proportional_tunnel,
+)
 
 from convex_reference import convex_reference_schedule
 
@@ -114,21 +124,27 @@ def test_paced_energy_is_midpoint_convex_across_the_buffer(
     assert energy(mid) <= 0.5 * (energy(bottom) + energy(top)) * (1 + 1e-9)
 
 
-def _pulled_by_each_scan(pull, *args):
-    """``pull(*args)`` with every chord scanned by numpy slices, then by the
-    Python loop."""
+def _by_each_branch(module, fn, *args):
+    """``fn(*args)`` with ``module``'s size switch at 0, so every curve takes
+    the numpy branches, then at 1e9, so every curve takes the float-list
+    ones. An ``InfeasibleError`` or ``ValueError`` is returned, not raised, and
+    a ``RuntimeWarning`` fails the test."""
     out = []
     for span in (0, 10**9):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(string_pull, "_SHORT_SPAN", span)
-            out.append(pull(*args))
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mp.setattr(module, "_SHORT_SPAN", span)
+            try:
+                out.append(fn(*args))
+            except (InfeasibleError, ValueError) as exc:
+                out.append(exc)
     return out
 
 
 @settings(PROPERTY, max_examples=50)
 @given(tunnel=corridors())
 def test_both_chord_scans_pull_the_same_string(tunnel):
-    by_numpy, by_loop = _pulled_by_each_scan(pull_string, tunnel)
+    by_numpy, by_loop = _by_each_branch(string_pull, pull_string, tunnel)
     assert np.array_equal(by_numpy.cumulative, by_loop.cumulative)
 
 
@@ -138,12 +154,180 @@ def test_both_chord_scans_break_ties_alike():
     # fixed first (the rule shows only where the envelopes cross)
     floor = np.array([0.0, 0.0, 6.0, 7.0, 4.0])
     ceiling = np.array([0.0, 5.0, 2.0, 3.0, 4.0])
-    for y in _pulled_by_each_scan(_taut_values, times, floor, ceiling, 0.0):
+    for y in _by_each_branch(string_pull, _taut_values, times, floor, ceiling, 0.0):
         assert np.array_equal(y, [0.0, 3.0, 6.0, 7.0, 4.0])
     # vertex 1 is 0.5 under its floor and 0.5 over its ceiling: the floor wins
     times = np.arange(3.0)
-    for y in _pulled_by_each_scan(_taut_values, times, np.array([0.0, 1.5, 2.0]), np.array([0.0, 0.5, 2.0]), 0.0):
+    floor, ceiling = np.array([0.0, 1.5, 2.0]), np.array([0.0, 0.5, 2.0])
+    for y in _by_each_branch(string_pull, _taut_values, times, floor, ceiling, 0.0):
         assert np.array_equal(y, [0.0, 1.5, 2.0])
     # a breach of exactly the tolerance leaves the chord straight
-    for y in _pulled_by_each_scan(_taut_values, times, np.array([0.0, 1.25, 2.0]), np.array([0.0, 2.0, 2.0]), 0.25):
+    floor, ceiling = np.array([0.0, 1.25, 2.0]), np.array([0.0, 2.0, 2.0])
+    for y in _by_each_branch(string_pull, _taut_values, times, floor, ceiling, 0.25):
         assert np.array_equal(y, [0.0, 1.0, 2.0])
+
+
+def _same_error(a, b):
+    return type(a) is type(b) and str(a) == str(b) and getattr(a, "deficit", None) == getattr(b, "deficit", None)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(
+    start=st.sampled_from([0.0, 1e-6, 5e4]),
+    # rates up to 2e7 bits/s keep the segments' energies within a few decades,
+    # so the order of the sum shows
+    bits=st.lists(st.floats(0.0, 2e4), min_size=1, max_size=40),
+    steps=st.lists(st.floats(1e-3, 1e-2), min_size=40, max_size=40),
+    # up to two segments of nothing, of the largest drop still read as
+    # nondecreasing, of a drop past it or at a rate past expm1's overflow,
+    # and maybe one segment of no time
+    odd_bits=st.lists(st.tuples(st.integers(0, 39), st.sampled_from([0.0, -1e-6, -2e-6, 1e9])), max_size=2),
+    stalled=st.one_of(st.none(), st.integers(0, 39)),
+    gain_exp=st.floats(-2.0, 2.0),
+)
+def test_both_branches_price_the_same_energy(start, bits, steps, odd_bits, stalled, gain_exp):
+    n = len(bits)
+    for k, b in odd_bits:
+        bits[k % n] = b
+    if stalled is not None:
+        steps[stalled % n] = 0.0
+    cum = np.concatenate(([start], start + np.cumsum(bits)))
+    times = np.concatenate(([0.0], np.cumsum(steps[:n])))
+    by_numpy, by_lists = _by_each_branch(energy, schedule_energy, times, cum, channel(gain_exp))
+    if isinstance(by_numpy, Exception):
+        assert _same_error(by_numpy, by_lists)
+    else:
+        assert type(by_lists) is float
+        assert by_numpy == by_lists or (np.isnan(by_numpy) and np.isnan(by_lists))
+
+
+def test_both_energy_branches_agree_on_edge_segments():
+    chan = channel(0.0)
+    cases = [
+        ([0.0, 0.01, 0.02], [0.0, 0.0, 0.0], 0.0),  # nothing sent
+        # a -1e-6-bit segment is not a drop, and sends nothing
+        ([0.0, 0.01, 0.02], [0.0, 1e-6, 0.0], schedule_energy([0.0, 0.01], [0.0, 1e-6], chan)),
+        ([0.0, 0.01, 0.01, 0.02], [0.0, 1e4, 2e4, 3e4], np.inf),  # bits in no time
+        ([0.0, 0.01, 0.02], [0.0, 1e4, 1e12], np.inf),  # rate past expm1's overflow
+        ([0.0, 0.01, 0.02], [0.0, 1e-6, -1e-6], ValueError),
+        ([0.0, np.nan, 0.02], [0.0, 1e4, 2e4], np.nan),  # a NaN duration makes the sum NaN
+    ]
+    for times, cum, want in cases:
+        by_numpy, by_lists = _by_each_branch(energy, schedule_energy, np.array(times), np.array(cum), chan)
+        if want is ValueError:
+            assert isinstance(by_numpy, ValueError) and _same_error(by_numpy, by_lists)
+        elif np.isnan(want):
+            assert np.isnan(by_numpy) and np.isnan(by_lists)
+        else:
+            assert by_numpy == by_lists == want
+
+
+def _tunnel_arrays(t):
+    if isinstance(t, Exception):
+        return t
+    return (t.kind, t.total, t.buffer_bits, t.times, t.floor, t.ceiling, t.cum_capacity, t.arrival_bits)
+
+
+def _size(capacity, cum_bits, pick):
+    """``pick`` of the capacity, or for an integer pick the capacity less
+    the curve's value at a boundary, so a crossing falls on that boundary."""
+    if isinstance(pick, int):
+        return capacity - float(cum_bits[min(pick, len(cum_bits) - 1)])
+    return pick * capacity
+
+
+@settings(PROPERTY, max_examples=150)
+@given(
+    durations=st.lists(st.floats(1e-3, 3e-2), min_size=1, max_size=40),
+    idle_first=st.booleans(),
+    scale_exp=st.integers(-3, 6),
+    size_pick=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), st.integers(0, 40)),
+    buffer_pick=st.one_of(st.just(np.inf), st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.5), st.integers(0, 40)),
+)
+def test_both_branches_build_the_same_one_shot_tunnels(durations, idle_first, scale_exp, size_pick, buffer_pick):
+    # long horizons make a crossing's time round by more than the vertex
+    # tolerance, so one placed on a boundary can land just past it
+    durations = np.array(durations) * 10.0**scale_exp
+    epochs = [Epoch(d, (i % 2 == 0) == idle_first) for i, d in enumerate(durations)]
+    prof = build_profile(epochs, 5e9, 500.0, float(durations.sum()))
+    size = _size(prof.capacity, prof.cum_bits, size_pick)
+    if isinstance(buffer_pick, int):
+        buffer_bits = _size(prof.capacity, prof.cum_bits, buffer_pick)
+    else:
+        buffer_bits = buffer_pick * size if np.isfinite(buffer_pick) else np.inf
+def test_both_branches_value_a_crossing_rounded_past_its_boundary():
+    # over this ~82000 s profile the slack level equal to the capacity at
+    # boundary 3 is reached, after rounding, 7.3e-12 s past that boundary: the
+    # crossing becomes a vertex on the busy piece after it, so its value is
+    # the flat capacity there, not the idle piece's line extended
+    durations = [18134.047392586435, 13192.552050035156, 9584.271110297668, 19371.84142550097, 21887.206919601784]
+    epochs = [Epoch(d, i % 2 == 0) for i, d in enumerate(durations)]
+    prof = build_profile(epochs, 5e9, 500.0, float(np.sum(durations)))
+    size = prof.capacity - float(prof.cum_bits[3])
+    by_numpy, by_lists = _by_each_branch(tunnel_module, effective_tunnel, prof, size)
+    assert len(by_numpy.times) == len(prof.boundaries) + 1
+    for a, b in zip(_tunnel_arrays(by_numpy)[3:], _tunnel_arrays(by_lists)[3:]):
+        assert np.array_equal(a, b)
+
+
+def test_both_branches_reject_times_that_do_not_rise():
+    for times in ([0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]):
+        t = np.array(times)
+        by_numpy, by_lists = _by_each_branch(tunnel_module, FeasibilityTunnel, "x", t, t, t, 3.0, t, t, np.inf)
+        assert isinstance(by_numpy, ValueError) and _same_error(by_numpy, by_lists)
+
+
+def test_both_feasibility_checks_read_ties_alike():
+    # with total 0 the tolerance is exactly 1e-6 and every push below is exact
+    times = np.arange(3.0)
+    push = bits_tol(0.0)
+    for envelope, k, by, feasible in (
+        ("floor", 0, push, True),
+        ("ceiling", 0, push, True),
+        ("floor", 0, 2 * push, False),
+        ("floor", -1, push, True),
+        ("ceiling", -1, -push, True),
+        ("ceiling", -1, -2 * push, False),
+        ("floor", 1, push, True),  # floor over ceiling by exactly the tolerance
+        ("floor", 1, 2 * push, False),
+    ):
+        env = {"floor": np.zeros(3), "ceiling": np.zeros(3)}
+        env[envelope][k] += by
+        tunnel = FeasibilityTunnel("tie", times, env["floor"], env["ceiling"], 0.0, np.zeros(3), np.zeros(3), np.inf)
+        by_numpy, by_lists = _by_each_branch(string_pull, pull_string, tunnel)
+        assert isinstance(by_numpy, InfeasibleError) != feasible, (envelope, k, by)
+        assert isinstance(by_lists, InfeasibleError) != feasible, (envelope, k, by)
+
+
+@st.composite
+def perturbed_corridors(draw):
+    """A corridor, feasible or pushed out of feasibility at its start, its
+    end, an interior vertex or its total, by a few multiples of the tolerance
+    or less."""
+    t = draw(corridors())
+    floor, ceiling, total = t.floor.copy(), t.ceiling.copy(), t.total
+    push = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0, 1e3])) * bits_tol(total)
+    where = draw(st.sampled_from(["none", "start", "end", "cross", "total"]))
+    if where == "start":
+        draw(st.sampled_from([floor, ceiling]))[0] += push
+    elif where == "end":
+        draw(st.sampled_from([floor, ceiling]))[-1] -= push
+    elif where == "cross":
+        k = draw(st.integers(1, len(floor) - 2))
+        floor[k] = ceiling[k] + push
+    elif where == "total":
+        total += draw(st.sampled_from([-1.0, 1.0])) * push
+    return FeasibilityTunnel("corridor", t.times, floor, ceiling, total, floor.copy(), t.arrival_bits, np.inf)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(tunnel=perturbed_corridors())
+def test_both_feasibility_checks_give_the_same_verdict(tunnel):
+    by_numpy, by_lists = _by_each_branch(string_pull, pull_string, tunnel)
+    if isinstance(by_numpy, Exception):
+        assert isinstance(by_numpy, InfeasibleError)
+        assert _same_error(by_numpy, by_lists)
+        assert not tunnel.is_feasible()
+    else:
+        assert tunnel.is_feasible()
+        assert np.array_equal(by_numpy.cumulative, by_lists.cumulative)
