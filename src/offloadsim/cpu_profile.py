@@ -21,13 +21,13 @@ MIN_EPOCH = 1e-12  # epochs shorter than this are rejected
 # Size switch of the float-list branches: a curve over fewer than this many
 # interior vertices is handled as Python float lists, where numpy's fixed
 # cost per call would dominate. It bounds the taut string's chord scan and,
-# for a whole tunnel or schedule, the feasibility check, the schedule energy
-# and the one-shot tunnel build. Measured crossovers against numpy: one chord
-# scan breaks even at 32-40 vertices for a chord that stays straight and
-# about 50 for one that bends, and on whole solves over ~100-vertex tunnels
-# 24 ran fastest of 24, 32 and 48; the one-shot tunnel build breaks even at
-# 30-45 vertices, the schedule energy at 40-45 and the feasibility check near
-# 150. So at 24 every list branch runs only where it is the faster one.
+# for a whole tunnel or schedule, the schedule energy, the one-shot tunnel
+# build and its strict-increase check. Measured crossovers against numpy: one
+# chord scan breaks even at 32-40 vertices for a chord that stays straight
+# and about 50 for one that bends, and on whole solves over ~100-vertex
+# tunnels 24 ran fastest of 24, 32 and 48; the one-shot tunnel build breaks
+# even at 30-45 vertices and the schedule energy at 40-45. So at 24 every
+# list branch runs only where it is the faster one.
 _SHORT_SPAN = 24
 
 

@@ -9,8 +9,9 @@ halves. A chord over fewer than ``_SHORT_SPAN`` interior vertices is checked
 in a plain Python loop over float lists, where numpy's cost per call would
 dominate; a longer one with numpy slices. The two scans do the same float64
 arithmetic and break ties alike, so they pull the same string bit for bit.
-The feasibility check before the pull reads the same float lists when the
-whole tunnel is that short.
+The feasibility check before the pull reads the same float lists at any
+length: one pass of comparisons, which breaks even with numpy's check only
+near 100-150 vertices, about the largest tunnels a solve builds.
 ``envelope_slope`` reads off a pulled string how its energy moves with any
 parameter that moves the tunnel, from the multipliers at its contacts.
 """
@@ -112,16 +113,12 @@ def _taut_values(times, floor, ceiling, tol, lists=None):
     return np.array(y)
 
 
-def _check_feasible(tunnel: FeasibilityTunnel, floor=None, ceiling=None) -> float:
+def _check_feasible(tunnel: FeasibilityTunnel, floor: list, ceiling: list) -> float:
     """The tunnel's bit tolerance; raises ``InfeasibleError`` if no schedule
-    fits through the tunnel within it. A short tunnel whose envelopes are
-    given as float lists is checked on them."""
+    fits through the tunnel within it. ``floor`` and ``ceiling`` are its
+    envelopes read as float lists."""
     tol = bits_tol(tunnel.total)
-    if floor is not None and len(floor) - 2 < _SHORT_SPAN:
-        feasible = _fits(floor, ceiling, tunnel.total, tol)
-    else:
-        feasible = tunnel.is_feasible(tol)
-    if not feasible:
+    if not _fits(floor, ceiling, tunnel.total, tol):
         raise InfeasibleError(
             f"tunnel admits no schedule (deficit {tunnel.deficit:.6g} bits)",
             deficit=tunnel.deficit,
@@ -163,7 +160,7 @@ def envelope_slope(schedule: OffloadSchedule, channel: ChannelParams, d_floor, d
 
 def floor_following_schedule(tunnel: FeasibilityTunnel) -> OffloadSchedule:
     """Benchmark policy: transmit as late as the tunnel floor allows."""
-    _check_feasible(tunnel)
+    _check_feasible(tunnel, tunnel.floor.tolist(), tunnel.ceiling.tolist())
     return OffloadSchedule(tunnel.times.copy(), tunnel.floor.copy())
 
 

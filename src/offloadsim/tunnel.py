@@ -26,10 +26,11 @@ value for a continuous curve.
 
 A one-shot tunnel (full, effective, lazy-first, proportional) over fewer than
 ``_SHORT_SPAN`` interior vertices is built on Python float lists, where
-numpy's fixed cost per call would dominate, and so are the strict-increase
-check of a short tunnel and the feasibility check the string pull runs on
-one (``_fits``). Each list branch does the numpy branch's float64 operations
-and comparisons, so both give the same arrays and verdicts bit for bit.
+numpy's fixed cost per call would dominate, and so is the strict-increase
+check of a short tunnel. ``_fits`` is ``is_feasible`` on envelopes read as
+float lists, which the string pull checks at any length. Each list branch
+does the numpy branch's float64 operations and comparisons, so both give the
+same arrays and verdicts bit for bit.
 """
 from __future__ import annotations
 

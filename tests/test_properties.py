@@ -12,7 +12,7 @@ from offloadsim.cpu_profile import Epoch, build_profile
 from offloadsim.energy import ChannelParams, LocalComputeParams, schedule_energy
 from offloadsim.errors import InfeasibleError
 from offloadsim.partition import optimize_partition, partition_bounds
-from offloadsim.string_pull import _taut_values, offload_energy, pull_string
+from offloadsim.string_pull import _taut_values, floor_following_schedule, offload_energy, pull_string
 from offloadsim.tunnel import (
     FeasibilityTunnel,
     bits_tol,
@@ -232,7 +232,7 @@ def _size(capacity, cum_bits, pick):
     """``pick`` of the capacity, or for an integer pick the capacity less
     the curve's value at a boundary, so a crossing falls on that boundary."""
     if isinstance(pick, int):
-        return capacity - float(cum_bits[min(pick, len(cum_bits) - 1)])
+        return capacity - float(cum_bits[pick % len(cum_bits)])
     return pick * capacity
 
 
@@ -255,6 +255,20 @@ def test_both_branches_build_the_same_one_shot_tunnels(durations, idle_first, sc
         buffer_bits = _size(prof.capacity, prof.cum_bits, buffer_pick)
     else:
         buffer_bits = buffer_pick * size if np.isfinite(buffer_pick) else np.inf
+    for build, args in (
+        (full_utilization_tunnel, (prof, buffer_bits)),
+        (effective_tunnel, (prof, size, buffer_bits if buffer_bits >= size else np.inf)),
+        (lazy_first_tunnel, (prof, size, buffer_bits)),
+        (proportional_tunnel, (prof, size, buffer_bits)),
+    ):
+        by_numpy, by_lists = _by_each_branch(tunnel_module, build, *args)
+        if isinstance(by_numpy, Exception):
+            assert _same_error(by_numpy, by_lists), build.__name__
+            continue
+        for a, b in zip(_tunnel_arrays(by_numpy), _tunnel_arrays(by_lists)):
+            assert np.array_equal(a, b), build.__name__
+
+
 def test_both_branches_value_a_crossing_rounded_past_its_boundary():
     # over this ~82000 s profile the slack level equal to the capacity at
     # boundary 3 is reached, after rounding, 7.3e-12 s past that boundary: the
@@ -270,11 +284,36 @@ def test_both_branches_value_a_crossing_rounded_past_its_boundary():
         assert np.array_equal(a, b)
 
 
+def test_both_branches_add_no_vertex_where_the_curve_stops_rising():
+    # with no buffer the buffer level is the whole capacity, which this
+    # ~66000 s profile reaches, after rounding, 7.3e-12 s past its last rising
+    # boundary; the tunnel still ends on that boundary
+    durations = [9523.803423262169, 23261.915829520734, 17549.858789925474, 3721.5094495658805, 12350.032362835262]
+    epochs = [Epoch(d, i % 2 == 1) for i, d in enumerate(durations)]
+    prof = build_profile(epochs, 5e9, 500.0, float(np.sum(durations)))
+    by_numpy, by_lists = _by_each_branch(tunnel_module, full_utilization_tunnel, prof, 0.0)
+    assert len(by_numpy.times) == prof.last_idle_index + 2
+    for a, b in zip(_tunnel_arrays(by_numpy), _tunnel_arrays(by_lists)):
+        assert np.array_equal(a, b)
+
+
 def test_both_branches_reject_times_that_do_not_rise():
     for times in ([0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]):
         t = np.array(times)
         by_numpy, by_lists = _by_each_branch(tunnel_module, FeasibilityTunnel, "x", t, t, t, 3.0, t, t, np.inf)
         assert isinstance(by_numpy, ValueError) and _same_error(by_numpy, by_lists)
+
+
+def _verdict(schedule, tunnel):
+    """Whether ``schedule`` takes the tunnel, which it checks as float lists
+    (``_fits``), not with ``is_feasible``; a refusal must carry the tunnel's
+    deficit."""
+    try:
+        schedule(tunnel)
+    except InfeasibleError as exc:
+        assert exc.deficit == tunnel.deficit
+        return False
+    return True
 
 
 def test_both_feasibility_checks_read_ties_alike():
@@ -294,9 +333,8 @@ def test_both_feasibility_checks_read_ties_alike():
         env = {"floor": np.zeros(3), "ceiling": np.zeros(3)}
         env[envelope][k] += by
         tunnel = FeasibilityTunnel("tie", times, env["floor"], env["ceiling"], 0.0, np.zeros(3), np.zeros(3), np.inf)
-        by_numpy, by_lists = _by_each_branch(string_pull, pull_string, tunnel)
-        assert isinstance(by_numpy, InfeasibleError) != feasible, (envelope, k, by)
-        assert isinstance(by_lists, InfeasibleError) != feasible, (envelope, k, by)
+        assert tunnel.is_feasible() == feasible, (envelope, k, by)
+        assert _verdict(pull_string, tunnel) == feasible, (envelope, k, by)
 
 
 @st.composite
@@ -323,11 +361,5 @@ def perturbed_corridors(draw):
 @settings(PROPERTY, max_examples=200)
 @given(tunnel=perturbed_corridors())
 def test_both_feasibility_checks_give_the_same_verdict(tunnel):
-    by_numpy, by_lists = _by_each_branch(string_pull, pull_string, tunnel)
-    if isinstance(by_numpy, Exception):
-        assert isinstance(by_numpy, InfeasibleError)
-        assert _same_error(by_numpy, by_lists)
-        assert not tunnel.is_feasible()
-    else:
-        assert tunnel.is_feasible()
-        assert np.array_equal(by_numpy.cumulative, by_lists.cumulative)
+    for schedule in (pull_string, floor_following_schedule):
+        assert _verdict(schedule, tunnel) == tunnel.is_feasible()
