@@ -17,6 +17,7 @@ import numpy as np
 
 TIME_ATOL = 1e-12  # absolute tolerance for time comparisons, seconds
 MIN_EPOCH = 1e-12  # epochs shorter than this are rejected
+_EPS = float(np.finfo(float).eps)
 
 # Size switch of the float-list branches: a curve over fewer than this many
 # interior vertices is handled as Python float lists, where numpy's fixed
@@ -167,17 +168,21 @@ class CpuIdlingProfile:
 def build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> CpuIdlingProfile:
     """Validate and normalize epochs into a capacity profile.
 
-    Epoch durations must sum to the horizon within 1e-12 s.
+    Epoch durations must sum to the horizon within 1e-12 s, or within the
+    rounding of summing them, ``n * eps * sum`` for n epochs (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 4), if that is
+    larger: one ulp of a 1e4 s horizon is already 1.8e-12 s.
     """
     if not 0 < helper_hz < np.inf:
         raise ValueError(f"helper_hz must be positive and finite, got {helper_hz}")
     if not 0 < cycles_per_bit < np.inf:
         raise ValueError(f"cycles_per_bit must be positive and finite, got {cycles_per_bit}")
+    epochs = list(epochs)
     eps = normalize_epochs(epochs)
     durs = np.array([ep.duration for ep in eps], dtype=float)
     idle = np.array([ep.idle for ep in eps], dtype=bool)
     total = float(durs.sum())
-    if abs(total - horizon) > TIME_ATOL:
+    if abs(total - horizon) > max(TIME_ATOL, len(epochs) * _EPS * total):
         raise ValueError(f"epoch durations sum to {total}, expected horizon {horizon}")
     curve = CapacityCurve.from_durations(durs, idle, helper_hz / cycles_per_bit, horizon)
     idle_at = np.flatnonzero(idle)

@@ -10,9 +10,15 @@ Epochs and arrivals come from the loops ``sample_cpu_process`` and
 ``sample_arrivals`` use, fed by the trial's unit draws, which continue
 without end (see ``TrialDraws``), so any horizon runs.
 
+The unit of work is a trial at every grid value of the sweep: it draws once,
+builds its profile once unless the axis moves it, and prices a buffer that
+holds every feasible transfer once for all such grid values. Results go back
+in trial order per grid value.
+
 Policies whose energy is convex in the offload size are priced by one solver
-each, the optimal split and proportional pacing (``_paced_energy``). Only
-buffer-first is scanned, because its energy over the split is not convex.
+each, the optimal split and proportional pacing (``_paced_energy``).
+Buffer-first's energy over the split is not convex, so it is searched on a
+grid guided by its slope (``_buffer_first_energy``).
 """
 from __future__ import annotations
 
@@ -33,8 +39,8 @@ from .cpu_profile import (
 )
 from .energy import ChannelParams, LocalComputeParams, schedule_energy
 from .errors import ConfigError, InfeasibleError
-from .partition import _split_slope, golden_section, optimize_partition, optimize_ratio, partition_bounds, split_root
-from .string_pull import floor_following_schedule, offload_energy, pull_string
+from .partition import _split_slope, optimize_partition, optimize_ratio, partition_bounds, split_root
+from .string_pull import floor_following_schedule, lazy_first_slope, offload_energy, pull_string
 from .tunnel import (
     bits_tol,
     bursty_effective_tunnel,
@@ -246,25 +252,6 @@ def _benchmark_energy(channel, local, ends, tunnel_fn) -> float:
     return best
 
 
-def scan_minimize(fn, lo: float, hi: float, coarse: int = 17, tol: float = 1.0):
-    """Coarse grid scan followed by golden refinement around the best cell.
-
-    For objectives that are cheap but not certified unimodal, such as the
-    buffer-first policy's energy over the split.
-    """
-    if hi <= lo + tol:
-        return golden_section(fn, lo, hi, tol)
-    xs = np.linspace(lo, hi, coarse).tolist()
-    fs = [fn(x) for x in xs]
-    k = int(np.argmin(fs))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, coarse - 1)]
-    x, f = golden_section(fn, a, b, tol)
-    if fs[k] < f:
-        return xs[k], fs[k]
-    return x, f
-
-
 def _split_energy(transfer_energy, local, load_bits, offload_bits) -> float:
     """Local computing of the kept bits plus ``transfer_energy(offload_bits)``."""
     e = local.local_energy(load_bits - offload_bits)
@@ -273,19 +260,67 @@ def _split_energy(transfer_energy, local, load_bits, offload_bits) -> float:
     return e
 
 
-def _scanned_energy(profile, channel, local, load_bits, buffer_bits, low, high) -> float:
-    """Best energy over the split (scanned) of buffer-first transmission,
-    which pulls the string through ``lazy_first_tunnel(profile, l, B)``."""
+_GRID = 13  # grid points of the buffer-first search
+_HALVINGS = 3  # times a grid cell that does not look convex is halved
+# bits to which each slope root is found: where the corner nears time 0 the
+# slope can climb from -1.6e-8 to +2e-7 J/bit within 30 bits, and a root one
+# bit wide then left buffer-first up to 9e-10 relative above the scan's price
+_ROOT_TOL = 1e-3
 
-    def transfer_energy(l):
-        return pull_string(lazy_first_tunnel(profile, l, buffer_bits)).energy(channel)
 
-    def fn(l):
-        return _split_energy(transfer_energy, local, load_bits, l)
+def _buffer_first_energy(profile, channel, local, load_bits, buffer_bits, low, high) -> float:
+    """Buffer-first transmission, which pulls the string through
+    ``lazy_first_tunnel(profile, l, B)``, optimized over the split.
+
+    Its energy is not convex in the size ``l`` (it can have two local
+    minima), so it is guided by its slope rather than found by one root. One
+    pull per point of a 13-point grid over ``[low, high]`` gives the energy
+    and its slope (``lazy_first_slope``). A cell whose ends fail the tangent
+    test of a convex function (each end's energy on or above the other's
+    tangent, slopes nondecreasing) is halved, at most three times; each
+    final cell whose slope goes from negative to positive gets a root search
+    (``split_root``, to ``_ROOT_TOL``). The price is the least energy of
+    every size probed.
+    """
+    tol = bits_tol(load_bits)
+    rate = profile.curve.rate
+    probed = {}
+
+    def probe(l):
+        """Split energy and its slope at size ``l``, one pull per size."""
+        if l not in probed:
+            if l > tol:
+                tunnel = lazy_first_tunnel(profile, l, buffer_bits)
+                schedule = pull_string(tunnel)
+                e = local.local_energy(load_bits - l) + schedule.energy(channel)
+                g = lazy_first_slope(schedule, tunnel, channel, rate)
+            else:  # nothing sent: the first bit goes out at a vanishing rate
+                e = local.local_energy(load_bits - l)
+                g = float(channel.marginal_energy_per_bit(0.0))
+            probed[l] = e, g - local.bit_energy
+        return probed[l]
 
     if high - low <= 1.0:
-        return fn(low)
-    return scan_minimize(fn, low, high, coarse=13, tol=1.0)[1]
+        return probe(low)[0]
+    cells = []
+
+    def settle(a, b, halvings):
+        (e_a, g_a), (e_b, g_b) = probe(a), probe(b)
+        d = b - a
+        if halvings and not (g_a <= g_b and e_b >= e_a + g_a * d and e_a >= e_b - g_b * d):
+            m = 0.5 * (a + b)
+            settle(a, m, halvings - 1)
+            settle(m, b, halvings - 1)
+        else:
+            cells.append((a, b))
+
+    xs = np.linspace(low, high, _GRID).tolist()
+    for a, b in zip(xs, xs[1:]):
+        settle(a, b, _HALVINGS)
+    for a, b in cells:
+        if probe(a)[1] < 0.0 < probe(b)[1]:
+            probe(split_root(lambda l: probe(l)[1], a, b, tol=_ROOT_TOL))
+    return min(e for e, _ in probed.values())
 
 
 def _scaled_slope(full, channel, offload_bits) -> float:
@@ -325,29 +360,18 @@ def _paced_energy(profile, channel, local, load_bits, buffer_bits, low, high) ->
     return _split_energy(transfer_energy, local, load_bits, low)
 
 
-def _split_case(task):
-    """One one-shot trial: the optimal split plus the kind's baseline policy
-    (late-transmit for oneshot, proportional pacing for buffer) and buffer-first.
+def _split_case(kind, profile, channel, local, load, buffer_bits, low, high):
+    """Energies of one feasible one-shot case: the optimal split, the kind's
+    baseline policy (late-transmit for oneshot, proportional pacing for
+    buffer) and buffer-first, plus the optimal offload size.
 
     A buffer below every transfer makes the optimal split's solver pace
     proportionally throughout, so the optimum prices proportional pacing;
     any other buffer prices it at its slope root (``_paced_energy``). A
     buffer holding every transfer makes the buffer-first tunnel the
     effective tunnel the optimum is searched on; below the largest transfer,
-    buffer-first's energy is not convex (it can have two local minima), so
-    lazy-first tunnels are scanned.
+    buffer-first is priced by ``_buffer_first_energy``.
     """
-    cfg, kind, axis, value, trial = task
-    cfg_pt = _apply_axis(cfg, axis, value)
-    draws = draw_trial(cfg.seed, _TAGS[kind], trial)
-    profile = _profile_from_draws(draws, cfg_pt)
-    gain = cfg_pt.mean_gain * (draws.gain_unit if cfg_pt.rayleigh_fading else 1.0)
-    channel = cfg_pt.channel(gain)
-    local = cfg_pt.local_params()
-    load, buffer_bits = cfg_pt.load_bits, cfg_pt.buffer_bits
-    low, high = partition_bounds(profile, local, load)
-    if low > min(high, load) + bits_tol(load):
-        return (trial, False, nan, nan, nan, nan)
     res = optimize_partition(profile, channel, local, load, buffer_bits)
     if _SCHEMAS[kind][1] == "bench_energy":
         ends = [(load - l, l if l > bits_tol(load) else None) for l in (low, high)]
@@ -359,27 +383,75 @@ def _split_case(task):
     if buffer_bits >= max(high, low):
         lazy = res.energy  # lazy_first_tunnel(p, l, B) == effective_tunnel(p, l, B) for B >= l
     else:
-        lazy = _scanned_energy(profile, channel, local, load, buffer_bits, low, high)
-    return (trial, True, res.energy, baseline, lazy, res.offload_bits)
+        lazy = _buffer_first_energy(profile, channel, local, load, buffer_bits, low, high)
+    return (res.energy, baseline, lazy, res.offload_bits)
 
 
-def _bursty_case(task):
-    cfg, kind, axis, value, trial = task
-    cfg_pt = _apply_axis(cfg, axis, value)
-    scale = value if axis == "size_scale" else 1.0
+# axes that change the helper's epochs, so each of their grid values needs its own profile
+_PROFILE_AXES = {"mean_idle", "mean_busy", "horizon"}
+
+
+def _split_trial(task):
+    """One one-shot trial at every grid value: a case tuple per value.
+
+    The trial's draws are made once, and so is its profile unless the axis
+    moves it. Within one profile a case depends only on the gain, the load
+    and the buffer, and a buffer holding every feasible transfer never binds,
+    so it is priced as no buffer at all, once for all such grid values.
+    """
+    cfg, kind, axis, values, trial = task
     draws = draw_trial(cfg.seed, _TAGS[kind], trial)
-    profile = _profile_from_draws(draws, cfg_pt)
-    gain = cfg_pt.mean_gain * (draws.gain_unit if cfg_pt.rayleigh_fading else 1.0)
-    channel = cfg_pt.channel(gain)
-    local = cfg_pt.local_params()
-    arrivals = _arrivals_from_draws(draws, cfg_pt, scale)
+    profile = None
+    cases = []
+    for value in values:
+        cfg_pt = _apply_axis(cfg, axis, value)
+        if profile is None or axis in _PROFILE_AXES:
+            profile, priced = _profile_from_draws(draws, cfg_pt), {}
+        gain = cfg_pt.mean_gain * (draws.gain_unit if cfg_pt.rayleigh_fading else 1.0)
+        local = cfg_pt.local_params()
+        load = cfg_pt.load_bits
+        low, high = partition_bounds(profile, local, load)
+        if low > min(high, load) + bits_tol(load):
+            cases.append((trial, False, nan, nan, nan, nan))
+            continue
+        buffer_bits = cfg_pt.buffer_bits if cfg_pt.buffer_bits < max(high, low) else inf
+        key = gain, load, buffer_bits
+        if key not in priced:
+            channel = cfg_pt.channel(gain)
+            priced[key] = _split_case(kind, profile, channel, local, load, buffer_bits, low, high)
+        cases.append((trial, True, *priced[key]))
+    return cases
+
+
+def _bursty_trial(task):
+    """One chunked-arrival trial at every grid value: a case tuple per value,
+    with the draws made once and the profile built once unless the axis
+    moves it."""
+    cfg, kind, axis, values, trial = task
+    draws = draw_trial(cfg.seed, _TAGS[kind], trial)
+    profile = None
+    cases = []
+    for value in values:
+        cfg_pt = _apply_axis(cfg, axis, value)
+        if profile is None or axis in _PROFILE_AXES:
+            profile = _profile_from_draws(draws, cfg_pt)
+        scale = value if axis == "size_scale" else 1.0
+        cases.append((trial, *_bursty_case(draws, cfg_pt, profile, scale)))
+    return cases
+
+
+def _bursty_case(draws, cfg, profile, scale):
+    gain = cfg.mean_gain * (draws.gain_unit if cfg.rayleigh_fading else 1.0)
+    channel = cfg.channel(gain)
+    local = cfg.local_params()
+    arrivals = _arrivals_from_draws(draws, cfg, scale)
     if arrivals.total <= 0.0:
-        return (trial, True, 0.0, 0.0, 0.0, 0.0)
+        return (True, 0.0, 0.0, 0.0, 0.0)
     timeline = merge_events(profile, arrivals)
     try:
         res = optimize_ratio(profile, arrivals, channel, local, timeline)
     except InfeasibleError:
-        return (trial, False, nan, nan, nan, nan)
+        return (False, nan, nan, nan, nan)
     total = arrivals.total
     ends = [
         ((1.0 - r) * total, r if r * total > bits_tol(total) else None)
@@ -388,7 +460,7 @@ def _bursty_case(task):
     bench = _benchmark_energy(
         channel, local, ends, lambda r: bursty_effective_tunnel(profile, arrivals, r, timeline)
     )
-    return (trial, True, res.ratio, res.energy, bench, res.offload_bits)
+    return (True, res.ratio, res.energy, bench, res.offload_bits)
 
 
 _SCHEMAS = {
@@ -449,7 +521,7 @@ def _run_sweep(cfg, axis, values, kind, worker, jobs) -> SweepResult:
         _apply_axis(cfg, axis, v)  # reject a bad grid value before any trial runs
     if jobs is not None and not jobs >= 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    tasks = [(cfg, kind, axis, v, t) for v in values for t in range(cfg.trials)]
+    tasks = [(cfg, kind, axis, values, t) for t in range(cfg.trials)]  # one per trial, all its grid values
     workers = min(jobs or 1, len(tasks))  # the executor forks every worker at once
     if workers > 1:
         # imported here: the pool machinery adds to every import of the
@@ -461,30 +533,26 @@ def _run_sweep(cfg, axis, values, kind, worker, jobs) -> SweepResult:
             results = list(pool.map(worker, tasks, chunksize=chunk))
     else:
         results = [worker(task) for task in tasks]
-    per_trial = []
-    rows = []
-    for i, v in enumerate(values):
-        cases = results[i * cfg.trials : (i + 1) * cfg.trials]
-        per_trial.append(cases)
-        rows.append(_aggregate(kind, axis, v, cases))
+    per_trial = [list(cases) for cases in zip(*results)]  # one list per grid value, trial order
+    rows = [_aggregate(kind, axis, v, cases) for v, cases in zip(values, per_trial)]
     return SweepResult(kind, axis, values, cfg, per_trial, rows)
 
 
 def run_oneshot_sweep(cfg: SimConfig, axis: str = "mean_idle", values=(0.01, 0.02, 0.04), jobs=None):
     """Sweep a scenario parameter; per trial, optimally split and schedule a
     one-shot load, and price the late-transmit and buffer-first policies."""
-    return _run_sweep(cfg, axis, values, "oneshot", _split_case, jobs)
+    return _run_sweep(cfg, axis, values, "oneshot", _split_trial, jobs)
 
 
 def run_buffer_sweep(cfg: SimConfig, values=(1e4, 1e5, 1e6, inf), jobs=None):
     """Sweep the receive buffer size with everything else held per-trial fixed,
     pricing the hybrid optimum, the proportional scheme, and buffer-first."""
-    return _run_sweep(cfg, "buffer_bits", values, "buffer", _split_case, jobs)
+    return _run_sweep(cfg, "buffer_bits", values, "buffer", _split_trial, jobs)
 
 
 def run_bursty_sweep(cfg: SimConfig, axis: str = "size_scale", values=(0.5, 1.0, 2.0), jobs=None):
     """Sweep chunked-arrival scenarios, optimizing the per-chunk offload share."""
-    return _run_sweep(cfg, axis, values, "bursty", _bursty_case, jobs)
+    return _run_sweep(cfg, axis, values, "bursty", _bursty_trial, jobs)
 
 
 def _fmt(v) -> str:

@@ -13,16 +13,19 @@ The feasibility check before the pull reads the same float lists at any
 length: one pass of comparisons, which breaks even with numpy's check only
 near 100-150 vertices, about the largest tunnels a solve builds.
 ``envelope_slope`` reads off a pulled string how its energy moves with any
-parameter that moves the tunnel, from the multipliers at its contacts.
+parameter that moves the tunnel, from the multipliers at its contacts;
+``lazy_first_slope`` is its closed form for the size of a lazy-first
+transfer, whose floor corner moves in time as well.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import exp, expm1, inf
 
 import numpy as np
 
 from .cpu_profile import _SHORT_SPAN, ArrivalProcess, CpuIdlingProfile, MergedTimeline
-from .energy import ChannelParams, schedule_energy
+from .energy import _LN2, ChannelParams, schedule_energy
 from .errors import InfeasibleError
 from .tunnel import (
     FeasibilityTunnel,
@@ -156,6 +159,43 @@ def envelope_slope(schedule: OffloadSchedule, channel: ChannelParams, d_floor, d
     w = m[:-1] - m[1:]
     s = np.maximum(w, 0.0) @ d_floor[1:-1] + np.minimum(w, 0.0) @ d_ceiling[1:-1] + m[-1] * d_total
     return top * float(s)
+
+
+def lazy_first_slope(
+    schedule: OffloadSchedule, tunnel: FeasibilityTunnel, channel: ChannelParams, rate: float
+) -> float:
+    """Slope in the transfer size ``l`` of the energy of the taut string
+    through ``lazy_first_tunnel(profile, l, B)``, whose capacity curve rises
+    at ``rate`` bits/s where the floor leaves zero.
+
+    Past the corner vertex c where the floor leaves zero, the floor, the
+    ceiling and the total all rise by one bit per bit; before it the floor
+    stays at zero and the ceiling at the buffer (at the total for a buffer
+    holding ``l``, which the string meets only at its end). So the sum of
+    ``envelope_slope`` telescopes to the marginal power ``m_c`` of the
+    segment after the corner. The corner keeps its values but moves in time,
+    by ``-1/rate`` per bit, which moves the energy by ``(h(r_{c-1}) -
+    h(r_c)) * -1/rate``, with ``h(r) = p(r) - r p'(r)`` the change of a
+    segment's energy ``p(r) * tau`` with its duration at fixed bits. Only
+    the two segments at the corner are read, in Python floats: numpy's cost
+    per call would outweigh the arithmetic. A marginal power that overflows
+    makes the slope ``+inf``.
+    """
+    n = len(schedule.times) - 1
+    c = n if tunnel.corner is None else tunnel.corner
+    lo, hi = max(c - 1, 0), min(c + 1, n)
+    t = schedule.times[lo : hi + 1].tolist()
+    y = schedule.cumulative[lo : hi + 1].tolist()
+    w, scale = channel.bandwidth_hz, channel.noise_w / channel.gain
+    # with x = r ln2 / w: p(r) = scale * expm1(x), p'(r) = scale * ln2 / w * e^x
+    xs = [(y[k + 1] - y[k]) / (t[k + 1] - t[k]) / w * _LN2 for k in range(len(t) - 1)]
+    if max(xs) > 709.0:
+        return inf  # exp overflows past ln(DBL_MAX)
+    slope = scale * _LN2 / w * exp(xs[-1])  # m_c, or at c = n the last segment's, as only the total moves
+    if 0 < c < n:  # the first and last vertices stay put in time
+        h_before, h_after = (scale * (expm1(x) - x * exp(x)) for x in xs)
+        slope += (h_after - h_before) / rate
+    return slope
 
 
 def floor_following_schedule(tunnel: FeasibilityTunnel) -> OffloadSchedule:

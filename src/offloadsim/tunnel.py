@@ -67,8 +67,12 @@ class FeasibilityTunnel:
     ``cum_capacity`` is the computing-capacity curve the tunnel was built
     against (the derated one for proportional tunnels); ``arrival_bits[v]`` is
     data arriving exactly at vertex v (zero for one-shot tunnels).
-    ``buffer_bits`` is the receive buffer size (may be inf). ``cpu_flip`` is
-    derived from ``cum_capacity`` when first read.
+    ``buffer_bits`` is the receive buffer size (may be inf). ``corner`` is the
+    index of the vertex where the floor leaves zero: the crossing of the slack
+    level (without slack, the last vertex where the curve is still zero),
+    recorded by the build, because the floor computed at a crossing may round
+    to just above zero. None when the floor never leaves zero.
+    ``cpu_flip`` is derived from ``cum_capacity`` when first read.
     """
 
     kind: str
@@ -79,6 +83,7 @@ class FeasibilityTunnel:
     cum_capacity: np.ndarray
     arrival_bits: np.ndarray
     buffer_bits: float
+    corner: int | None = None
 
     def __post_init__(self):
         n = len(self.times)
@@ -168,7 +173,8 @@ def _build_tunnel(
     capacity = float(curve.cum_bits[-1])
     levels = [slack]
     if share is None and buffer_bits < total:
-        levels.append(capacity - buffer_bits)  # above it the ceiling is flat
+        levels.append(capacity - buffer_bits)  # above it the ceiling is flat; crossed after the slack
+    corner = None
     for level in levels:
         if 0.0 < level < capacity:
             t = curve.time_at(level)
@@ -179,8 +185,12 @@ def _build_tunnel(
                 times = np.concatenate((times[:i], [t], times[i:]))
                 if bits is not None:
                     bits = np.concatenate((bits[:i], [0.0], bits[i:]))
+            if level == slack:
+                corner = i - 1 if near_left else i
     bits = np.zeros(len(times)) if bits is None else bits
     cum = curve.at(times)
+    if slack <= 0.0:
+        corner = int(cum.searchsorted(0.0, side="right")) - 1
     floor = np.maximum(cum - slack, 0.0)
     if slack > 0.0:
         floor[-1] = total
@@ -192,7 +202,7 @@ def _build_tunnel(
         ceiling = share * np.concatenate(([0.0], bits[:-1].cumsum()))
         if share * late > bits_tol(total):
             floor[-1] = max(floor[-1], total + share * late)
-    return FeasibilityTunnel(kind, times, floor, ceiling, total, cum, bits, float(buffer_bits))
+    return FeasibilityTunnel(kind, times, floor, ceiling, total, cum, bits, float(buffer_bits), corner)
 
 
 def _idle_span(profile: CpuIdlingProfile) -> int:
@@ -223,6 +233,7 @@ def _oneshot_tunnel(kind, curve: CapacityCurve, n: int, total: float, slack: flo
     levels = [slack]
     if buffer_bits < total:
         levels.append(capacity - buffer_bits)
+    corner = bisect_right(cum, 0.0) - 1 if slack <= 0.0 else None
     for level in levels:
         if 0.0 < level < capacity:
             j = bisect_left(cum, level)
@@ -235,6 +246,8 @@ def _oneshot_tunnel(kind, curve: CapacityCurve, n: int, total: float, slack: flo
                 slope = rate if k < n and curve.idle[k - 1] else 0.0
                 times.insert(i, t)
                 values.insert(i, cum[k - 1] + (t - edges[k - 1]) * slope)
+            if level == slack:
+                corner = i - 1 if near_left else i
     floor = [v if v > 0.0 else 0.0 for v in [c - slack for c in values]]
     if slack > 0.0:
         floor[-1] = total
@@ -250,6 +263,7 @@ def _oneshot_tunnel(kind, curve: CapacityCurve, n: int, total: float, slack: flo
         np.array(values),
         np.zeros(len(times)),
         float(buffer_bits),
+        corner,
     )
 
 

@@ -3,10 +3,15 @@
 ``epoch_energy`` prices one constant-rate segment on its own, the plain
 per-segment sum that ``schedule_energy`` vectorizes. ``parse_schedule``
 reads back the schedule text the CLI writes (``format_schedule``).
+``scan_minimize`` is a coarse grid scan with golden refinement, which needs
+no convexity, and ``scanned_buffer_first`` prices buffer-first with it, as
+the sweeps did before buffer-first was guided by its slope.
 """
 import numpy as np
 
-from offloadsim.string_pull import OffloadSchedule
+from offloadsim.partition import golden_section
+from offloadsim.string_pull import OffloadSchedule, pull_string
+from offloadsim.tunnel import bits_tol, lazy_first_tunnel
 
 
 def epoch_energy(channel, bits: float, duration: float) -> float:
@@ -32,3 +37,34 @@ def parse_schedule(text: str) -> OffloadSchedule:
     if len(times) < 2:
         raise ValueError("a schedule needs at least two records")
     return OffloadSchedule(np.array(times), np.array(cum))
+
+
+def scan_minimize(fn, lo: float, hi: float, coarse: int = 17, tol: float = 1.0):
+    """Coarse grid scan followed by golden refinement around the best cell;
+    returns (x, fn(x))."""
+    if hi <= lo + tol:
+        return golden_section(fn, lo, hi, tol)
+    xs = np.linspace(lo, hi, coarse).tolist()
+    fs = [fn(x) for x in xs]
+    k = int(np.argmin(fs))
+    a = xs[max(k - 1, 0)]
+    b = xs[min(k + 1, coarse - 1)]
+    x, f = golden_section(fn, a, b, tol)
+    if fs[k] < f:
+        return xs[k], fs[k]
+    return x, f
+
+
+def scanned_buffer_first(profile, channel, local, load_bits, buffer_bits, low, high) -> float:
+    """Buffer-first transmission optimized over the split by a 13-point
+    ``scan_minimize`` of ``lazy_first_tunnel(profile, l, B)`` strings."""
+
+    def fn(l):
+        e = local.local_energy(load_bits - l)
+        if l > bits_tol(load_bits):
+            e += pull_string(lazy_first_tunnel(profile, l, buffer_bits)).energy(channel)
+        return e
+
+    if high - low <= 1.0:
+        return fn(low)
+    return scan_minimize(fn, low, high, coarse=13, tol=1.0)[1]

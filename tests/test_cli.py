@@ -260,6 +260,28 @@ def test_bursty_sweep_smoke(capsys, tmp_path):
     assert len([ln for ln in out.splitlines() if not ln.startswith(("#", "axis,"))]) == 2
 
 
+def test_long_horizon_sweeps_run(capsys, tmp_path):
+    # epochs summed one at a time miss a 1e4 s horizon by more than 1e-12 s;
+    # every time and bit quantity is scaled alike, so every rate stays put
+    path = tmp_path / "cfg.json"
+    for horizon in (1e4, 1e5):
+        k = horizon / 0.1
+        path.write_text(json.dumps({
+            "horizon": horizon, "mean_idle": 0.02 * k, "mean_busy": 0.02 * k, "load_bits": 7e5 * k,
+            "mean_interarrival": 0.02 * k, "size_low": 5e4 * k, "size_high": 1.5e5 * k,
+            "trials": 200, "seed": 7,
+        }))
+        for argv in (
+            ("oneshot", "--values", f"{0.02 * k}"),
+            ("buffer", "--values", f"{1e4 * k},{1e6 * k},inf"),
+            ("bursty",),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--config", str(path))
+            assert code == 0, (horizon, argv, err)
+            rows = [ln.split(",") for ln in out.splitlines() if not ln.startswith(("#", "axis,"))]
+            assert rows and all(int(row[3]) > 0 for row in rows), (horizon, argv)
+
+
 def test_sweep_defaults_are_the_runners(capsys):
     # without --axis or --values each sweep command runs its runner's defaults
     cfg = SimConfig(trials=2, seed=3)

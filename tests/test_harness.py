@@ -1,4 +1,5 @@
 import concurrent.futures
+from functools import cache
 from itertools import islice
 
 import numpy as np
@@ -11,8 +12,8 @@ from offloadsim.partition import optimize_partition, partition_bounds
 from offloadsim.sim_harness import (
     _TAGS,
     SimConfig,
+    _buffer_first_energy,
     _profile_from_draws,
-    _scanned_energy,
     _units,
     draw_trial,
     find_crossover,
@@ -20,12 +21,13 @@ from offloadsim.sim_harness import (
     run_buffer_sweep,
     run_bursty_sweep,
     run_oneshot_sweep,
-    scan_minimize,
     wilson_interval,
     write_csv,
 )
-from offloadsim.string_pull import offload_energy, pull_string
-from offloadsim.tunnel import bits_tol, full_utilization_tunnel, proportional_tunnel
+from offloadsim.string_pull import lazy_first_slope, offload_energy, pull_string
+from offloadsim.tunnel import bits_tol, full_utilization_tunnel, lazy_first_tunnel, proportional_tunnel
+
+from oracles import scan_minimize, scanned_buffer_first
 
 SMALL = SimConfig(trials=40, seed=7)
 
@@ -234,7 +236,9 @@ def test_worker_pool_no_larger_than_the_sweep(monkeypatch):
     cfg = SimConfig(trials=1, seed=7)
     serial = format_csv(run_oneshot_sweep(cfg, "mean_idle", (0.02,), jobs=None))
     assert format_csv(run_oneshot_sweep(cfg, "mean_idle", (0.02,), jobs=500)) == serial
-    assert sizes == []  # one task runs in this process
+    run_oneshot_sweep(cfg, "mean_idle", (0.01, 0.02, 0.04), jobs=500)
+    assert sizes == []  # a task is one trial at every grid value, so one task runs in this process
+    cfg = SimConfig(trials=3, seed=7)
     run_oneshot_sweep(cfg, "mean_idle", (0.01, 0.02, 0.04), jobs=500)
     run_oneshot_sweep(cfg, "mean_idle", (0.01, 0.02, 0.04), jobs=2)
     assert sizes == [3, 2]
@@ -293,7 +297,7 @@ def test_whole_buffer_prices_buffer_first_by_the_optimum():
         assert feasible
         assert all(c[4] == c[2] for c in feasible)
     # below the load, a trial whose buffer is smaller than its largest
-    # transfer still scans the lazy-first tunnel
+    # transfer still prices the lazy-first tunnels
     scanned = 0
     for case in buffer.per_trial[0]:
         trial, ok, opt, _, lazy, _ = case
@@ -302,7 +306,7 @@ def test_whole_buffer_prices_buffer_first_by_the_optimum():
         profile, channel, local = trial_instance(SMALL, "buffer", trial)
         low, high = partition_bounds(profile, local, SMALL.load_bits)
         assert 1e4 < high
-        expect = _scanned_energy(profile, channel, local, SMALL.load_bits, 1e4, low, high)
+        expect = _buffer_first_energy(profile, channel, local, SMALL.load_bits, 1e4, low, high)
         assert lazy == expect
         scanned += lazy != opt
     assert scanned > 0
@@ -323,7 +327,7 @@ def test_optimum_never_loses_to_scanned_buffer_first_with_whole_buffer():
             continue
         for buf in (high, float(rng.uniform(1.0, 2.0)) * high, np.inf):
             res = optimize_partition(profile, channel, local, load, buf)
-            lazy = _scanned_energy(profile, channel, local, load, buf, low, high)
+            lazy = scanned_buffer_first(profile, channel, local, load, buf, low, high)
 
             def energy(l):
                 return local.local_energy(load - l) + offload_energy(profile, l, buf, channel)
@@ -404,3 +408,98 @@ def test_scaled_full_string_prices_proportional_tunnel_with_whole_buffer():
         expect = pull_string(proportional_tunnel(profile, l, buf)).energy(channel)
         assert scaled == pytest.approx(expect, rel=1e-12, abs=0.0)
         checked += 1
+
+
+def test_one_task_per_trial_prices_each_grid_value_as_alone():
+    # a trial shares its draws, its profile (unless the axis moves it) and
+    # the price of every buffer that holds all its transfers across the grid
+    cfg = SimConfig(trials=12, seed=7)
+    buffers = (1e4, 6.8e5, 1e6, np.inf)  # below low; at or above high but below the load; 1e6; inf
+    highs = []
+    for trial in range(cfg.trials):
+        profile, _, local = trial_instance(cfg, "buffer", trial)
+        low, high = partition_bounds(profile, local, cfg.load_bits)
+        if low <= high:
+            assert 1e4 < low
+            highs.append(high)
+    assert min(highs) <= 6.8e5 < max(highs)  # 6.8e5 holds every transfer of some trials, not of others
+    sweeps = (
+        (run_oneshot_sweep, ("mean_idle",), (0.01, 0.02, 0.04)),  # moves the profile
+        (run_oneshot_sweep, ("mean_gain",), (5e-7, 1e-6, 2e-6)),
+        (run_buffer_sweep, (), buffers),
+        (run_bursty_sweep, ("mean_idle",), (0.01, 0.04)),
+        (run_bursty_sweep, ("mean_gain",), (5e-7, 2e-6)),
+    )
+    for run, axis, values in sweeps:
+        alone = [repr(run(cfg, *axis, (v,)).per_trial[0]) for v in values]
+        for jobs in (1, 2):
+            together = run(cfg, *axis, values, jobs=jobs).per_trial
+            assert [repr(cases) for cases in together] == alone, (run.__name__, axis, jobs)
+
+
+@cache
+def default_buffer_instances():
+    """Profile, channel, local CPU and feasible range of every feasible
+    trial among the first 400 of the default buffer sweep (206 of them)."""
+    cfg = SimConfig()
+    out = []
+    for trial in range(400):
+        profile, channel, local = trial_instance(cfg, "buffer", trial)
+        low, high = partition_bounds(profile, local, cfg.load_bits)
+        if low <= min(high, cfg.load_bits) + bits_tol(cfg.load_bits):
+            out.append((profile, channel, local, low, high))
+    return out
+
+
+def test_lazy_first_slope_matches_central_differences():
+    # past the corner where the floor leaves zero every envelope rises by a
+    # bit per bit, and the corner itself moves in time by -1/rate per bit
+    instances = default_buffer_instances()
+    assert len(instances) == 206
+    rng = np.random.default_rng(91)
+    for buffer_bits in (1e4, 1e5, 3e5):
+        checked = kinks = 0
+        for profile, channel, _, low, high in instances:
+            if high - low < 4.0:
+                continue
+            for l in rng.uniform(low + 2.0, high - 2.0, 2):
+
+                def energy(x):
+                    return pull_string(lazy_first_tunnel(profile, x, buffer_bits)).energy(channel)
+
+                tunnel = lazy_first_tunnel(profile, l, buffer_bits)
+                schedule = pull_string(tunnel)
+                slope = lazy_first_slope(schedule, tunnel, channel, profile.curve.rate)
+                e = schedule.energy(channel)
+                ahead, behind = energy(l + 1.0) - e, e - energy(l - 1.0)
+                if abs(ahead - behind) > 1e-4 * abs(ahead):
+                    kinks += 1  # a kink within a bit, where no one slope exists
+                    continue
+                assert slope == pytest.approx(0.5 * (ahead + behind), rel=1e-6)
+                checked += 1
+        assert checked >= 350 and kinks <= 0.1 * checked, (buffer_bits, checked, kinks)
+
+
+def test_buffer_first_price_never_above_the_scan_or_a_dense_grid():
+    # the slope-guided search must not lose to the 13-point scan it replaced,
+    # nor to a dense grid of sizes a thousandth of the load apart
+    cfg = SimConfig()
+    load = cfg.load_bits
+    for buffer_bits in (1e4, 1e5, 3e5, 5e5):
+        lower = 0
+        for profile, channel, local, low, high in default_buffer_instances():
+            price = _buffer_first_energy(profile, channel, local, load, buffer_bits, low, high)
+            scanned = scanned_buffer_first(profile, channel, local, load, buffer_bits, low, high)
+            assert price <= scanned * (1 + 1e-12)
+            lower += price < scanned
+
+            def energy(l):
+                e = local.local_energy(load - l)
+                if l > bits_tol(load):
+                    e += pull_string(lazy_first_tunnel(profile, l, buffer_bits)).energy(channel)
+                return e
+
+            step = 1e-3 * load
+            grid = np.clip(np.arange(low, high + step, step), low, high)
+            assert price <= min(energy(l) for l in grid.tolist()) * (1 + 1e-9)
+        assert lower > 0

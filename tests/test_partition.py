@@ -13,7 +13,7 @@ from offloadsim.partition import (
     optimize_ratio,
     partition_bounds,
 )
-from offloadsim.sim_harness import _scaled_slope, scan_minimize
+from offloadsim.sim_harness import _scaled_slope
 from offloadsim.string_pull import (
     bursty_offload_energy,
     envelope_slope,
@@ -27,6 +27,8 @@ from offloadsim.tunnel import (
     local_compute_tunnel,
     max_offload_ratio,
 )
+
+from oracles import scan_minimize
 
 HELPER_HZ = 5e9
 CPB = 500.0

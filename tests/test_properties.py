@@ -211,6 +211,10 @@ def test_both_energy_branches_agree_on_edge_segments():
         ([0.0, 0.01, 0.02], [0.0, 1e4, 1e12], np.inf),  # rate past expm1's overflow
         ([0.0, 0.01, 0.02], [0.0, 1e-6, -1e-6], ValueError),
         ([0.0, np.nan, 0.02], [0.0, 1e4, 2e4], np.nan),  # a NaN duration makes the sum NaN
+        # at 1.2e10 bits one ulp is 1.9e-6 bits: a drop of an ulp is rounding,
+        # one of 1e-4 bits is a decrease
+        ([0.0, 1e4, 2e4], [0.0, 1.2e10, 1.2e10 - 2**-19], schedule_energy([0.0, 1e4], [0.0, 1.2e10], chan)),
+        ([0.0, 1e4, 2e4], [0.0, 1.2e10, 1.2e10 - 1e-4], ValueError),
     ]
     for times, cum, want in cases:
         by_numpy, by_lists = _by_each_branch(energy, schedule_energy, np.array(times), np.array(cum), chan)
@@ -225,7 +229,7 @@ def test_both_energy_branches_agree_on_edge_segments():
 def _tunnel_arrays(t):
     if isinstance(t, Exception):
         return t
-    return (t.kind, t.total, t.buffer_bits, t.times, t.floor, t.ceiling, t.cum_capacity, t.arrival_bits)
+    return (t.kind, t.total, t.buffer_bits, t.corner, t.times, t.floor, t.ceiling, t.cum_capacity, t.arrival_bits)
 
 
 def _size(capacity, cum_bits, pick):
