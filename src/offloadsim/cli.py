@@ -17,7 +17,7 @@ from pathlib import Path
 from .cpu_profile import build_profile, parse_arrivals, parse_epochs
 from .energy import ChannelParams, LocalComputeParams
 from .errors import ConfigError, InfeasibleError, NumericError
-from .partition import optimize_partition, optimize_ratio
+from .partition import SHARE_SLACK, optimize_partition, optimize_ratio
 from .sim_harness import (
     SimConfig,
     format_csv,
@@ -162,7 +162,7 @@ def _cmd_solve(args) -> int:
     if arrivals is not None:
         if args.ratio is not None:
             r_hi = max_offload_ratio(profile, arrivals)
-            if args.ratio > r_hi + 1e-12:
+            if args.ratio > r_hi + SHARE_SLACK:
                 raise InfeasibleError(
                     f"helper cannot absorb a {args.ratio:g} share of every chunk (at most {r_hi:.6g})",
                     deficit=(args.ratio - r_hi) * arrivals.total,
@@ -179,7 +179,12 @@ def _cmd_solve(args) -> int:
             res = optimize_ratio(profile, arrivals, channel, local)
             schedule, tunnel = res.schedule, res.tunnel
             e_off, e_loc = res.offload_energy, res.local_energy
-            pairs = [("ratio", res.ratio), ("ratio_low", res.ratio_low), ("ratio_high", res.ratio_high)]
+            pairs = [
+                ("ratio", res.ratio),
+                ("ratio_low", res.ratio_low),
+                ("ratio_high", res.ratio_high),
+                ("method", res.method),
+            ]
         pairs += [
             ("offload_bits", schedule.total),
             ("local_bits", arrivals.total - schedule.total),

@@ -18,6 +18,13 @@ into each other under convex combinations of the split:
 
 A closed-form marginal test handles the common case where offloading more
 than strictly necessary can never pay off, skipping the search entirely.
+
+For chunked arrivals the variable is the share ``r`` of every chunk that is
+offloaded, and the energy is convex in it. One string pull gives its slope
+in ``r`` (``_share_slope``): the ceiling ``r A(t)`` moves by the arrived data
+``A(t)``, the floor and the total by the servable data ``T`` where the floor
+is positive. The share is the root of that slope minus the local energy of
+the whole load per unit share, found by the same regula falsi.
 """
 from __future__ import annotations
 
@@ -42,7 +49,10 @@ from .tunnel import FeasibilityTunnel, bits_tol, max_offload_ratio, min_offload_
 
 _INVPHI = (sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_MAX_ITER = 200  # golden-section steps before a search gives up narrowing
-_RATIO_TOL = 1e-6  # bracket width at which the per-chunk share search stops
+_RATIO_TOL = 1e-9  # bracket width at which the per-chunk share root stops
+# share by which a requested or local-side share may pass the helper's largest
+# one before it counts as infeasible (shares are scale-free, so absolute)
+SHARE_SLACK = 1e-12
 
 
 def golden_section(fn, lo: float, hi: float, tol: float):
@@ -277,6 +287,26 @@ class RatioResult:
     local_energy: float
     schedule: OffloadSchedule
     tunnel: FeasibilityTunnel | None
+    method: str  # "pinned" or "root"
+
+
+def _share_slope(profile, arrivals, channel, local, timeline, ratio) -> float:
+    """Slope in the share ``ratio`` of the chunked objective: local energy of
+    the kept share plus the optimal transfer's energy.
+
+    The transfer's tunnel moves with the share by the servable data ``T``
+    (chunks before the last idle instant) in its floor, where positive, and
+    in its total, and by the arrived data ``A(t)`` in its ceiling. A transfer
+    too small to build a tunnel for is priced at the marginal power of rate
+    zero per servable bit.
+    """
+    served = float(timeline.arrival_bits[: timeline.idle_end_index].sum())
+    local_slope = arrivals.total * local.bit_energy
+    if ratio * arrivals.total <= bits_tol(arrivals.total):
+        return float(channel.marginal_energy_per_bit(0.0)) * served - local_slope
+    schedule, tunnel = min_energy_offload_bursty(profile, arrivals, ratio, timeline)
+    d_floor = np.where(tunnel.floor > 0.0, served, 0.0)
+    return envelope_slope(schedule, channel, d_floor, tunnel.ceiling / ratio, served) - local_slope
 
 
 def optimize_ratio(
@@ -290,7 +320,10 @@ def optimize_ratio(
 
     The share must be small enough for the helper's remaining capacity and
     large enough for the local CPU's remaining time; within those bounds the
-    total energy is convex in the share.
+    total energy is convex in the share. A range narrower than the share
+    tolerance keeps the cheaper end (``method`` is ``"pinned"``); otherwise
+    (``"root"``) the share is where the objective's slope, read from the
+    string's contact multipliers, changes sign, to within 1e-9.
     """
     tl = timeline if timeline is not None else merge_events(profile, arrivals)
     total = arrivals.total
@@ -298,27 +331,34 @@ def optimize_ratio(
     r_lo = min_offload_ratio(arrivals, local)
     if total <= 0.0:
         schedule = OffloadSchedule(np.array([0.0, profile.horizon]), np.zeros(2))
-        return RatioResult(0.0, r_lo, r_hi, 0.0, 0.0, 0.0, 0.0, 0.0, schedule, None)
-    if r_lo > r_hi + 1e-12:
+        return RatioResult(0.0, r_lo, r_hi, 0.0, 0.0, 0.0, 0.0, 0.0, schedule, None, "pinned")
+    if r_lo > r_hi + SHARE_SLACK:
         raise InfeasibleError(
             f"no offload share fits: local side needs at least {r_lo:.6g}, "
             f"helper can absorb at most {r_hi:.6g}",
             deficit=(r_lo - r_hi) * total,
         )
+    r_hi = min(r_hi, 1.0)
+    if r_hi - r_lo <= _RATIO_TOL:
 
-    def objective(r):
-        return local.local_energy((1.0 - r) * total) + bursty_offload_energy(
-            profile, arrivals, r, channel, tl
-        )
+        def objective(r):
+            return local.local_energy((1.0 - r) * total) + bursty_offload_energy(
+                profile, arrivals, r, channel, tl
+            )
 
-    best, _ = golden_section(objective, r_lo, min(r_hi, 1.0), tol=_RATIO_TOL)
+        best = min((r_lo, r_hi), key=objective)  # r_lo on a tie
+        method = "pinned"
+    else:
+        slope = partial(_share_slope, profile, arrivals, channel, local, tl)
+        best = split_root(slope, r_lo, r_hi, tol=_RATIO_TOL)
+        method = "root"
     schedule, tunnel = min_energy_offload_bursty(profile, arrivals, best, tl)
     e_off = schedule.energy(channel)
     e_loc = local.local_energy((1.0 - best) * total)
     return RatioResult(
         ratio=float(best),
         ratio_low=float(r_lo),
-        ratio_high=float(min(r_hi, 1.0)),
+        ratio_high=float(r_hi),
         offload_bits=float(best * total),
         local_bits=float((1.0 - best) * total),
         energy=e_off + e_loc,
@@ -326,5 +366,5 @@ def optimize_ratio(
         local_energy=e_loc,
         schedule=schedule,
         tunnel=tunnel,
+        method=method,
     )
-

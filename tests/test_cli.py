@@ -73,7 +73,7 @@ def test_solve_fixed_transfer_writes_schedule(capsys, profile_file, tmp_path):
     assert np.allclose(sched.rates, [1e7, 4e6, 4e6])
 
 
-def test_solve_chunked(capsys, profile_file, arrivals_file):
+def test_solve_chunked(capsys, profile_file, arrivals_file, tmp_path):
     code, out, _ = run_cli(
         capsys, "solve", "--profile", profile_file, "--arrivals", arrivals_file
     )
@@ -81,6 +81,14 @@ def test_solve_chunked(capsys, profile_file, arrivals_file):
     pairs = kv(out)
     assert 0.0 <= float(pairs["ratio"]) <= 1.0
     assert float(pairs["ratio_low"]) <= float(pairs["ratio"]) + 1e-9
+    # both sides are full at a 0.75 share, so the range is a single point
+    assert pairs["method"] == "pinned"
+    half = tmp_path / "half.txt"
+    half.write_text("0.0,2e5\n0.04,2e5\n")
+    code, out, _ = run_cli(capsys, "solve", "--profile", profile_file, "--arrivals", str(half))
+    assert code == 0
+    pairs = kv(out)
+    assert (pairs["ratio_low"], pairs["ratio_high"], pairs["method"]) == ("0.5", "1", "root")
     fixed_code, fixed_out, _ = run_cli(
         capsys,
         "solve", "--profile", profile_file, "--arrivals", arrivals_file,

@@ -1,31 +1,46 @@
 import numpy as np
 import pytest
 
-from offloadsim.cpu_profile import ArrivalProcess, Epoch, build_profile, sample_arrivals, sample_cpu_process
+from offloadsim.cpu_profile import (
+    ArrivalProcess,
+    Epoch,
+    build_profile,
+    merge_events,
+    sample_arrivals,
+    sample_cpu_process,
+)
 from offloadsim.cli import main
 from offloadsim.energy import ChannelParams, LocalComputeParams, schedule_energy
 from offloadsim.errors import InfeasibleError, NumericError
 from offloadsim.partition import (
+    _RATIO_TOL,
     _proportional_slope,
+    _share_slope,
     golden_section,
     minimal_offload_is_best,
     optimize_partition,
     optimize_ratio,
     partition_bounds,
 )
-from offloadsim.sim_harness import _scaled_slope
+from offloadsim.sim_harness import (
+    _TAGS,
+    SimConfig,
+    _arrivals_from_draws,
+    _profile_from_draws,
+    _scaled_slope,
+    draw_trial,
+)
 from offloadsim.string_pull import (
     bursty_offload_energy,
-    envelope_slope,
     min_energy_offload,
     offload_energy,
     pull_string,
 )
 from offloadsim.tunnel import (
-    bursty_effective_tunnel,
     full_utilization_tunnel,
     local_compute_tunnel,
     max_offload_ratio,
+    min_offload_ratio,
 )
 
 from oracles import scan_minimize
@@ -234,23 +249,103 @@ def test_envelope_slope_matches_central_differences():
 
 def test_envelope_slope_in_the_chunk_share_matches_central_differences():
     # in the share r the ceiling r A(t) moves by A(t) and the floor by the
-    # offloaded total over r where it is positive: both envelopes count
+    # servable data where it is positive: both envelopes count
     rng = np.random.default_rng(83)
-    checked = 0
+    checked = zero_ends = 0
     while checked < 60:
         prof = random_profile(rng)
         arr = sample_arrivals(rng, 0.1, 0.02, 5e4, 1.5e5)
         if arr.total <= 0 or max_offload_ratio(prof, arr) < 1e-3:
             continue
         chan = ChannelParams(CHAN.gain * 10 ** rng.uniform(-3, 3), CHAN.bandwidth_hz, CHAN.noise_w)
+        tl = merge_events(prof, arr)
+
+        def objective(x):
+            return LOCAL.local_energy((1 - x) * arr.total) + bursty_offload_energy(prof, arr, x, chan)
+
+        if zero_ends < 20:
+            # no tunnel at a zero share: each servable bit costs p'(0)
+            delta = 1e-7
+            diff = (objective(delta) - objective(0.0)) / delta
+            assert _share_slope(prof, arr, chan, LOCAL, tl, 0.0) == pytest.approx(diff, rel=1e-5)
+            zero_ends += 1
         r = float(rng.uniform(0.05, 0.95)) * max_offload_ratio(prof, arr)
-        tunnel = bursty_effective_tunnel(prof, arr, r)
-        d_floor = np.where(tunnel.floor > 0.0, tunnel.total / r, 0.0)
-        slope = envelope_slope(pull_string(tunnel), chan, d_floor, tunnel.ceiling / r, tunnel.total / r)
-        diff = central_slope(lambda x: bursty_offload_energy(prof, arr, x, chan), r, 1e-6 * r)
+        slope = _share_slope(prof, arr, chan, LOCAL, tl, r)
+        diff = central_slope(objective, r, 1e-6 * r)
         if diff is not None:
             assert slope == pytest.approx(diff, rel=1e-6)
             checked += 1
+
+
+def test_share_root_never_above_the_golden_search():
+    # the share solved at the root of its slope costs no more than the
+    # golden-section search it replaced, over every kind of range
+    rng = np.random.default_rng(84)
+    cases = {"deep fade": 0, "zero low": 0, "interior": 0, "narrow": 0, "late": 0}
+
+    def check(prof, arr, chan, local):
+        r_lo, r_hi = min_offload_ratio(arr, local), min(max_offload_ratio(prof, arr), 1.0)
+        try:
+            res = optimize_ratio(prof, arr, chan, local)
+        except InfeasibleError:
+            assert r_lo > r_hi
+            return False
+        tl = merge_events(prof, arr)
+
+        def objective(r):
+            return local.local_energy((1 - r) * arr.total) + bursty_offload_energy(prof, arr, r, chan)
+
+        def slope(r):
+            return _share_slope(prof, arr, chan, local, tl, r)
+
+        _, golden = golden_section(objective, r_lo, max(r_hi, r_lo), 1e-6)
+        assert res.energy <= golden * (1 + 1e-12)
+        if r_hi == 0.0:
+            cases["late"] += 1
+        if r_hi - r_lo <= _RATIO_TOL:
+            assert res.method == "pinned" and res.ratio in (r_lo, r_hi)
+            cases["narrow"] += 1
+            return True
+        assert res.method == "root"
+        cases["zero low"] += r_lo == 0.0
+        if res.ratio == r_lo:
+            assert slope(r_lo) >= 0.0
+            cases["deep fade"] += 1
+        elif res.ratio < r_hi:
+            assert slope(res.ratio - _RATIO_TOL) <= 0.0 <= slope(res.ratio + _RATIO_TOL)
+            cases["interior"] += 1
+        else:
+            assert slope(r_hi) <= 0.0
+        return True
+
+    solved = 0
+    while solved < 200:
+        prof = random_profile(rng)
+        arr = sample_arrivals(rng, 0.1, 0.02, 5e4, 1.5e5)
+        if arr.total <= 0:
+            continue
+        chan = ChannelParams(CHAN.gain * 10 ** rng.uniform(-4, 2), CHAN.bandwidth_hz, CHAN.noise_w)
+        local = LocalComputeParams(10 ** rng.uniform(8.5, 10), CPB, 1e-28)
+        solved += check(prof, arr, chan, local)
+    # one chunk at 0 on an always-idle helper: the helper takes at most C/L
+    # of it and the local CPU leaves at least 1 - c/L, 5e-10 apart
+    idle = build_profile([Epoch(0.1, True)], HELPER_HZ, CPB, 0.1)
+    both = idle.capacity + LOCAL.local_capacity(0.1)
+    one_chunk = ArrivalProcess.from_events([(0.0, both / (1 + 5e-10))], 0.1)
+    for gain, end in ((1e-2, "ratio_high"), (1e-9, "ratio_low")):  # offloading cheap, then dear
+        chan = ChannelParams(gain, CHAN.bandwidth_hz, CHAN.noise_w)
+        assert check(idle, one_chunk, chan, LOCAL)
+        res = optimize_ratio(idle, one_chunk, chan, LOCAL)
+        assert res.ratio == getattr(res, end)
+    # default-seed sweep trials (trial, size_scale) that a root stopped at a
+    # 1e-6 share bracket prices 3e-12 to 8e-11 above the golden search
+    cfg = SimConfig()
+    for trial, scale in ((195, 0.5), (1335, 0.5), (1911, 0.5), (1814, 2.0)):
+        draws = draw_trial(cfg.seed, _TAGS["bursty"], trial)
+        chan = cfg.channel(cfg.mean_gain * draws.gain_unit)
+        arr = _arrivals_from_draws(draws, cfg, scale)
+        assert check(_profile_from_draws(draws, cfg), arr, chan, cfg.local_params())
+    assert min(cases.values()) >= 2, cases
 
 
 def test_root_split_brackets_the_slope_sign_change():
