@@ -167,9 +167,11 @@ def _cmd_solve(args) -> int:
                     f"helper cannot absorb a {args.ratio:g} share of every chunk (at most {r_hi:.6g})",
                     deficit=(args.ratio - r_hi) * arrivals.total,
                 )
-            if not local_compute_tunnel(arrivals, local, args.ratio).is_feasible():
+            r_lo = min_offload_ratio(arrivals, local)
+            if args.ratio < r_lo - SHARE_SLACK:
                 raise InfeasibleError(
-                    f"local CPU cannot finish its {1.0 - args.ratio:g} share by the deadline"
+                    f"local CPU cannot finish its {1.0 - args.ratio:g} share by the deadline",
+                    deficit=(r_lo - args.ratio) * arrivals.total,
                 )
             schedule, tunnel = min_energy_offload_bursty(profile, arrivals, args.ratio)
             e_off = schedule.energy(channel)

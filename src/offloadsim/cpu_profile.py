@@ -10,6 +10,7 @@ line-oriented text formats the CLI reads.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,13 +23,14 @@ _EPS = float(np.finfo(float).eps)
 # Size switch of the float-list branches: a curve over fewer than this many
 # interior vertices is handled as Python float lists, where numpy's fixed
 # cost per call would dominate. It bounds the taut string's chord scan and,
-# for a whole tunnel or schedule, the schedule energy, the one-shot tunnel
-# build and its strict-increase check. Measured crossovers against numpy: one
-# chord scan breaks even at 32-40 vertices for a chord that stays straight
-# and about 50 for one that bends, and on whole solves over ~100-vertex
-# tunnels 24 ran fastest of 24, 32 and 48; the one-shot tunnel build breaks
-# even at 30-45 vertices and the schedule energy at 40-45. So at 24 every
-# list branch runs only where it is the faster one.
+# for a whole tunnel or schedule, the schedule energy, the tunnel envelopes
+# and the tunnel's strict-increase check. Measured crossovers against numpy:
+# one chord scan breaks even at 32-40 vertices for a chord that stays
+# straight and about 50 for one that bends, and on whole solves over
+# ~100-vertex tunnels 24 ran fastest of 24, 32 and 48; a tunnel build with
+# its envelopes on lists breaks even at 16-24 vertices and the schedule
+# energy at 40-45. So at 24 each list branch runs only up to about where it
+# stops being the faster one.
 _SHORT_SPAN = 24
 
 
@@ -103,14 +105,28 @@ class CapacityCurve:
         k = self.boundaries.searchsorted(t, side="right")
         return values[k] + (t - starts[k]) * slopes[k]
 
+    @cached_property
+    def lists(self) -> tuple[list, list]:
+        """``boundaries`` and ``cum_bits`` as float lists, for lookups at one point
+        and for the vertex grids of tunnels."""
+        return self.boundaries.tolist(), self.cum_bits.tolist()
+
+    def value_at(self, t: float) -> float:
+        """``at`` for one time ``t >= 0``, on float lists."""
+        edges, cum = self.lists
+        k = bisect_right(edges, t) - 1
+        slope = self.rate if k < len(self.idle) and self.idle[k] else 0.0
+        return cum[k] + (t - edges[k]) * slope
+
     def time_at(self, level: float) -> float:
         """Earliest time at which the curve reaches ``level``."""
         if level <= 0.0:
             return 0.0
-        if level > self.cum_bits[-1]:
+        edges, cum = self.lists
+        if not level <= cum[-1]:
             raise ValueError("capacity level beyond the curve")
-        k = int(np.searchsorted(self.cum_bits, level, side="left"))
-        return float(self.boundaries[k - 1] + (level - self.cum_bits[k - 1]) / self.rate) if k > 0 else 0.0
+        k = bisect_left(cum, level)
+        return edges[k - 1] + (level - cum[k - 1]) / self.rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,6 +329,11 @@ class MergedTimeline:
     arrival_bits: np.ndarray
     cum_capacity: np.ndarray
     idle_end_index: int | None
+
+    @cached_property
+    def lists(self) -> tuple[list, list, list]:
+        """``times``, ``arrival_bits`` and ``cum_capacity`` as float lists."""
+        return self.times.tolist(), self.arrival_bits.tolist(), self.cum_capacity.tolist()
 
 
 def merge_events(profile: CpuIdlingProfile, arrivals: ArrivalProcess) -> MergedTimeline:

@@ -321,9 +321,9 @@ def verify_optimality(tunnel: FeasibilityTunnel, schedule: OffloadSchedule, tol=
 def _zero_solution(profile: CpuIdlingProfile, buffer_bits) -> tuple[OffloadSchedule, FeasibilityTunnel]:
     """The empty transfer, over [0, the last idle instant or the horizon]."""
     end = profile.idle_end if profile.idle_end is not None else profile.horizon
-    times = np.array([0.0, end])
-    tunnel = _build_tunnel("effective", profile.curve, times, 0.0, profile.capacity, buffer_bits)
-    return OffloadSchedule(times, np.zeros(2)), tunnel
+    cap = profile.capacity
+    tunnel = _build_tunnel("effective", profile.curve, [0.0, end], [0.0, cap], 0.0, cap, buffer_bits)
+    return OffloadSchedule(tunnel.times, np.zeros(2)), tunnel
 
 
 def min_energy_offload(

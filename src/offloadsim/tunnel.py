@@ -24,11 +24,13 @@ piecewise-linear curve at the vertices alone is exact. Step-shaped
 availability ceilings are stored by their left limits, which is the binding
 value for a continuous curve.
 
-A one-shot tunnel (full, effective, lazy-first, proportional) over fewer than
-``_SHORT_SPAN`` interior vertices is built on Python float lists, where
-numpy's fixed cost per call would dominate, and so is the strict-increase
-check of a short tunnel. ``_fits`` is ``is_feasible`` on envelopes read as
-float lists, which the string pull checks at any length. Each list branch
+The construction takes the base vertices and the curve's values there as
+float lists and inserts the crossings with ``bisect``, alike for every
+family; the curve gives a crossing's time and value. Only its envelope step
+and a tunnel's strict-increase check switch on size: below ``_SHORT_SPAN``
+interior vertices they run on lists, where numpy's fixed cost per call would
+dominate, and above it with numpy. ``_fits`` is the one feasibility rule,
+read on float lists by ``is_feasible`` and the string pull. Each list branch
 does the numpy branch's float64 operations and comparisons, so both give the
 same arrays and verdicts bit for bit.
 """
@@ -37,6 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -115,14 +118,7 @@ class FeasibilityTunnel:
 
     def is_feasible(self, tol: float | None = None) -> bool:
         tol = bits_tol(self.total) if tol is None else tol
-        if np.any(self.floor > self.ceiling + tol):
-            return False
-        if self.floor[0] > tol or self.ceiling[0] > tol:
-            return False
-        return (
-            abs(float(self.floor[-1]) - self.total) <= tol
-            and abs(float(self.ceiling[-1]) - self.total) <= tol
-        )
+        return _fits(self.floor.tolist(), self.ceiling.tolist(), self.total, tol)
 
 
 def _increasing(t: list) -> bool:
@@ -136,7 +132,8 @@ def _increasing(t: list) -> bool:
 
 
 def _fits(floor: list, ceiling: list, total: float, tol: float) -> bool:
-    """``FeasibilityTunnel.is_feasible`` on the envelopes as float lists."""
+    """Whether a schedule fits between ``floor`` and ``ceiling`` within
+    ``tol``, from 0 at the start to ``total`` at the end (a NaN passes)."""
     for lo, hi in zip(floor, ceiling):
         if lo > hi + tol:
             return False
@@ -148,29 +145,32 @@ def _fits(floor: list, ceiling: list, total: float, tol: float) -> bool:
 def _build_tunnel(
     kind: str,
     curve: CapacityCurve,
-    times: np.ndarray,
+    times: list,
+    values: list,
     total: float,
     slack: float,
     buffer_bits: float = np.inf,
-    bits: np.ndarray | None = None,
+    bits: list | None = None,
     share: float | None = None,
     late: float = 0.0,
 ) -> FeasibilityTunnel:
     """The one tunnel construction every family goes through.
 
     ``times`` are the base vertices, ending where the serving CPU computes its
-    last bit, and ``bits`` the data arriving at each (none by default). The
-    floor is ``max(curve - slack, 0)``, pinned to ``total`` at the end when
-    there is slack. Without ``share`` the ceiling is ``min(floor +
-    buffer_bits, total)``; with it, the ceiling is ``share`` of the data that
-    arrived before each vertex, and ``share`` of the ``late`` data (arriving
-    at or after the last vertex, so never served) lifts the floor's end above
-    ``total``. Vertices are added where the curve crosses ``slack`` and, for
-    a buffer smaller than the transfer, ``capacity - buffer_bits``.
+    last bit, ``values`` the curve there (``curve.at(times)``) and ``bits``
+    the data arriving at each (none by default), as float lists that the
+    build extends. The floor is ``max(curve - slack, 0)``, pinned to
+    ``total`` at the end when there is slack. Without ``share`` the ceiling
+    is ``min(floor + buffer_bits, total)``; with it, the ceiling is ``share``
+    of the data that arrived before each vertex, and ``share`` of the
+    ``late`` data (arriving at or after the last vertex, so never served)
+    lifts the floor's end above ``total``. Vertices are added where the curve
+    crosses ``slack`` and, for a buffer smaller than the transfer, ``capacity
+    - buffer_bits``.
     """
     if not buffer_bits >= 0:
         raise ValueError(f"buffer_bits must be nonnegative, got {buffer_bits}")
-    capacity = float(curve.cum_bits[-1])
+    capacity = curve.lists[1][-1]
     levels = [slack]
     if share is None and buffer_bits < total:
         levels.append(capacity - buffer_bits)  # above it the ceiling is flat; crossed after the slack
@@ -178,31 +178,46 @@ def _build_tunnel(
     for level in levels:
         if 0.0 < level < capacity:
             t = curve.time_at(level)
-            i = int(times.searchsorted(t))
+            i = bisect_left(times, t)
             near_left = i > 0 and t - times[i - 1] <= TIME_ATOL
             near_right = i < len(times) and times[i] - t <= TIME_ATOL
             if not near_left and not near_right:
-                times = np.concatenate((times[:i], [t], times[i:]))
+                times.insert(i, t)
+                values.insert(i, curve.value_at(t))
                 if bits is not None:
-                    bits = np.concatenate((bits[:i], [0.0], bits[i:]))
+                    bits.insert(i, 0.0)
             if level == slack:
                 corner = i - 1 if near_left else i
-    bits = np.zeros(len(times)) if bits is None else bits
-    cum = curve.at(times)
     if slack <= 0.0:
-        corner = int(cum.searchsorted(0.0, side="right")) - 1
-    floor = np.maximum(cum - slack, 0.0)
-    if slack > 0.0:
-        floor[-1] = total
+        corner = bisect_right(values, 0.0) - 1
+    n = len(times)
+    cum = np.fromiter(values, float, n)  # unlike np.array, no scan for the type
+    arrived = np.zeros(n) if bits is None else np.fromiter(bits, float, n)
+    if n - 2 < _SHORT_SPAN:
+        floor = [v if v > 0.0 else 0.0 for v in [c - slack for c in values]]
+        if slack > 0.0:
+            floor[-1] = total
+        if share is None:
+            ceiling = [v if v < total else total for v in [f + buffer_bits for f in floor]]
+        else:
+            ceiling = [0.0] + [share * a for a in accumulate(bits[:-1])]
+    else:
+        floor = np.maximum(cum - slack, 0.0)
+        if slack > 0.0:
+            floor[-1] = total
+        if share is None:
+            ceiling = np.minimum(floor + buffer_bits, total)
+        else:
+            ceiling = share * np.concatenate(([0.0], arrived[:-1].cumsum()))
     if share is None:
-        ceiling = np.minimum(floor + buffer_bits, total)
         ceiling[0] = 0.0
         ceiling[-1] = total
-    else:
-        ceiling = share * np.concatenate(([0.0], bits[:-1].cumsum()))
-        if share * late > bits_tol(total):
-            floor[-1] = max(floor[-1], total + share * late)
-    return FeasibilityTunnel(kind, times, floor, ceiling, total, cum, bits, float(buffer_bits), corner)
+    elif share * late > bits_tol(total):
+        floor[-1] = max(floor[-1], total + share * late)
+    times = np.fromiter(times, float, n)
+    return FeasibilityTunnel(
+        kind, times, np.asarray(floor), np.asarray(ceiling), total, cum, arrived, float(buffer_bits), corner
+    )
 
 
 def _idle_span(profile: CpuIdlingProfile) -> int:
@@ -211,60 +226,6 @@ def _idle_span(profile: CpuIdlingProfile) -> int:
     if k is None:
         raise InfeasibleError("helper CPU is never idle, nothing can be offloaded")
     return k + 2
-
-
-def _oneshot_tunnel(kind, curve: CapacityCurve, n: int, total: float, slack: float, buffer_bits) -> FeasibilityTunnel:
-    """``_build_tunnel`` over the curve's first ``n`` boundaries, the last of
-    them where the curve stops rising, without arrivals.
-
-    Below the size switch the same construction runs on float lists. The
-    curve's values at its own boundaries are its ``cum_bits``, which is
-    exactly what ``curve.at`` returns there, so only an inserted crossing is
-    evaluated, with ``time_at``'s and ``at``'s formulas.
-    """
-    if n - 2 >= _SHORT_SPAN:
-        return _build_tunnel(kind, curve, curve.boundaries[:n].copy(), total, slack, buffer_bits)
-    if not buffer_bits >= 0:
-        raise ValueError(f"buffer_bits must be nonnegative, got {buffer_bits}")
-    edges, cum = curve.boundaries[:n].tolist(), curve.cum_bits[:n].tolist()
-    times, values = edges[:], cum[:]
-    capacity = float(curve.cum_bits[-1])
-    rate = curve.rate
-    levels = [slack]
-    if buffer_bits < total:
-        levels.append(capacity - buffer_bits)
-    corner = bisect_right(cum, 0.0) - 1 if slack <= 0.0 else None
-    for level in levels:
-        if 0.0 < level < capacity:
-            j = bisect_left(cum, level)
-            t = edges[j - 1] + (level - cum[j - 1]) / rate
-            i = bisect_left(times, t)
-            near_left = i > 0 and t - times[i - 1] <= TIME_ATOL
-            near_right = i < len(times) and times[i] - t <= TIME_ATOL
-            if not near_left and not near_right:
-                k = bisect_right(edges, t)  # the piece ``at`` reads t on; past edge n-1 it is flat
-                slope = rate if k < n and curve.idle[k - 1] else 0.0
-                times.insert(i, t)
-                values.insert(i, cum[k - 1] + (t - edges[k - 1]) * slope)
-            if level == slack:
-                corner = i - 1 if near_left else i
-    floor = [v if v > 0.0 else 0.0 for v in [c - slack for c in values]]
-    if slack > 0.0:
-        floor[-1] = total
-    ceiling = [v if v < total else total for v in [f + buffer_bits for f in floor]]
-    ceiling[0] = 0.0
-    ceiling[-1] = total
-    return FeasibilityTunnel(
-        kind,
-        np.array(times),
-        np.array(floor),
-        np.array(ceiling),
-        total,
-        np.array(values),
-        np.zeros(len(times)),
-        float(buffer_bits),
-        corner,
-    )
 
 
 def _check_transfer(profile: CpuIdlingProfile, total: float):
@@ -286,7 +247,8 @@ def full_utilization_tunnel(profile: CpuIdlingProfile, buffer_bits=np.inf) -> Fe
     the ceiling adds the receive-buffer headroom, capped by the transfer size.
     """
     n = _idle_span(profile)
-    return _oneshot_tunnel("full", profile.curve, n, profile.capacity, 0.0, buffer_bits)
+    edges, cum = profile.curve.lists
+    return _build_tunnel("full", profile.curve, edges[:n], cum[:n], profile.capacity, 0.0, buffer_bits)
 
 
 def effective_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits=np.inf) -> FeasibilityTunnel:
@@ -300,7 +262,8 @@ def effective_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits
     if buffer_bits < total - tol:
         raise ValueError(f"effective tunnel assumes buffer_bits holds the whole transfer, got {buffer_bits}")
     n = _idle_span(profile)
-    return _oneshot_tunnel("effective", profile.curve, n, total, profile.capacity - total, buffer_bits)
+    edges, cum = profile.curve.lists
+    return _build_tunnel("effective", profile.curve, edges[:n], cum[:n], total, profile.capacity - total, buffer_bits)
 
 
 def proportional_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits) -> FeasibilityTunnel:
@@ -321,7 +284,8 @@ def proportional_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_b
         raise ValueError(f"offload_bits must be positive, got {offload_bits}")
     rate = profile.helper_hz * factor / profile.cycles_per_bit
     curve = CapacityCurve.from_durations(profile.durations, profile.curve.idle, rate, profile.horizon)
-    return _oneshot_tunnel("proportional", curve, n, float(curve.cum_bits[-1]), 0.0, buffer_bits)
+    edges, cum = curve.lists
+    return _build_tunnel("proportional", curve, edges[:n], cum[:n], cum[-1], 0.0, buffer_bits)
 
 
 def lazy_first_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits) -> FeasibilityTunnel:
@@ -333,7 +297,8 @@ def lazy_first_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bit
     total = float(offload_bits)
     _check_transfer(profile, total)
     n = _idle_span(profile)
-    return _oneshot_tunnel("lazy", profile.curve, n, total, profile.capacity - total, buffer_bits)
+    edges, cum = profile.curve.lists
+    return _build_tunnel("lazy", profile.curve, edges[:n], cum[:n], total, profile.capacity - total, buffer_bits)
 
 
 def _chunked_tunnel(kind, profile, arrivals, ratio, timeline, effective) -> FeasibilityTunnel:
@@ -344,15 +309,15 @@ def _chunked_tunnel(kind, profile, arrivals, ratio, timeline, effective) -> Feas
     tl = timeline if timeline is not None else merge_events(profile, arrivals)
     if tl.idle_end_index is None:
         raise InfeasibleError("helper CPU is never idle, nothing can be offloaded")
-    k_end = tl.idle_end_index
-    bits = tl.arrival_bits[: k_end + 1].copy()
-    bits[-1] = 0.0  # data arriving at the last idle instant cannot be served
-    total = ratio * float(bits.sum())
+    end = tl.idle_end_index + 1
+    head = tl.arrival_bits[:end].copy()
+    head[-1] = 0.0  # data arriving at the last idle instant cannot be served
+    total = ratio * float(head.sum())
     slack = profile.capacity - total if effective else 0.0
-    late = float(tl.arrival_bits[k_end:].sum())
-    return _build_tunnel(
-        kind, profile.curve, tl.times[: k_end + 1].copy(), total, slack, bits=bits, share=ratio, late=late
-    )
+    late = float(tl.arrival_bits[end - 1 :].sum())
+    times, bits, values = (seq[:end] for seq in tl.lists)
+    bits[-1] = 0.0
+    return _build_tunnel(kind, profile.curve, times, values, total, slack, bits=bits, share=ratio, late=late)
 
 
 def bursty_effective_tunnel(
@@ -406,7 +371,9 @@ def local_compute_tunnel(arrivals: ArrivalProcess, local, ratio: float) -> Feasi
     np.add.at(bits, nearest, sizes[chunks])
     line = CapacityCurve(np.array([0.0, horizon]), np.array([0.0, rate * horizon]), np.array([True]), rate)
     total = share * arrivals.total
-    return _build_tunnel("local", line, times, total, rate * horizon - total, bits=bits, share=share)
+    times = times.tolist()
+    values = [t * rate for t in times]
+    return _build_tunnel("local", line, times, values, total, rate * horizon - total, bits=bits.tolist(), share=share)
 
 
 def max_offload_ratio(
@@ -425,13 +392,13 @@ def max_offload_ratio(
     if tl.idle_end_index is None:
         return 0.0
     cap = profile.capacity
-    tails = np.cumsum(tl.arrival_bits[::-1])[::-1]  # bits arriving at or after each vertex
+    tails = np.cumsum(tl.arrival_bits[::-1])[::-1].tolist()  # bits arriving at or after each vertex
     best = 1.0
-    for k in range(len(tl.times)):
-        if tails[k] <= 0.0:
+    for used, tail in zip(tl.lists[2], tails):
+        if tail <= 0.0:
             break
-        best = min(best, max(cap - tl.cum_capacity[k], 0.0) / tails[k])
-    return float(best)
+        best = min(best, max(cap - used, 0.0) / tail)
+    return best
 
 
 def min_offload_ratio(arrivals: ArrivalProcess, local) -> float:

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from offloadsim.cli import main
+from offloadsim.cpu_profile import parse_arrivals, parse_epochs
+from offloadsim.energy import LocalComputeParams
 from offloadsim.sim_harness import SimConfig, format_csv, run_buffer_sweep, run_bursty_sweep, run_oneshot_sweep
+from offloadsim.tunnel import min_offload_ratio
 
 from oracles import parse_schedule
 
@@ -312,6 +315,24 @@ def test_solve_rejects_share_the_local_cpu_cannot_finish(capsys, profile_file, a
     assert code == 2
     assert "local CPU cannot finish its 0.26 share" in err
     assert "energy" not in out
+
+
+def test_solve_takes_the_smallest_share_the_local_cpu_can_finish(capsys, profile_file, tmp_path):
+    # the user's CPU computes 8e4 bits after the second chunk arrives, so it
+    # keeps at most two thirds of that chunk
+    text = "0.0,1e5\n0.06,1.2e5\n"
+    path = tmp_path / "arrivals.txt"
+    path.write_text(text)
+    horizon = sum(ep.duration for ep in parse_epochs(PROFILE))
+    r_lo = min_offload_ratio(parse_arrivals(text, horizon), LocalComputeParams(1e9, 500.0, 1e-28))
+    assert 0.3 < r_lo < 0.4
+    argv = ("solve", "--profile", profile_file, "--arrivals", str(path), "--ratio")
+    code, out, _ = run_cli(capsys, *argv, repr(r_lo))
+    assert code == 0
+    assert float(kv(out)["ratio"]) == pytest.approx(r_lo)
+    code, _, err = run_cli(capsys, *argv, repr(r_lo - 1e-6))
+    assert code == 2
+    assert "local CPU cannot finish its" in err
 
 
 def test_non_finite_arrival_fields_rejected(capsys, profile_file, tmp_path):

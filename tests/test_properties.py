@@ -8,7 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from offloadsim import energy, string_pull, tunnel as tunnel_module
-from offloadsim.cpu_profile import Epoch, build_profile
+from offloadsim.cpu_profile import (
+    TIME_ATOL,
+    ArrivalProcess,
+    Epoch,
+    build_profile,
+    merge_events,
+    sample_arrivals,
+    sample_cpu_process,
+)
 from offloadsim.energy import ChannelParams, LocalComputeParams, schedule_energy
 from offloadsim.errors import InfeasibleError
 from offloadsim.partition import optimize_partition, partition_bounds
@@ -16,9 +24,13 @@ from offloadsim.string_pull import _taut_values, floor_following_schedule, offlo
 from offloadsim.tunnel import (
     FeasibilityTunnel,
     bits_tol,
+    bursty_effective_tunnel,
+    bursty_tunnel,
     effective_tunnel,
     full_utilization_tunnel,
     lazy_first_tunnel,
+    local_compute_tunnel,
+    max_offload_ratio,
     proportional_tunnel,
 )
 
@@ -306,6 +318,82 @@ def test_both_branches_reject_times_that_do_not_rise():
         t = np.array(times)
         by_numpy, by_lists = _by_each_branch(tunnel_module, FeasibilityTunnel, "x", t, t, t, 3.0, t, t, np.inf)
         assert isinstance(by_numpy, ValueError) and _same_error(by_numpy, by_lists)
+
+
+@st.composite
+def chunked_instances(draw):
+    """A profile of 1-40 epochs at a time scale of 1e-3 to 1e4, and up to 60
+    chunks, each anywhere in the window, after the last idle instant, or
+    within half the vertex tolerance of an epoch edge; up to three chunks are
+    then emptied, which ``from_events`` alone never leaves."""
+    scale = 10.0 ** draw(st.integers(-3, 4))
+    n = draw(st.integers(1, 40))
+    durations = scale * np.array(draw(st.lists(st.floats(1e-3, 3e-2), min_size=n, max_size=n)))
+    idle_first = draw(st.booleans())
+    epochs = [Epoch(d, (i % 2 == 0) == idle_first) for i, d in enumerate(durations)]
+    prof = build_profile(epochs, 5e9, 500.0, float(durations.sum()))
+    edges, end = prof.boundaries, prof.idle_end or 0.0
+    at = st.one_of(
+        st.floats(0.0, 1.0).map(lambda u: u * prof.horizon),
+        st.floats(0.0, 1.0).map(lambda u: end + u * (prof.horizon - end)),
+        st.tuples(st.integers(0, 40), st.sampled_from([-0.5, 0.0, 0.5])).map(
+            lambda p: max(edges[p[0] % len(edges)] + p[1] * TIME_ATOL, 0.0)
+        ),
+    )
+    m = draw(st.integers(0, 60))
+    times = [t for t in draw(st.lists(at, min_size=m, max_size=m)) if t < prof.horizon - 2 * TIME_ATOL]
+    sizes = draw(st.lists(st.floats(0.0, 1e5 * scale), min_size=len(times), max_size=len(times)))
+    arr = ArrivalProcess.from_events(zip(times, sizes), prof.horizon)
+    emptied = arr.sizes.copy()
+    for k in draw(st.lists(st.integers(0, 40), max_size=3)):
+        emptied[k % len(emptied)] = 0.0
+    arr = ArrivalProcess(arr.times, emptied, arr.horizon)
+    ratio = draw(st.one_of(st.sampled_from([0.0, 1.0, "max"]), st.floats(0.0, 1.0)))
+    if ratio == "max":
+        ratio = min(max_offload_ratio(prof, arr), 1.0)
+    return prof, arr, ratio
+
+
+def _same_chunked_tunnels(prof, arr, ratio):
+    """Both branches build the same chunked and local-CPU tunnels, and data
+    arriving at or after the last idle instant lifts the floor's end to the
+    total plus its offloaded share when that is the higher."""
+    tl = merge_events(prof, arr)
+    for build, args in (
+        (bursty_effective_tunnel, (prof, arr, ratio, tl)),
+        (bursty_tunnel, (prof, arr, ratio, tl)),
+        (local_compute_tunnel, (arr, LOCAL, ratio)),
+    ):
+        by_numpy, by_lists = _by_each_branch(tunnel_module, build, *args)
+        if isinstance(by_numpy, Exception):
+            assert _same_error(by_numpy, by_lists), build.__name__
+            continue
+        for a, b in zip(_tunnel_arrays(by_numpy), _tunnel_arrays(by_lists)):
+            assert np.array_equal(a, b), build.__name__
+        if build is local_compute_tunnel:
+            continue
+        total = by_numpy.total
+        lift = ratio * float(tl.arrival_bits[tl.idle_end_index :].sum())
+        slack = prof.capacity - total if build is bursty_effective_tunnel else 0.0
+        end = total if slack > 0.0 else max(prof.capacity - slack, 0.0)
+        want = max(end, total + lift) if lift > bits_tol(total) else end
+        assert by_numpy.floor[-1] == want, build.__name__
+
+
+@settings(PROPERTY, max_examples=200)
+@given(instance=chunked_instances())
+def test_both_branches_build_the_same_chunked_tunnels(instance):
+    _same_chunked_tunnels(*instance)
+
+
+def test_both_branches_build_the_same_long_chunked_tunnels():
+    # about 3300 epochs and 1000 chunks over a 10 s window
+    epochs = sample_cpu_process(3, 10.0, 0.003, 0.003)
+    prof = build_profile(epochs, 5e9, 500.0, 10.0)
+    arr = sample_arrivals(4, 10.0, 0.01, 1e3, 1e4)
+    assert len(merge_events(prof, arr).times) > 4000
+    for ratio in (0.3, min(max_offload_ratio(prof, arr), 1.0)):
+        _same_chunked_tunnels(prof, arr, ratio)
 
 
 def _verdict(schedule, tunnel):
