@@ -83,7 +83,12 @@ def _add_sweep_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON file with SimConfig fields")
     p.add_argument("--trials", type=int, help="trials per grid value")
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--jobs", type=int, help="worker processes")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        help="worker processes: the calling process runs one share and forks JOBS-1 "
+        "children per sweep (one process where os.fork does not exist)",
+    )
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.add_argument(
         "--policy",

@@ -15,6 +15,11 @@ builds its profile once unless the axis moves it, and prices a buffer that
 holds every feasible transfer once for all such grid values. Results go back
 in trial order per grid value.
 
+With ``jobs = N > 1`` a sweep call runs one share of the trials in the
+calling process and forks ``min(N, trials) - 1`` children for the rest;
+every child is reaped before the call returns or raises. Where ``os.fork``
+does not exist the sweep runs in one process, with the same output.
+
 Policies whose energy is convex in the offload size are priced by one solver
 each, the optimal split and proportional pacing (``_paced_energy``).
 Buffer-first's energy over the split is not convex, so it is searched on a
@@ -23,6 +28,8 @@ grid guided by its slope (``_buffer_first_energy``).
 from __future__ import annotations
 
 import dataclasses
+import os
+import pickle
 from dataclasses import dataclass
 from functools import cache
 from math import inf, isfinite, isnan, nan, sqrt
@@ -512,6 +519,86 @@ def _aggregate(kind, axis, value, cases) -> dict:
     return row
 
 
+def _forked_map(worker, tasks, workers) -> list:
+    """``[worker(task) for task in tasks]``, spread over ``workers`` processes.
+
+    The caller forks ``workers - 1`` children and runs tasks ``0, k, 2k, ...``
+    itself (``k = workers``); child ``i`` runs tasks ``i, i + k, ...`` and
+    writes its results, or the exception it raised, pickled into a pipe of
+    its own. A child gets its tasks through the fork, so no task is pickled.
+    The caller reaps only its own children, each by pid, and on any error
+    kills and reaps every child still running before the error propagates.
+    Without ``os.fork`` every task runs in the caller.
+    """
+    if workers < 2 or not hasattr(os, "fork"):
+        return [worker(task) for task in tasks]
+    running = {}  # pid -> read end of its pipe, for each child not yet reaped
+    try:
+        for i in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(worker, tasks[i::workers], write)
+            except BaseException:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)  # only the caller gets here: a child ends in _child
+            running[pid] = read
+        shares = [[worker(task) for task in tasks[::workers]]]
+        for pid in list(running):
+            shares.append(_receive(pid, running))
+    finally:
+        if running:
+            import signal  # imported here: only a failed sweep has a child left to kill
+
+            for pid, read in running.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read)
+    return [shares[t % workers][t // workers] for t in range(len(tasks))]
+
+
+def _child(worker, tasks, write):
+    """A forked child's whole life: run ``tasks``, write ``(True, results)``
+    or ``(False, exception)`` pickled to ``write``, and exit. It never
+    returns, so no code of the caller's runs twice; exit status 1 means no
+    complete outcome was written."""
+    status = 1
+    try:
+        try:
+            outcome = True, [worker(task) for task in tasks]
+        except BaseException as exc:  # noqa: BLE001 - the caller re-raises it
+            outcome = False, exc
+        data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(pid, running) -> list:
+    """Child ``pid``'s results: read its pipe to the end, reap it, and
+    re-raise its exception if it raised one."""
+    read = running[pid]
+    chunks = []
+    while chunk := os.read(read, 1 << 16):
+        chunks.append(chunk)
+    status = os.waitpid(pid, 0)[1]
+    del running[pid]
+    os.close(read)
+    try:
+        ok, outcome = pickle.loads(b"".join(chunks))
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(f"sweep worker process {pid} ended with exit status {code} and no complete result")
+    if not ok:
+        raise outcome
+    return outcome
+
+
 def _run_sweep(cfg, axis, values, kind, worker, jobs) -> SweepResult:
     _check_axis(axis, kind)
     values = [float(v) for v in values]
@@ -522,17 +609,7 @@ def _run_sweep(cfg, axis, values, kind, worker, jobs) -> SweepResult:
     if jobs is not None and not jobs >= 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     tasks = [(cfg, kind, axis, values, t) for t in range(cfg.trials)]  # one per trial, all its grid values
-    workers = min(jobs or 1, len(tasks))  # the executor forks every worker at once
-    if workers > 1:
-        # imported here: the pool machinery adds to every import of the
-        # package, and most sweeps run in one process
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (workers * 8))
-            results = list(pool.map(worker, tasks, chunksize=chunk))
-    else:
-        results = [worker(task) for task in tasks]
+    results = _forked_map(worker, tasks, min(jobs or 1, len(tasks)))
     per_trial = [list(cases) for cases in zip(*results)]  # one list per grid value, trial order
     rows = [_aggregate(kind, axis, v, cases) for v, cases in zip(values, per_trial)]
     return SweepResult(kind, axis, values, cfg, per_trial, rows)

@@ -367,7 +367,10 @@ def local_compute_tunnel(arrivals: ArrivalProcess, local, ratio: float) -> Feasi
     times = np.concatenate(([0.0], inner, [horizon]))
     bits = np.zeros(len(times))
     chunks = sizes > 0
-    nearest = np.argmin(np.abs(times[None, :] - at[chunks, None]), axis=1)
+    # each chunk goes to its nearest vertex, the earlier one on a tie
+    x = at[chunks]
+    right = np.clip(np.searchsorted(times, x), 1, len(times) - 1)
+    nearest = np.where(x - times[right - 1] <= times[right] - x, right - 1, right)
     np.add.at(bits, nearest, sizes[chunks])
     line = CapacityCurve(np.array([0.0, horizon]), np.array([0.0, rate * horizon]), np.array([True]), rate)
     total = share * arrivals.total
@@ -411,9 +414,9 @@ def min_offload_ratio(arrivals: ArrivalProcess, local) -> float:
         return 0.0
     rate = local.cpu_hz / local.cycles_per_bit
     horizon = arrivals.horizon
-    tails = np.cumsum(arrivals.sizes[::-1])[::-1]
+    tails = np.cumsum(arrivals.sizes[::-1])[::-1].tolist()  # bits arriving at or after each chunk
     worst = 0.0
-    for t, tail in zip(arrivals.times, tails):
+    for t, tail in zip(arrivals.times.tolist(), tails):
         if tail <= 0.0:
             break
         room = rate * (horizon - t)

@@ -6,12 +6,16 @@ reads back the schedule text the CLI writes (``format_schedule``).
 ``scan_minimize`` is a coarse grid scan with golden refinement, which needs
 no convexity, and ``scanned_buffer_first`` prices buffer-first with it, as
 the sweeps did before buffer-first was guided by its slope.
+``matrix_local_compute_tunnel`` places each chunk at its nearest vertex
+through a chunks-by-vertices distance matrix, and ``looped_min_offload_ratio``
+steps through numpy scalars: the library's earlier ways of doing both.
 """
 import numpy as np
 
+from offloadsim.cpu_profile import TIME_ATOL, CapacityCurve
 from offloadsim.partition import golden_section
 from offloadsim.string_pull import OffloadSchedule, pull_string
-from offloadsim.tunnel import bits_tol, lazy_first_tunnel
+from offloadsim.tunnel import _build_tunnel, bits_tol, lazy_first_tunnel
 
 
 def epoch_energy(channel, bits: float, duration: float) -> float:
@@ -68,3 +72,39 @@ def scanned_buffer_first(profile, channel, local, load_bits, buffer_bits, low, h
     if high - low <= 1.0:
         return fn(low)
     return scan_minimize(fn, low, high, coarse=13, tol=1.0)[1]
+
+
+def matrix_local_compute_tunnel(arrivals, local, ratio):
+    """``local_compute_tunnel`` with each chunk placed by ``argmin`` over its
+    distance to every vertex: quadratic in the chunk count."""
+    share = 1.0 - ratio
+    rate = local.cpu_hz / local.cycles_per_bit
+    horizon = arrivals.horizon
+    at, sizes = arrivals.times, arrivals.sizes
+    inner = at[(at > TIME_ATOL) & (at < horizon - TIME_ATOL)]
+    times = np.concatenate(([0.0], inner, [horizon]))
+    bits = np.zeros(len(times))
+    chunks = sizes > 0
+    nearest = np.argmin(np.abs(times[None, :] - at[chunks, None]), axis=1)
+    np.add.at(bits, nearest, sizes[chunks])
+    line = CapacityCurve(np.array([0.0, horizon]), np.array([0.0, rate * horizon]), np.array([True]), rate)
+    total = share * arrivals.total
+    times = times.tolist()
+    values = [t * rate for t in times]
+    return _build_tunnel("local", line, times, values, total, rate * horizon - total, bits=bits.tolist(), share=share)
+
+
+def looped_min_offload_ratio(arrivals, local) -> float:
+    """``min_offload_ratio`` looping over numpy arrays element by element."""
+    if arrivals.total <= 0.0:
+        return 0.0
+    rate = local.cpu_hz / local.cycles_per_bit
+    horizon = arrivals.horizon
+    tails = np.cumsum(arrivals.sizes[::-1])[::-1]
+    worst = 0.0
+    for t, tail in zip(arrivals.times, tails):
+        if tail <= 0.0:
+            break
+        room = rate * (horizon - t)
+        worst = max(worst, 1.0 - room / tail)
+    return float(worst)

@@ -1,4 +1,5 @@
-import concurrent.futures
+import os
+import threading
 from functools import cache
 from itertools import islice
 
@@ -14,6 +15,8 @@ from offloadsim.sim_harness import (
     SimConfig,
     _buffer_first_energy,
     _profile_from_draws,
+    _run_sweep,
+    _split_trial,
     _units,
     draw_trial,
     find_crossover,
@@ -215,33 +218,73 @@ def test_results_identical_across_worker_counts():
 
 
 def test_worker_pool_no_larger_than_the_sweep(monkeypatch):
-    # the executor forks all its workers at the first submit, so a pool
-    # wider than the task list starts processes that never get work
-    sizes = []
+    # the calling process takes one share, so a sweep forks one child less
+    # than its worker count, and never more children than it has trials
+    forks = []
+    real_fork = os.fork
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "fork", counted_fork)
     cfg = SimConfig(trials=1, seed=7)
     serial = format_csv(run_oneshot_sweep(cfg, "mean_idle", (0.02,), jobs=None))
     assert format_csv(run_oneshot_sweep(cfg, "mean_idle", (0.02,), jobs=500)) == serial
     run_oneshot_sweep(cfg, "mean_idle", (0.01, 0.02, 0.04), jobs=500)
-    assert sizes == []  # a task is one trial at every grid value, so one task runs in this process
+    assert forks == []  # a task is one trial at every grid value, so one task runs in this process
     cfg = SimConfig(trials=3, seed=7)
     run_oneshot_sweep(cfg, "mean_idle", (0.01, 0.02, 0.04), jobs=500)
+    assert len(forks) == 2
     run_oneshot_sweep(cfg, "mean_idle", (0.01, 0.02, 0.04), jobs=2)
-    assert sizes == [3, 2]
+    assert len(forks) == 3
+
+
+def test_sweep_without_fork_runs_in_one_process(monkeypatch):
+    cfg = SimConfig(trials=3, seed=7)
+    forked = format_csv(run_oneshot_sweep(cfg, "mean_idle", (0.01, 0.04), jobs=3))
+    monkeypatch.delattr(os, "fork")
+    assert format_csv(run_oneshot_sweep(cfg, "mean_idle", (0.01, 0.04), jobs=3)) == forked
+
+
+class TrialFailed(Exception):
+    pass
+
+
+class UnpicklableFailure(Exception):
+    def __init__(self):
+        super().__init__("holds a lock")
+        self.lock = threading.Lock()
+
+
+def failing_worker(bad_trial, error):
+    def worker(task):
+        if task[-1] == bad_trial:
+            raise error()
+        return _split_trial(task)
+
+    return worker
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("bad_trial", [4, 5], ids=["callers_share", "childs_share"])
+def test_worker_error_reaches_the_caller_with_its_type(bad_trial):
+    # with 2 workers the caller runs the even trials and its child the odd ones
+    cfg = SimConfig(trials=6, seed=7)
+    with pytest.raises(TrialFailed):
+        _run_sweep(cfg, "mean_idle", (0.02,), "oneshot", failing_worker(bad_trial, TrialFailed), 2)
+    assert_no_child_left()
+
+
+def test_child_error_that_cannot_be_pickled_raises_runtime_error():
+    cfg = SimConfig(trials=6, seed=7)
+    with pytest.raises(RuntimeError, match="exit status 1"):
+        _run_sweep(cfg, "mean_idle", (0.02,), "oneshot", failing_worker(5, UnpicklableFailure), 3)
+    assert_no_child_left()
 
 
 def test_non_positive_worker_counts_rejected_by_name():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from offloadsim.cpu_profile import (
 )
 from offloadsim.energy import LocalComputeParams
 from offloadsim.errors import InfeasibleError
+from offloadsim.sim_harness import _TAGS, SimConfig, _arrivals_from_draws, draw_trial
 from offloadsim.string_pull import pull_string
 from offloadsim.tunnel import (
     bursty_effective_tunnel,
@@ -24,6 +27,8 @@ from offloadsim.tunnel import (
     min_offload_ratio,
     proportional_tunnel,
 )
+
+from oracles import looped_min_offload_ratio, matrix_local_compute_tunnel
 
 HELPER_HZ = 5e9
 CPB = 500.0
@@ -271,6 +276,50 @@ def test_local_compute_tunnel_geometry():
     rate = LOCAL.cpu_hz / LOCAL.cycles_per_bit
     k = int(np.argmin(np.abs(tun.times - 0.05)))
     assert tun.cum_capacity[k] == pytest.approx(rate * tun.times[k])
+
+
+def default_seed_arrivals(horizon=0.1, trials=40):
+    cfg = SimConfig(horizon=horizon)
+    for trial in range(trials):
+        draws = draw_trial(cfg.seed, _TAGS["bursty"], trial)
+        yield _arrivals_from_draws(draws, cfg, 1.0)
+
+
+def assert_same_tunnel(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.tobytes() == y.tobytes(), field.name
+        else:
+            assert x == y, field.name
+
+
+def test_local_compute_tunnel_matches_the_distance_matrix():
+    edges = ArrivalProcess.from_events(
+        [(0.0, 1e5), (0.5e-12, 2e5), (0.03, 3e5), (0.06, 0.0), (0.099, 4e5)], 0.1
+    )
+    for arr in (two_chunks(), edges, *default_seed_arrivals(), *default_seed_arrivals(2.0, 5)):
+        for ratio in (0.0, 0.4, 1.0):
+            assert_same_tunnel(local_compute_tunnel(arr, LOCAL, ratio), matrix_local_compute_tunnel(arr, LOCAL, ratio))
+
+
+def test_local_compute_tunnel_builds_for_100000_chunks():
+    # the distance matrix would hold 1e10 entries; sorted placement is linear-logarithmic
+    n = 100_000
+    arr = ArrivalProcess(np.append(np.linspace(0.0, 100.0, n, endpoint=False), 100.0), np.append(np.full(n, 1e3), 0.0), 100.0)
+    tun = local_compute_tunnel(arr, LOCAL, 0.5)
+    assert len(tun.times) == n + 1
+    assert tun.arrival_bits.sum() == pytest.approx(n * 1e3)
+    assert tun.total == pytest.approx(0.5 * n * 1e3)
+
+
+def test_min_offload_ratio_matches_the_numpy_loop():
+    slow = LocalComputeParams(2e8, CPB, 1e-28)  # sheds a share of most arrivals
+    for arr in (two_chunks(), *default_seed_arrivals(), *default_seed_arrivals(20.0, 3)):
+        for local in (LOCAL, slow):
+            theta = min_offload_ratio(arr, local)
+            assert type(theta) is float
+            assert theta == looped_min_offload_ratio(arr, local)
 
 
 def test_single_chunk_at_zero_matches_oneshot_tunnel():
