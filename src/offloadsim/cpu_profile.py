@@ -106,27 +106,31 @@ class CapacityCurve:
         return values[k] + (t - starts[k]) * slopes[k]
 
     @cached_property
-    def lists(self) -> tuple[list, list]:
-        """``boundaries`` and ``cum_bits`` as float lists, for lookups at one point
-        and for the vertex grids of tunnels."""
-        return self.boundaries.tolist(), self.cum_bits.tolist()
+    def parts(self) -> tuple:
+        """``(boundaries, cum_bits, idle, rate)`` with the first two as float
+        lists: the curve as ``_curve_value`` and ``_curve_time`` read it, and
+        the vertex grids of tunnels."""
+        return self.boundaries.tolist(), self.cum_bits.tolist(), self.idle, self.rate
 
-    def value_at(self, t: float) -> float:
-        """``at`` for one time ``t >= 0``, on float lists."""
-        edges, cum = self.lists
-        k = bisect_right(edges, t) - 1
-        slope = self.rate if k < len(self.idle) and self.idle[k] else 0.0
-        return cum[k] + (t - edges[k]) * slope
 
-    def time_at(self, level: float) -> float:
-        """Earliest time at which the curve reaches ``level``."""
-        if level <= 0.0:
-            return 0.0
-        edges, cum = self.lists
-        if not level <= cum[-1]:
-            raise ValueError("capacity level beyond the curve")
-        k = bisect_left(cum, level)
-        return edges[k - 1] + (level - cum[k - 1]) / self.rate
+def _curve_value(parts: tuple, t: float) -> float:
+    """``CapacityCurve.at`` for one time ``t >= 0``, on the curve's ``parts``."""
+    edges, cum, idle, rate = parts
+    k = bisect_right(edges, t) - 1
+    slope = rate if k < len(idle) and idle[k] else 0.0
+    return cum[k] + (t - edges[k]) * slope
+
+
+def _curve_time(parts: tuple, level: float) -> float:
+    """Earliest time at which the curve with these ``CapacityCurve.parts``
+    reaches ``level``."""
+    if level <= 0.0:
+        return 0.0
+    edges, cum, _, rate = parts
+    if not level <= cum[-1]:
+        raise ValueError("capacity level beyond the curve")
+    k = bisect_left(cum, level)
+    return edges[k - 1] + (level - cum[k - 1]) / rate
 
 
 @dataclass(frozen=True, eq=False)

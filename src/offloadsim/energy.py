@@ -9,7 +9,9 @@ capacitance and the local CPU frequency.
 ``schedule_energy`` prices a schedule over fewer than ``_SHORT_SPAN`` interior
 vertices on Python float lists, calling numpy only for ``expm1``; a longer one
 with array arithmetic. Both do the same float64 operations per segment and
-add the segments in order, so they give the same energy bit for bit.
+add the segments in order, so they give the same energy bit for bit. It
+reads two short lists as they are, which is how ``OffloadSchedule.energy``
+passes its own, and makes arrays of anything else, or of longer lists.
 """
 from __future__ import annotations
 
@@ -111,7 +113,17 @@ class LocalComputeParams:
 
 
 def schedule_energy(times, cumulative, channel: ChannelParams) -> float:
-    """Energy of a piecewise-constant-rate schedule given its cumulative curve."""
+    """Energy of a piecewise-constant-rate schedule given its cumulative curve.
+
+    Two short lists, as ``OffloadSchedule`` keeps them, are read as they
+    are; anything else goes through ``np.asarray`` first.
+    """
+    if type(times) is list and type(cumulative) is list and len(times) == len(cumulative):
+        if 0 <= len(times) - 2 < _SHORT_SPAN:
+            try:
+                return _list_energy(times, cumulative, channel)
+            except TypeError:
+                pass  # not lists of numbers: priced as arrays, like any other input
     times = np.asarray(times, dtype=float)
     cum = np.asarray(cumulative, dtype=float)
     if times.shape != cum.shape or times.ndim != 1 or len(times) < 2:

@@ -330,7 +330,7 @@ def optimize_ratio(
     r_hi = max_offload_ratio(profile, arrivals, tl)
     r_lo = min_offload_ratio(arrivals, local)
     if total <= 0.0:
-        schedule = OffloadSchedule(np.array([0.0, profile.horizon]), np.zeros(2))
+        schedule = OffloadSchedule([0.0, profile.horizon], [0.0, 0.0])
         return RatioResult(0.0, r_lo, r_hi, 0.0, 0.0, 0.0, 0.0, 0.0, schedule, None, "pinned")
     if r_lo > r_hi + SHARE_SLACK:
         raise InfeasibleError(

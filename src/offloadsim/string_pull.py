@@ -11,7 +11,11 @@ dominate; a longer one with numpy slices. The two scans do the same float64
 arithmetic and break ties alike, so they pull the same string bit for bit.
 The feasibility check before the pull reads the same float lists at any
 length: one pass of comparisons, which breaks even with numpy's check only
-near 100-150 vertices, about the largest tunnels a solve builds.
+near 100-150 vertices, about the largest tunnels a solve builds. The pull
+reads the tunnel's float lists (``FeasibilityTunnel.lists``), and its
+arrays only in a long chord scan; the schedule it returns keeps the times
+and the string's values as float lists, which its energy and
+``lazy_first_slope`` read, and makes its read-only arrays on first read.
 ``envelope_slope`` reads off a pulled string how its energy moves with any
 parameter that moves the tunnel, from the multipliers at its contacts;
 ``lazy_first_slope`` is its closed form for the size of a lazy-first
@@ -29,8 +33,10 @@ from .energy import _LN2, ChannelParams, schedule_energy
 from .errors import InfeasibleError
 from .tunnel import (
     FeasibilityTunnel,
+    _ListArray,
     _build_tunnel,
     _fits,
+    _float_lists,
     bits_tol,
     bursty_effective_tunnel,
     effective_tunnel,
@@ -39,12 +45,19 @@ from .tunnel import (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class OffloadSchedule:
-    """Piecewise-constant-rate transmission plan as a cumulative curve."""
+    """Piecewise-constant-rate transmission plan as a cumulative curve.
 
-    times: np.ndarray
-    cumulative: np.ndarray
+    Kept as the float lists ``lists`` (times, cumulative), which the energy
+    and the slopes read; ``times`` and ``cumulative`` are read-only float64
+    arrays of them, made on first read, like a tunnel's.
+    """
+
+    times = _ListArray(0)
+    cumulative = _ListArray(1)
+
+    def __init__(self, times, cumulative):
+        self.lists = _float_lists(self, ("times", "cumulative"), (times, cumulative))
 
     @property
     def bits(self) -> np.ndarray:
@@ -56,24 +69,24 @@ class OffloadSchedule:
 
     @property
     def total(self) -> float:
-        return float(self.cumulative[-1])
+        return float(self.lists[1][-1])
 
     def energy(self, channel: ChannelParams) -> float:
-        return schedule_energy(self.times, self.cumulative, channel)
+        return schedule_energy(*self.lists, channel)
 
 
-def _taut_values(times, floor, ceiling, tol, lists=None):
-    """Vertex values of the shortest path between the envelopes.
+def _taut_values(tunnel: FeasibilityTunnel, tol: float) -> list:
+    """Vertex values of the shortest path through the tunnel, as a float list.
 
     Endpoints are pinned to the envelope midpoints (equal there for any
     consistent tunnel). Each recursion step fixes the chord's worst-violating
     vertex onto the envelope it breaches, preferring the floor on ties and the
-    earliest vertex among equals, then splits. Both chord scans evaluate the
-    chord as ``y_lo + slope * (t - t_lo)`` in float64, so they give the same
-    bits. ``lists`` may pass the three arrays already read as float lists.
+    earliest vertex among equals, then splits. A short chord is scanned on the
+    tunnel's float lists, a long one on its arrays; both evaluate the chord as
+    ``y_lo + slope * (t - t_lo)`` in float64, so they give the same bits.
     """
-    n = len(times) - 1
-    t, f, c = lists or (times.tolist(), floor.tolist(), ceiling.tolist())
+    t, f, c = tunnel.lists[:3]
+    n = len(t) - 1
     y = [0.0] * (n + 1)
     y[0] = 0.5 * (f[0] + c[0])
     y[n] = 0.5 * (f[n] + c[n])
@@ -101,9 +114,9 @@ def _taut_values(times, floor, ceiling, tol, lists=None):
             s = y_lo + slope * (t[idx] - t_lo)
             y[idx] = f[idx] if f[idx] - s >= s - c[idx] else c[idx]
         else:
-            seg = y_lo + slope * (times[lo + 1 : hi] - t_lo)
-            below = floor[lo + 1 : hi] - seg
-            above = seg - ceiling[lo + 1 : hi]
+            seg = y_lo + slope * (tunnel.times[lo + 1 : hi] - t_lo)
+            below = tunnel.floor[lo + 1 : hi] - seg
+            above = seg - tunnel.ceiling[lo + 1 : hi]
             viol = np.maximum(below, above)
             k = int(viol.argmax())
             if viol[k] <= tol:
@@ -113,7 +126,7 @@ def _taut_values(times, floor, ceiling, tol, lists=None):
             y[idx] = f[idx] if below[k] >= above[k] else c[idx]
         stack.append((idx, hi))
         stack.append((lo, idx))
-    return np.array(y)
+    return y
 
 
 def _check_feasible(tunnel: FeasibilityTunnel, floor: list, ceiling: list) -> float:
@@ -131,10 +144,9 @@ def _check_feasible(tunnel: FeasibilityTunnel, floor: list, ceiling: list) -> fl
 
 def pull_string(tunnel: FeasibilityTunnel) -> OffloadSchedule:
     """Minimum-energy schedule through a feasible tunnel."""
-    lists = tunnel.times.tolist(), tunnel.floor.tolist(), tunnel.ceiling.tolist()
-    tol = _check_feasible(tunnel, *lists[1:])
-    y = _taut_values(tunnel.times, tunnel.floor, tunnel.ceiling, 1e-3 * tol, lists)
-    return OffloadSchedule(tunnel.times.copy(), y)
+    times, floor, ceiling = tunnel.lists[:3]
+    tol = _check_feasible(tunnel, floor, ceiling)
+    return OffloadSchedule(times, _taut_values(tunnel, 1e-3 * tol))
 
 
 def envelope_slope(schedule: OffloadSchedule, channel: ChannelParams, d_floor, d_ceiling, d_total: float) -> float:
@@ -181,11 +193,12 @@ def lazy_first_slope(
     per call would outweigh the arithmetic. A marginal power that overflows
     makes the slope ``+inf``.
     """
-    n = len(schedule.times) - 1
+    times, cumulative = schedule.lists
+    n = len(times) - 1
     c = n if tunnel.corner is None else tunnel.corner
     lo, hi = max(c - 1, 0), min(c + 1, n)
-    t = schedule.times[lo : hi + 1].tolist()
-    y = schedule.cumulative[lo : hi + 1].tolist()
+    t = times[lo : hi + 1]
+    y = cumulative[lo : hi + 1]
     w, scale = channel.bandwidth_hz, channel.noise_w / channel.gain
     # with x = r ln2 / w: p(r) = scale * expm1(x), p'(r) = scale * ln2 / w * e^x
     xs = [(y[k + 1] - y[k]) / (t[k + 1] - t[k]) / w * _LN2 for k in range(len(t) - 1)]
@@ -200,8 +213,9 @@ def lazy_first_slope(
 
 def floor_following_schedule(tunnel: FeasibilityTunnel) -> OffloadSchedule:
     """Benchmark policy: transmit as late as the tunnel floor allows."""
-    _check_feasible(tunnel, tunnel.floor.tolist(), tunnel.ceiling.tolist())
-    return OffloadSchedule(tunnel.times.copy(), tunnel.floor.copy())
+    times, floor, ceiling = tunnel.lists[:3]
+    _check_feasible(tunnel, floor, ceiling)
+    return OffloadSchedule(times, floor)
 
 
 @dataclass(frozen=True)
@@ -322,8 +336,8 @@ def _zero_solution(profile: CpuIdlingProfile, buffer_bits) -> tuple[OffloadSched
     """The empty transfer, over [0, the last idle instant or the horizon]."""
     end = profile.idle_end if profile.idle_end is not None else profile.horizon
     cap = profile.capacity
-    tunnel = _build_tunnel("effective", profile.curve, [0.0, end], [0.0, cap], 0.0, cap, buffer_bits)
-    return OffloadSchedule(tunnel.times, np.zeros(2)), tunnel
+    tunnel = _build_tunnel("effective", profile.curve.parts, [0.0, end], [0.0, cap], 0.0, cap, buffer_bits)
+    return OffloadSchedule(tunnel.lists[0], [0.0, 0.0]), tunnel
 
 
 def min_energy_offload(

@@ -24,20 +24,26 @@ piecewise-linear curve at the vertices alone is exact. Step-shaped
 availability ceilings are stored by their left limits, which is the binding
 value for a continuous curve.
 
-The construction takes the base vertices and the curve's values there as
-float lists and inserts the crossings with ``bisect``, alike for every
-family; the curve gives a crossing's time and value. Only its envelope step
-and a tunnel's strict-increase check switch on size: below ``_SHORT_SPAN``
-interior vertices they run on lists, where numpy's fixed cost per call would
-dominate, and above it with numpy. ``_fits`` is the one feasibility rule,
-read on float lists by ``is_feasible`` and the string pull. Each list branch
-does the numpy branch's float64 operations and comparisons, so both give the
-same arrays and verdicts bit for bit.
+The construction takes the capacity curve as ``CapacityCurve.parts`` (the
+proportional family derates it as a float list), and the base vertices and
+the curve's values there as float lists, and inserts the crossings with
+``bisect``, alike for every family. Only its envelope step and a tunnel's
+strict-increase check switch on size: below ``_SHORT_SPAN`` interior
+vertices they run on lists, where numpy's fixed cost per call would
+dominate, and above it with numpy. Each list branch does the numpy branch's
+float64 operations and comparisons, so both give the same arrays and
+verdicts bit for bit.
+
+A tunnel keeps its vertex sequences as the float lists the build made
+(``FeasibilityTunnel.lists``), and ``_fits``, the one feasibility rule, and
+the string pull read those. Its array attributes are read-only and made on
+first read, so a short tunnel priced end to end makes none; a long one keeps
+the ``times``, ``floor`` and ``ceiling`` arrays that its strict-increase
+check and numpy envelopes made, which the pull's long chord scans read.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -47,9 +53,10 @@ from .cpu_profile import (
     _SHORT_SPAN,
     TIME_ATOL,
     ArrivalProcess,
-    CapacityCurve,
     CpuIdlingProfile,
     MergedTimeline,
+    _curve_time,
+    _curve_value,
     merge_events,
 )
 from .errors import InfeasibleError
@@ -63,7 +70,45 @@ def bits_tol(scale: float) -> float:
     return max(BITS_ATOL, BITS_RTOL * abs(scale))
 
 
-@dataclass(frozen=True, eq=False)
+class _ListArray:
+    """Class attribute for a read-only float64 array of one of an object's
+    float lists, ``obj.lists[index]``. The array is made on its first read
+    and kept in the object's ``__dict__``, where every later read finds it
+    before this descriptor; unlike ``functools.cached_property``, whose first
+    read takes a lock on Python 3.11, it adds nothing to that read."""
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        values = obj.lists[self.index]
+        return _keep(obj, self.name, np.fromiter(values, float, len(values)))
+
+
+def _keep(obj, name: str, array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    obj.__dict__[name] = array
+    return array
+
+
+def _float_lists(obj, names: tuple, values: tuple) -> tuple:
+    """``obj.lists`` for ``values``: a list is kept as it is; anything else
+    is copied into a float64 array, which ``obj`` hands out read-only under
+    its name in ``names``, and read as a list."""
+    for v in values:
+        if type(v) is not list:
+            return tuple(
+                u if type(u) is list else _keep(obj, name, np.array(u, dtype=float)).tolist()
+                for name, u in zip(names, values)
+            )
+    return values
+
+
 class FeasibilityTunnel:
     """Vertex grid plus envelopes and the bookkeeping verify checks need.
 
@@ -75,27 +120,36 @@ class FeasibilityTunnel:
     level (without slack, the last vertex where the curve is still zero),
     recorded by the build, because the floor computed at a crossing may round
     to just above zero. None when the floor never leaves zero.
-    ``cpu_flip`` is derived from ``cum_capacity`` when first read.
+
+    The tunnel keeps its five vertex sequences as the float lists ``lists``
+    (times, floor, ceiling, cum_capacity, arrival_bits), which the pull and
+    the feasibility check read. Each array attribute is a read-only float64
+    array of its list, made on its first read, so no caller can make the two
+    disagree; a long tunnel's ``times`` is made at construction, for its
+    strict-increase check. ``cpu_flip`` is derived from ``cum_capacity`` when
+    first read.
     """
 
-    kind: str
-    times: np.ndarray
-    floor: np.ndarray
-    ceiling: np.ndarray
-    total: float
-    cum_capacity: np.ndarray
-    arrival_bits: np.ndarray
-    buffer_bits: float
-    corner: int | None = None
+    times = _ListArray(0)
+    floor = _ListArray(1)
+    ceiling = _ListArray(2)
+    cum_capacity = _ListArray(3)
+    arrival_bits = _ListArray(4)
 
-    def __post_init__(self):
-        n = len(self.times)
+    def __init__(self, kind, times, floor, ceiling, total, cum_capacity, arrival_bits, buffer_bits, corner=None):
+        self.kind = kind
+        self.total = total
+        self.buffer_bits = buffer_bits
+        self.corner = corner
+        self.lists = _float_lists(self, _TUNNEL_ARRAYS, (times, floor, ceiling, cum_capacity, arrival_bits))
+        n = len(self.lists[0])
         if n < 2:
             raise ValueError("tunnel needs at least two vertices")
         if n - 2 < _SHORT_SPAN:
-            increasing = _increasing(self.times.tolist())
+            increasing = _increasing(self.lists[0])
         else:
-            increasing = not (self.times[1:] <= self.times[:-1]).any()
+            times = self.times
+            increasing = not (times[1:] <= times[:-1]).any()
         if not increasing:
             raise ValueError("tunnel vertex times must be strictly increasing")
 
@@ -118,7 +172,10 @@ class FeasibilityTunnel:
 
     def is_feasible(self, tol: float | None = None) -> bool:
         tol = bits_tol(self.total) if tol is None else tol
-        return _fits(self.floor.tolist(), self.ceiling.tolist(), self.total, tol)
+        return _fits(self.lists[1], self.lists[2], self.total, tol)
+
+
+_TUNNEL_ARRAYS = ("times", "floor", "ceiling", "cum_capacity", "arrival_bits")
 
 
 def _increasing(t: list) -> bool:
@@ -144,7 +201,7 @@ def _fits(floor: list, ceiling: list, total: float, tol: float) -> bool:
 
 def _build_tunnel(
     kind: str,
-    curve: CapacityCurve,
+    curve: tuple,
     times: list,
     values: list,
     total: float,
@@ -156,10 +213,11 @@ def _build_tunnel(
 ) -> FeasibilityTunnel:
     """The one tunnel construction every family goes through.
 
-    ``times`` are the base vertices, ending where the serving CPU computes its
-    last bit, ``values`` the curve there (``curve.at(times)``) and ``bits``
-    the data arriving at each (none by default), as float lists that the
-    build extends. The floor is ``max(curve - slack, 0)``, pinned to
+    ``curve`` is the capacity curve as ``CapacityCurve.parts``. ``times`` are
+    the base vertices, ending where the serving CPU computes its last bit,
+    ``values`` the curve there (``CapacityCurve.at``) and ``bits`` the data
+    arriving at each (none by default), as float lists that the build extends
+    and the tunnel keeps. The floor is ``max(curve - slack, 0)``, pinned to
     ``total`` at the end when there is slack. Without ``share`` the ceiling
     is ``min(floor + buffer_bits, total)``; with it, the ceiling is ``share``
     of the data that arrived before each vertex, and ``share`` of the
@@ -170,20 +228,20 @@ def _build_tunnel(
     """
     if not buffer_bits >= 0:
         raise ValueError(f"buffer_bits must be nonnegative, got {buffer_bits}")
-    capacity = curve.lists[1][-1]
+    capacity = curve[1][-1]
     levels = [slack]
     if share is None and buffer_bits < total:
         levels.append(capacity - buffer_bits)  # above it the ceiling is flat; crossed after the slack
     corner = None
     for level in levels:
         if 0.0 < level < capacity:
-            t = curve.time_at(level)
+            t = _curve_time(curve, level)
             i = bisect_left(times, t)
             near_left = i > 0 and t - times[i - 1] <= TIME_ATOL
             near_right = i < len(times) and times[i] - t <= TIME_ATOL
             if not near_left and not near_right:
                 times.insert(i, t)
-                values.insert(i, curve.value_at(t))
+                values.insert(i, _curve_value(curve, t))
                 if bits is not None:
                     bits.insert(i, 0.0)
             if level == slack:
@@ -191,8 +249,8 @@ def _build_tunnel(
     if slack <= 0.0:
         corner = bisect_right(values, 0.0) - 1
     n = len(times)
-    cum = np.fromiter(values, float, n)  # unlike np.array, no scan for the type
-    arrived = np.zeros(n) if bits is None else np.fromiter(bits, float, n)
+    if bits is None:
+        bits = [0.0] * n
     if n - 2 < _SHORT_SPAN:
         floor = [v if v > 0.0 else 0.0 for v in [c - slack for c in values]]
         if slack > 0.0:
@@ -202,22 +260,26 @@ def _build_tunnel(
         else:
             ceiling = [0.0] + [share * a for a in accumulate(bits[:-1])]
     else:
-        floor = np.maximum(cum - slack, 0.0)
+        floor = np.maximum(np.fromiter(values, float, n) - slack, 0.0)
         if slack > 0.0:
             floor[-1] = total
         if share is None:
             ceiling = np.minimum(floor + buffer_bits, total)
         else:
-            ceiling = share * np.concatenate(([0.0], arrived[:-1].cumsum()))
+            ceiling = share * np.concatenate(([0.0], np.fromiter(bits, float, n)[:-1].cumsum()))
     if share is None:
         ceiling[0] = 0.0
         ceiling[-1] = total
     elif share * late > bits_tol(total):
         floor[-1] = max(floor[-1], total + share * late)
-    times = np.fromiter(times, float, n)
-    return FeasibilityTunnel(
-        kind, times, np.asarray(floor), np.asarray(ceiling), total, cum, arrived, float(buffer_bits), corner
-    )
+    buffer_bits = float(buffer_bits)
+    if type(floor) is list:
+        return FeasibilityTunnel(kind, times, floor, ceiling, total, values, bits, buffer_bits, corner)
+    # numpy made the envelopes: the tunnel keeps them for the long chord scans
+    tunnel = FeasibilityTunnel(kind, times, floor.tolist(), ceiling.tolist(), total, values, bits, buffer_bits, corner)
+    _keep(tunnel, "floor", floor)
+    _keep(tunnel, "ceiling", ceiling)
+    return tunnel
 
 
 def _idle_span(profile: CpuIdlingProfile) -> int:
@@ -247,8 +309,8 @@ def full_utilization_tunnel(profile: CpuIdlingProfile, buffer_bits=np.inf) -> Fe
     the ceiling adds the receive-buffer headroom, capped by the transfer size.
     """
     n = _idle_span(profile)
-    edges, cum = profile.curve.lists
-    return _build_tunnel("full", profile.curve, edges[:n], cum[:n], profile.capacity, 0.0, buffer_bits)
+    curve = profile.curve.parts
+    return _build_tunnel("full", curve, curve[0][:n], curve[1][:n], profile.capacity, 0.0, buffer_bits)
 
 
 def effective_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits=np.inf) -> FeasibilityTunnel:
@@ -262,8 +324,8 @@ def effective_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits
     if buffer_bits < total - tol:
         raise ValueError(f"effective tunnel assumes buffer_bits holds the whole transfer, got {buffer_bits}")
     n = _idle_span(profile)
-    edges, cum = profile.curve.lists
-    return _build_tunnel("effective", profile.curve, edges[:n], cum[:n], total, profile.capacity - total, buffer_bits)
+    curve = profile.curve.parts
+    return _build_tunnel("effective", curve, curve[0][:n], curve[1][:n], total, profile.capacity - total, buffer_bits)
 
 
 def proportional_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits) -> FeasibilityTunnel:
@@ -283,9 +345,11 @@ def proportional_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_b
     if not factor > 0.0:
         raise ValueError(f"offload_bits must be positive, got {offload_bits}")
     rate = profile.helper_hz * factor / profile.cycles_per_bit
-    curve = CapacityCurve.from_durations(profile.durations, profile.curve.idle, rate, profile.horizon)
-    edges, cum = curve.lists
-    return _build_tunnel("proportional", curve, edges[:n], cum[:n], cum[-1], 0.0, buffer_bits)
+    edges, _, idle, _ = profile.curve.parts
+    # the derated curve's values, summed in order as CapacityCurve.from_durations sums them
+    pieces = zip(profile.durations.tolist(), idle.tolist())
+    cum = [0.0, *accumulate([d * rate if rising else 0.0 for d, rising in pieces])]
+    return _build_tunnel("proportional", (edges, cum, idle, rate), edges[:n], cum[:n], cum[-1], 0.0, buffer_bits)
 
 
 def lazy_first_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits) -> FeasibilityTunnel:
@@ -297,8 +361,8 @@ def lazy_first_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bit
     total = float(offload_bits)
     _check_transfer(profile, total)
     n = _idle_span(profile)
-    edges, cum = profile.curve.lists
-    return _build_tunnel("lazy", profile.curve, edges[:n], cum[:n], total, profile.capacity - total, buffer_bits)
+    curve = profile.curve.parts
+    return _build_tunnel("lazy", curve, curve[0][:n], curve[1][:n], total, profile.capacity - total, buffer_bits)
 
 
 def _chunked_tunnel(kind, profile, arrivals, ratio, timeline, effective) -> FeasibilityTunnel:
@@ -317,7 +381,7 @@ def _chunked_tunnel(kind, profile, arrivals, ratio, timeline, effective) -> Feas
     late = float(tl.arrival_bits[end - 1 :].sum())
     times, bits, values = (seq[:end] for seq in tl.lists)
     bits[-1] = 0.0
-    return _build_tunnel(kind, profile.curve, times, values, total, slack, bits=bits, share=ratio, late=late)
+    return _build_tunnel(kind, profile.curve.parts, times, values, total, slack, bits=bits, share=ratio, late=late)
 
 
 def bursty_effective_tunnel(
@@ -372,7 +436,7 @@ def local_compute_tunnel(arrivals: ArrivalProcess, local, ratio: float) -> Feasi
     right = np.clip(np.searchsorted(times, x), 1, len(times) - 1)
     nearest = np.where(x - times[right - 1] <= times[right] - x, right - 1, right)
     np.add.at(bits, nearest, sizes[chunks])
-    line = CapacityCurve(np.array([0.0, horizon]), np.array([0.0, rate * horizon]), np.array([True]), rate)
+    line = ([0.0, horizon], [0.0, rate * horizon], [True], rate)
     total = share * arrivals.total
     times = times.tolist()
     values = [t * rate for t in times]
@@ -427,6 +491,6 @@ def min_offload_ratio(arrivals: ArrivalProcess, local) -> float:
 def format_tunnel(tunnel: FeasibilityTunnel) -> str:
     lines = [f"# kind={tunnel.kind} total={tunnel.total:.12g} buffer={tunnel.buffer_bits:.12g}"]
     lines.append("# time_s,floor_bits,ceiling_bits")
-    for t, lo, hi in zip(tunnel.times, tunnel.floor, tunnel.ceiling):
+    for t, lo, hi in zip(*tunnel.lists[:3]):
         lines.append(f"{t:.12g},{lo:.12g},{hi:.12g}")
     return "\n".join(lines) + "\n"

@@ -9,13 +9,26 @@ the sweeps did before buffer-first was guided by its slope.
 ``matrix_local_compute_tunnel`` places each chunk at its nearest vertex
 through a chunks-by-vertices distance matrix, and ``looped_min_offload_ratio``
 steps through numpy scalars: the library's earlier ways of doing both.
+
+``eager_build_tunnel`` and ``eager_pull`` are the tunnel construction and the
+string pull as they made every array when they ran: ``np.fromiter`` and
+``np.asarray`` at build time, envelopes and chord scans in numpy at every
+size, and ``np.array`` of the string's values at pull time. The library
+keeps float lists and makes each array on its first read; these give the
+arrays it must read the same, byte for byte. ``eager_proportional_tunnel``
+derates the idle curve through ``CapacityCurve.from_durations``, and
+``eager_zero_solution`` builds the empty transfer eagerly too.
+``assert_same_attributes`` compares two tunnels or schedules byte for byte.
 """
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+
 import numpy as np
 
-from offloadsim.cpu_profile import TIME_ATOL, CapacityCurve
+from offloadsim.cpu_profile import TIME_ATOL, CapacityCurve, _curve_time, _curve_value
 from offloadsim.partition import golden_section
 from offloadsim.string_pull import OffloadSchedule, pull_string
-from offloadsim.tunnel import _build_tunnel, bits_tol, lazy_first_tunnel
+from offloadsim.tunnel import _build_tunnel, _fits, bits_tol, lazy_first_tunnel
 
 
 def epoch_energy(channel, bits: float, duration: float) -> float:
@@ -87,7 +100,7 @@ def matrix_local_compute_tunnel(arrivals, local, ratio):
     chunks = sizes > 0
     nearest = np.argmin(np.abs(times[None, :] - at[chunks, None]), axis=1)
     np.add.at(bits, nearest, sizes[chunks])
-    line = CapacityCurve(np.array([0.0, horizon]), np.array([0.0, rate * horizon]), np.array([True]), rate)
+    line = ([0.0, horizon], [0.0, rate * horizon], [True], rate)
     total = share * arrivals.total
     times = times.tolist()
     values = [t * rate for t in times]
@@ -108,3 +121,136 @@ def looped_min_offload_ratio(arrivals, local) -> float:
         room = rate * (horizon - t)
         worst = max(worst, 1.0 - room / tail)
     return float(worst)
+
+
+TUNNEL_ATTRIBUTES = ("kind", "times", "floor", "ceiling", "total", "cum_capacity", "arrival_bits", "buffer_bits", "corner")
+
+
+def same_array(x, y) -> bool:
+    """Whether two arrays agree in dtype, shape and every byte."""
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_same_attributes(a, b, names):
+    """Attributes ``names`` of ``a`` and ``b`` agree: arrays byte for byte
+    (``same_array``), anything else by ``==``."""
+    for name in names:
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray):
+            assert same_array(x, y), name
+        else:
+            assert x == y, name
+
+
+@dataclass(frozen=True, eq=False)
+class EagerTunnel:
+    """A feasibility tunnel with every array made when it was built."""
+
+    kind: str
+    times: np.ndarray
+    floor: np.ndarray
+    ceiling: np.ndarray
+    total: float
+    cum_capacity: np.ndarray
+    arrival_bits: np.ndarray
+    buffer_bits: float
+    corner: int | None
+
+
+def eager_build_tunnel(kind, curve, times, values, total, slack, buffer_bits=np.inf, bits=None, share=None, late=0.0):
+    """``tunnel._build_tunnel`` with its arrays made at build time and its
+    envelopes computed with numpy at every size."""
+    capacity = curve[1][-1]
+    levels = [slack]
+    if share is None and buffer_bits < total:
+        levels.append(capacity - buffer_bits)
+    corner = None
+    for level in levels:
+        if 0.0 < level < capacity:
+            t = _curve_time(curve, level)
+            i = bisect_left(times, t)
+            near_left = i > 0 and t - times[i - 1] <= TIME_ATOL
+            near_right = i < len(times) and times[i] - t <= TIME_ATOL
+            if not near_left and not near_right:
+                times.insert(i, t)
+                values.insert(i, _curve_value(curve, t))
+                if bits is not None:
+                    bits.insert(i, 0.0)
+            if level == slack:
+                corner = i - 1 if near_left else i
+    if slack <= 0.0:
+        corner = bisect_right(values, 0.0) - 1
+    n = len(times)
+    cum = np.fromiter(values, float, n)
+    arrived = np.zeros(n) if bits is None else np.fromiter(bits, float, n)
+    floor = np.maximum(cum - slack, 0.0)
+    if slack > 0.0:
+        floor[-1] = total
+    if share is None:
+        ceiling = np.minimum(floor + buffer_bits, total)
+        ceiling[0] = 0.0
+        ceiling[-1] = total
+    else:
+        ceiling = share * np.concatenate(([0.0], arrived[:-1].cumsum()))
+        if share * late > bits_tol(total):
+            floor[-1] = max(floor[-1], total + share * late)
+    times = np.fromiter(times, float, n)
+    return EagerTunnel(kind, times, np.asarray(floor), np.asarray(ceiling), total, cum, arrived, float(buffer_bits), corner)
+
+
+def eager_proportional_tunnel(profile, offload_bits, buffer_bits):
+    """``proportional_tunnel`` over a derated ``CapacityCurve``, built eagerly."""
+    total = float(offload_bits)
+    rate = profile.helper_hz * min(total / profile.capacity, 1.0) / profile.cycles_per_bit
+    curve = CapacityCurve.from_durations(profile.durations, profile.curve.idle, rate, profile.horizon)
+    n = profile.last_idle_index + 2
+    edges, cum = curve.boundaries.tolist(), curve.cum_bits.tolist()
+    return eager_build_tunnel("proportional", curve.parts, edges[:n], cum[:n], cum[-1], 0.0, buffer_bits)
+
+
+def eager_zero_solution(profile, buffer_bits):
+    """``string_pull._zero_solution`` built eagerly: the schedule's times and
+    cumulative arrays, and the tunnel."""
+    end = profile.idle_end if profile.idle_end is not None else profile.horizon
+    cap = profile.capacity
+    tunnel = eager_build_tunnel("effective", profile.curve.parts, [0.0, end], [0.0, cap], 0.0, cap, buffer_bits)
+    return (tunnel.times, np.zeros(2)), tunnel
+
+
+def eager_taut_values(times, floor, ceiling, tol) -> np.ndarray:
+    """The taut string's vertex values, every chord scanned with numpy, as
+    ``np.array`` of the values."""
+    t, f, c = times.tolist(), floor.tolist(), ceiling.tolist()
+    n = len(t) - 1
+    y = [0.0] * (n + 1)
+    y[0] = 0.5 * (f[0] + c[0])
+    y[n] = 0.5 * (f[n] + c[n])
+    stack = [(0, n)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo < 2:
+            continue
+        y_lo, t_lo = y[lo], t[lo]
+        slope = (y[hi] - y_lo) / (t[hi] - t_lo)
+        seg = y_lo + slope * (times[lo + 1 : hi] - t_lo)
+        below = floor[lo + 1 : hi] - seg
+        above = seg - ceiling[lo + 1 : hi]
+        viol = np.maximum(below, above)
+        k = int(viol.argmax())
+        if viol[k] <= tol:
+            y[lo + 1 : hi] = seg.tolist()
+            continue
+        idx = lo + 1 + k
+        y[idx] = f[idx] if below[k] >= above[k] else c[idx]
+        stack.append((idx, hi))
+        stack.append((lo, idx))
+    return np.array(y)
+
+
+def eager_pull(tunnel):
+    """``pull_string`` making its arrays as it pulls: ``times.copy()`` and the
+    taut values; None for a tunnel that admits no schedule."""
+    tol = bits_tol(tunnel.total)
+    if not _fits(tunnel.floor.tolist(), tunnel.ceiling.tolist(), tunnel.total, tol):
+        return None
+    return tunnel.times.copy(), eager_taut_values(tunnel.times, tunnel.floor, tunnel.ceiling, 1e-3 * tol)

@@ -1,5 +1,7 @@
-"""Property tests over generated inputs, derandomized so every run draws the
-same examples and bounded so the suite stays fast."""
+"""Property tests over generated inputs, bounded so the suite stays fast.
+
+Under the default ``ci`` hypothesis profile (tests/conftest.py) every run
+draws the same examples; ``--hypothesis-profile=fuzz`` draws new ones."""
 import warnings
 
 import numpy as np
@@ -20,7 +22,13 @@ from offloadsim.cpu_profile import (
 from offloadsim.energy import ChannelParams, LocalComputeParams, schedule_energy
 from offloadsim.errors import InfeasibleError
 from offloadsim.partition import optimize_partition, partition_bounds
-from offloadsim.string_pull import _taut_values, floor_following_schedule, offload_energy, pull_string
+from offloadsim.string_pull import (
+    _taut_values,
+    _zero_solution,
+    floor_following_schedule,
+    offload_energy,
+    pull_string,
+)
 from offloadsim.tunnel import (
     FeasibilityTunnel,
     bits_tol,
@@ -35,9 +43,18 @@ from offloadsim.tunnel import (
 )
 
 from convex_reference import convex_reference_schedule
+from oracles import (
+    TUNNEL_ATTRIBUTES,
+    assert_same_attributes,
+    eager_build_tunnel,
+    eager_proportional_tunnel,
+    eager_pull,
+    eager_taut_values,
+    eager_zero_solution,
+    same_array,
+)
 
 LOCAL = LocalComputeParams(1e9, 500.0, 1e-28)
-PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
 
 def channel(gain_exp):
@@ -65,7 +82,7 @@ def corridors(draw):
     return FeasibilityTunnel("corridor", times, floor, ceiling, total, floor.copy(), zeros, np.inf)
 
 
-@settings(PROPERTY, max_examples=50)
+@settings(max_examples=50)
 @given(tunnel=corridors(), gain_exp=st.floats(-2.0, 2.0))
 def test_taut_string_matches_convex_reference_on_corridors(tunnel, gain_exp):
     assume(tunnel.total > 1.0)
@@ -76,7 +93,7 @@ def test_taut_string_matches_convex_reference_on_corridors(tunnel, gain_exp):
     assert abs(taut - ref) <= 1e-6 * taut
 
 
-@settings(PROPERTY, max_examples=20)
+@settings(max_examples=20)
 @given(
     durations=st.lists(st.floats(2e-3, 3e-2), min_size=1, max_size=12),
     idle_first=st.booleans(),
@@ -105,7 +122,7 @@ def test_split_below_the_transfers_never_loses_to_a_dense_grid(
     assert res.energy <= best * (1 + 1e-9)
 
 
-@settings(PROPERTY, max_examples=40)
+@settings(max_examples=40)
 @given(
     durations=st.lists(st.floats(2e-3, 3e-2), min_size=1, max_size=12),
     idle_first=st.booleans(),
@@ -136,16 +153,17 @@ def test_paced_energy_is_midpoint_convex_across_the_buffer(
     assert energy(mid) <= 0.5 * (energy(bottom) + energy(top)) * (1 + 1e-9)
 
 
-def _by_each_branch(module, fn, *args):
-    """``fn(*args)`` with ``module``'s size switch at 0, so every curve takes
-    the numpy branches, then at 1e9, so every curve takes the float-list
-    ones. An ``InfeasibleError`` or ``ValueError`` is returned, not raised, and
-    a ``RuntimeWarning`` fails the test."""
+def _by_each_branch(fn, *args):
+    """``fn(*args)`` with every size switch at 0, so every curve takes the
+    numpy branches, then at 1e9, so every curve takes the float-list ones.
+    An ``InfeasibleError`` or ``ValueError`` is returned, not raised, and a
+    ``RuntimeWarning`` fails the test."""
     out = []
     for span in (0, 10**9):
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            mp.setattr(module, "_SHORT_SPAN", span)
+            for module in (tunnel_module, string_pull, energy):
+                mp.setattr(module, "_SHORT_SPAN", span)
             try:
                 out.append(fn(*args))
             except (InfeasibleError, ValueError) as exc:
@@ -153,37 +171,94 @@ def _by_each_branch(module, fn, *args):
     return out
 
 
-@settings(PROPERTY, max_examples=50)
+def _eager(build, *args):
+    """``build(*args)`` with every array made at build time."""
+    if build is proportional_tunnel:
+        return eager_proportional_tunnel(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tunnel_module, "_build_tunnel", eager_build_tunnel)
+        return build(*args)
+
+
+def _pulled(build, *args):
+    """The tunnel ``build(*args)``, the string pulled through it (or the
+    refusal) and that string's energy."""
+    tunnel = build(*args)
+    try:
+        schedule = pull_string(tunnel)
+    except InfeasibleError as exc:
+        return tunnel, exc, None
+    return tunnel, schedule, schedule.energy(channel(0.0))
+
+
+def _same_as_eager(build, *args):
+    """On both sides of every size switch, ``build(*args)`` refuses alike or
+    reads the eager oracle's arrays byte for byte, and so does the string
+    pulled through it, at the same energy. Returns the tunnel, or None."""
+    by_numpy, by_lists = _by_each_branch(_pulled, build, *args)
+    if isinstance(by_numpy, Exception):
+        assert _same_error(by_numpy, by_lists), build.__name__
+        return None
+    eager = _eager(build, *args)
+    for tunnel, schedule, joules in (by_numpy, by_lists):
+        assert_same_attributes(tunnel, eager, TUNNEL_ATTRIBUTES)
+        pulled = eager_pull(eager)
+        if pulled is None:
+            assert isinstance(schedule, InfeasibleError), build.__name__
+            continue
+        assert same_array(schedule.times, pulled[0]) and same_array(schedule.cumulative, pulled[1])
+        want = schedule_energy(*pulled, channel(0.0))
+        assert joules == want or (np.isnan(joules) and np.isnan(want)), build.__name__
+    return by_numpy[0]
+
+
+def _same_zero_solution(prof, buffer_bits):
+    """The empty transfer reads the eager oracle's arrays on both sides of
+    every size switch."""
+    for out in _by_each_branch(_zero_solution, prof, buffer_bits):
+        schedule, tunnel = out
+        (times, cumulative), eager = eager_zero_solution(prof, buffer_bits)
+        assert_same_attributes(tunnel, eager, TUNNEL_ATTRIBUTES)
+        assert same_array(schedule.times, times) and same_array(schedule.cumulative, cumulative)
+
+
+@settings(max_examples=50)
 @given(tunnel=corridors())
 def test_both_chord_scans_pull_the_same_string(tunnel):
-    by_numpy, by_loop = _by_each_branch(string_pull, pull_string, tunnel)
-    assert np.array_equal(by_numpy.cumulative, by_loop.cumulative)
+    by_numpy, by_loop = _by_each_branch(pull_string, tunnel)
+    times, cumulative = eager_pull(tunnel)
+    for schedule in (by_numpy, by_loop):
+        assert same_array(schedule.times, times) and same_array(schedule.cumulative, cumulative)
+
+
+def _envelopes(floor, ceiling):
+    """A tunnel over the times 0, 1, 2, ... between the given envelopes,
+    which may cross."""
+    n = len(floor)
+    return FeasibilityTunnel("x", np.arange(float(n)), floor, ceiling, floor[-1], floor, np.zeros(n), np.inf)
 
 
 def test_both_chord_scans_break_ties_alike():
-    times = np.arange(5.0)
     # chord y = t; vertices 2 and 3 breach it by 4 each, and the earliest is
     # fixed first (the rule shows only where the envelopes cross)
-    floor = np.array([0.0, 0.0, 6.0, 7.0, 4.0])
-    ceiling = np.array([0.0, 5.0, 2.0, 3.0, 4.0])
-    for y in _by_each_branch(string_pull, _taut_values, times, floor, ceiling, 0.0):
-        assert np.array_equal(y, [0.0, 3.0, 6.0, 7.0, 4.0])
-    # vertex 1 is 0.5 under its floor and 0.5 over its ceiling: the floor wins
-    times = np.arange(3.0)
-    floor, ceiling = np.array([0.0, 1.5, 2.0]), np.array([0.0, 0.5, 2.0])
-    for y in _by_each_branch(string_pull, _taut_values, times, floor, ceiling, 0.0):
-        assert np.array_equal(y, [0.0, 1.5, 2.0])
-    # a breach of exactly the tolerance leaves the chord straight
-    floor, ceiling = np.array([0.0, 1.25, 2.0]), np.array([0.0, 2.0, 2.0])
-    for y in _by_each_branch(string_pull, _taut_values, times, floor, ceiling, 0.25):
-        assert np.array_equal(y, [0.0, 1.0, 2.0])
+    for floor, ceiling, tol, want in (
+        ([0.0, 0.0, 6.0, 7.0, 4.0], [0.0, 5.0, 2.0, 3.0, 4.0], 0.0, [0.0, 3.0, 6.0, 7.0, 4.0]),
+        # vertex 1 is 0.5 under its floor and 0.5 over its ceiling: the floor wins
+        ([0.0, 1.5, 2.0], [0.0, 0.5, 2.0], 0.0, [0.0, 1.5, 2.0]),
+        # a breach of exactly the tolerance leaves the chord straight
+        ([0.0, 1.25, 2.0], [0.0, 2.0, 2.0], 0.25, [0.0, 1.0, 2.0]),
+    ):
+        tunnel = _envelopes(floor, ceiling)
+        for y in _by_each_branch(_taut_values, tunnel, tol):
+            assert y == want
+        assert same_array(eager_taut_values(tunnel.times, tunnel.floor, tunnel.ceiling, tol), np.array(want))
 
 
 def _same_error(a, b):
     return type(a) is type(b) and str(a) == str(b) and getattr(a, "deficit", None) == getattr(b, "deficit", None)
 
 
-@settings(PROPERTY, max_examples=200)
+@settings(max_examples=200)
 @given(
     start=st.sampled_from([0.0, 1e-6, 5e4]),
     # rates up to 2e7 bits/s keep the segments' energies within a few decades,
@@ -205,12 +280,15 @@ def test_both_branches_price_the_same_energy(start, bits, steps, odd_bits, stall
         steps[stalled % n] = 0.0
     cum = np.concatenate(([start], start + np.cumsum(bits)))
     times = np.concatenate(([0.0], np.cumsum(steps[:n])))
-    by_numpy, by_lists = _by_each_branch(energy, schedule_energy, times, cum, channel(gain_exp))
-    if isinstance(by_numpy, Exception):
-        assert _same_error(by_numpy, by_lists)
-    else:
-        assert type(by_lists) is float
-        assert by_numpy == by_lists or (np.isnan(by_numpy) and np.isnan(by_lists))
+    chan = channel(gain_exp)
+    by_numpy, by_lists = _by_each_branch(schedule_energy, times, cum, chan)
+    as_lists = _by_each_branch(schedule_energy, times.tolist(), cum.tolist(), chan)
+    for other in (by_lists, *as_lists):
+        if isinstance(by_numpy, Exception):
+            assert _same_error(by_numpy, other)
+        else:
+            assert type(other) is float
+            assert by_numpy == other or (np.isnan(by_numpy) and np.isnan(other))
 
 
 def test_both_energy_branches_agree_on_edge_segments():
@@ -229,7 +307,7 @@ def test_both_energy_branches_agree_on_edge_segments():
         ([0.0, 1e4, 2e4], [0.0, 1.2e10, 1.2e10 - 1e-4], ValueError),
     ]
     for times, cum, want in cases:
-        by_numpy, by_lists = _by_each_branch(energy, schedule_energy, np.array(times), np.array(cum), chan)
+        by_numpy, by_lists = _by_each_branch(schedule_energy, np.array(times), np.array(cum), chan)
         if want is ValueError:
             assert isinstance(by_numpy, ValueError) and _same_error(by_numpy, by_lists)
         elif np.isnan(want):
@@ -252,7 +330,7 @@ def _size(capacity, cum_bits, pick):
     return pick * capacity
 
 
-@settings(PROPERTY, max_examples=150)
+@settings(max_examples=150)
 @given(
     durations=st.lists(st.floats(1e-3, 3e-2), min_size=1, max_size=40),
     idle_first=st.booleans(),
@@ -277,12 +355,8 @@ def test_both_branches_build_the_same_one_shot_tunnels(durations, idle_first, sc
         (lazy_first_tunnel, (prof, size, buffer_bits)),
         (proportional_tunnel, (prof, size, buffer_bits)),
     ):
-        by_numpy, by_lists = _by_each_branch(tunnel_module, build, *args)
-        if isinstance(by_numpy, Exception):
-            assert _same_error(by_numpy, by_lists), build.__name__
-            continue
-        for a, b in zip(_tunnel_arrays(by_numpy), _tunnel_arrays(by_lists)):
-            assert np.array_equal(a, b), build.__name__
+        _same_as_eager(build, *args)
+    _same_zero_solution(prof, buffer_bits)
 
 
 def test_both_branches_value_a_crossing_rounded_past_its_boundary():
@@ -294,7 +368,7 @@ def test_both_branches_value_a_crossing_rounded_past_its_boundary():
     epochs = [Epoch(d, i % 2 == 0) for i, d in enumerate(durations)]
     prof = build_profile(epochs, 5e9, 500.0, float(np.sum(durations)))
     size = prof.capacity - float(prof.cum_bits[3])
-    by_numpy, by_lists = _by_each_branch(tunnel_module, effective_tunnel, prof, size)
+    by_numpy, by_lists = _by_each_branch(effective_tunnel, prof, size)
     assert len(by_numpy.times) == len(prof.boundaries) + 1
     for a, b in zip(_tunnel_arrays(by_numpy)[3:], _tunnel_arrays(by_lists)[3:]):
         assert np.array_equal(a, b)
@@ -307,7 +381,7 @@ def test_both_branches_add_no_vertex_where_the_curve_stops_rising():
     durations = [9523.803423262169, 23261.915829520734, 17549.858789925474, 3721.5094495658805, 12350.032362835262]
     epochs = [Epoch(d, i % 2 == 1) for i, d in enumerate(durations)]
     prof = build_profile(epochs, 5e9, 500.0, float(np.sum(durations)))
-    by_numpy, by_lists = _by_each_branch(tunnel_module, full_utilization_tunnel, prof, 0.0)
+    by_numpy, by_lists = _by_each_branch(full_utilization_tunnel, prof, 0.0)
     assert len(by_numpy.times) == prof.last_idle_index + 2
     for a, b in zip(_tunnel_arrays(by_numpy), _tunnel_arrays(by_lists)):
         assert np.array_equal(a, b)
@@ -316,7 +390,7 @@ def test_both_branches_add_no_vertex_where_the_curve_stops_rising():
 def test_both_branches_reject_times_that_do_not_rise():
     for times in ([0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]):
         t = np.array(times)
-        by_numpy, by_lists = _by_each_branch(tunnel_module, FeasibilityTunnel, "x", t, t, t, 3.0, t, t, np.inf)
+        by_numpy, by_lists = _by_each_branch(FeasibilityTunnel, "x", t, t, t, 3.0, t, t, np.inf)
         assert isinstance(by_numpy, ValueError) and _same_error(by_numpy, by_lists)
 
 
@@ -355,32 +429,28 @@ def chunked_instances(draw):
 
 
 def _same_chunked_tunnels(prof, arr, ratio):
-    """Both branches build the same chunked and local-CPU tunnels, and data
-    arriving at or after the last idle instant lifts the floor's end to the
-    total plus its offloaded share when that is the higher."""
+    """Both branches build the chunked and local-CPU tunnels of the eager
+    oracle, and data arriving at or after the last idle instant lifts the
+    floor's end to the total plus its offloaded share when that is the
+    higher."""
     tl = merge_events(prof, arr)
     for build, args in (
         (bursty_effective_tunnel, (prof, arr, ratio, tl)),
         (bursty_tunnel, (prof, arr, ratio, tl)),
         (local_compute_tunnel, (arr, LOCAL, ratio)),
     ):
-        by_numpy, by_lists = _by_each_branch(tunnel_module, build, *args)
-        if isinstance(by_numpy, Exception):
-            assert _same_error(by_numpy, by_lists), build.__name__
+        tunnel = _same_as_eager(build, *args)
+        if tunnel is None or build is local_compute_tunnel:
             continue
-        for a, b in zip(_tunnel_arrays(by_numpy), _tunnel_arrays(by_lists)):
-            assert np.array_equal(a, b), build.__name__
-        if build is local_compute_tunnel:
-            continue
-        total = by_numpy.total
+        total = tunnel.total
         lift = ratio * float(tl.arrival_bits[tl.idle_end_index :].sum())
         slack = prof.capacity - total if build is bursty_effective_tunnel else 0.0
         end = total if slack > 0.0 else max(prof.capacity - slack, 0.0)
         want = max(end, total + lift) if lift > bits_tol(total) else end
-        assert by_numpy.floor[-1] == want, build.__name__
+        assert tunnel.floor[-1] == want, build.__name__
 
 
-@settings(PROPERTY, max_examples=200)
+@settings(max_examples=200)
 @given(instance=chunked_instances())
 def test_both_branches_build_the_same_chunked_tunnels(instance):
     _same_chunked_tunnels(*instance)
@@ -450,7 +520,7 @@ def perturbed_corridors(draw):
     return FeasibilityTunnel("corridor", t.times, floor, ceiling, total, floor.copy(), t.arrival_bits, np.inf)
 
 
-@settings(PROPERTY, max_examples=200)
+@settings(max_examples=200)
 @given(tunnel=perturbed_corridors())
 def test_both_feasibility_checks_give_the_same_verdict(tunnel):
     for schedule in (pull_string, floor_following_schedule):

@@ -1,11 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from offloadsim.cpu_profile import (
     ArrivalProcess,
     Epoch,
+    _curve_time,
     build_profile,
     merge_events,
     sample_arrivals,
@@ -16,6 +15,7 @@ from offloadsim.errors import InfeasibleError
 from offloadsim.sim_harness import _TAGS, SimConfig, _arrivals_from_draws, draw_trial
 from offloadsim.string_pull import pull_string
 from offloadsim.tunnel import (
+    FeasibilityTunnel,
     bursty_effective_tunnel,
     bursty_tunnel,
     effective_tunnel,
@@ -28,7 +28,7 @@ from offloadsim.tunnel import (
     proportional_tunnel,
 )
 
-from oracles import looped_min_offload_ratio, matrix_local_compute_tunnel
+from oracles import TUNNEL_ATTRIBUTES, assert_same_attributes, looped_min_offload_ratio, matrix_local_compute_tunnel
 
 HELPER_HZ = 5e9
 CPB = 500.0
@@ -59,13 +59,13 @@ def random_profile(rng, horizon=0.1):
 
 def test_time_at_capacity():
     prof = oneshot_profile()
-    assert prof.curve.time_at(0.0) == 0.0
-    assert prof.curve.time_at(2e5) == pytest.approx(0.02)
-    assert prof.curve.time_at(5e5) == pytest.approx(0.05)
-    assert prof.curve.time_at(6e5) == pytest.approx(0.09)
-    assert prof.curve.time_at(7e5) == pytest.approx(0.1)
+    assert _curve_time(prof.curve.parts, 0.0) == 0.0
+    assert _curve_time(prof.curve.parts, 2e5) == pytest.approx(0.02)
+    assert _curve_time(prof.curve.parts, 5e5) == pytest.approx(0.05)
+    assert _curve_time(prof.curve.parts, 6e5) == pytest.approx(0.09)
+    assert _curve_time(prof.curve.parts, 7e5) == pytest.approx(0.1)
     with pytest.raises(ValueError):
-        prof.curve.time_at(7e5 + 1.0)
+        _curve_time(prof.curve.parts, 7e5 + 1.0)
 
 
 def test_full_utilization_tunnel_unbounded_buffer():
@@ -286,12 +286,7 @@ def default_seed_arrivals(horizon=0.1, trials=40):
 
 
 def assert_same_tunnel(a, b):
-    for field in dataclasses.fields(a):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(x, np.ndarray):
-            assert x.tobytes() == y.tobytes(), field.name
-        else:
-            assert x == y, field.name
+    assert_same_attributes(a, b, TUNNEL_ATTRIBUTES)
 
 
 def test_local_compute_tunnel_matches_the_distance_matrix():
@@ -388,3 +383,21 @@ def test_cpu_flip_matches_idle_mask_of_the_capacity_curve():
         assert not local.cpu_flip.any()
         kinds.add(local.kind)
     assert len(kinds) == 7
+
+
+def test_tunnel_and_schedule_arrays_are_read_only():
+    # the pull and the energy read the float lists the arrays are made from,
+    # so no caller may write to the arrays and make the two disagree
+    tun = effective_tunnel(oneshot_profile(), 5e5)
+    sched = pull_string(tun)
+    with pytest.raises(ValueError):
+        tun.floor[0] = 1.0
+    with pytest.raises(ValueError):
+        sched.cumulative[0] = 1.0
+    # an array handed to a constructor is copied, so writing to it later
+    # changes neither what the tunnel reads nor the array it hands out
+    floor = np.array(tun.floor)
+    copy = FeasibilityTunnel("x", tun.times, floor, tun.ceiling, tun.total, tun.cum_capacity, tun.arrival_bits, np.inf)
+    floor[1] += 1e5
+    assert copy.lists[1] == tun.lists[1]
+    assert np.array_equal(copy.floor, tun.floor)
