@@ -22,14 +22,15 @@ does not exist the sweep runs in one process, with the same output.
 
 Policies whose energy is convex in the offload size are priced by one solver
 each, the optimal split and proportional pacing (``_paced_energy``).
-Buffer-first's energy over the split is not convex, so it is searched on a
-grid guided by its slope (``_buffer_first_energy``).
+Buffer-first's energy over the split is not convex, so it is priced piece by
+piece between the sizes where it may not be (``_buffer_first_energy``).
 """
 from __future__ import annotations
 
 import dataclasses
 import os
 import pickle
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from math import inf, isfinite, isnan, nan, sqrt
@@ -267,11 +268,10 @@ def _split_energy(transfer_energy, local, load_bits, offload_bits) -> float:
     return e
 
 
-_GRID = 13  # grid points of the buffer-first search
-_HALVINGS = 3  # times a grid cell that does not look convex is halved
 # bits to which each slope root is found: where the corner nears time 0 the
-# slope can climb from -1.6e-8 to +2e-7 J/bit within 30 bits, and a root one
-# bit wide then left buffer-first up to 9e-10 relative above the scan's price
+# slope can climb by 5e-10 J/bit within 4 bits, and a root one bit wide then
+# left buffer-first up to 4.2e-11 relative above the scan's price (default
+# buffer trial 944 at B = 3e5)
 _ROOT_TOL = 1e-3
 
 
@@ -280,54 +280,50 @@ def _buffer_first_energy(profile, channel, local, load_bits, buffer_bits, low, h
     ``lazy_first_tunnel(profile, l, B)``, optimized over the split.
 
     Its energy is not convex in the size ``l`` (it can have two local
-    minima), so it is guided by its slope rather than found by one root. One
-    pull per point of a 13-point grid over ``[low, high]`` gives the energy
-    and its slope (``lazy_first_slope``). A cell whose ends fail the tangent
-    test of a convex function (each end's energy on or above the other's
-    tangent, slopes nondecreasing) is halved, at most three times; each
-    final cell whose slope goes from negative to positive gets a root search
-    (``split_root``, to ``_ROOT_TOL``). The price is the least energy of
-    every size probed.
+    minima), but it is between the sizes ``l_j = C - c(t_j)`` at which the
+    corner where the floor leaves zero reaches a profile boundary ``t_j``,
+    jumping over a busy epoch. So ``[low, high]`` is split at each ``l_j``.
+    One pull at each piece end gives its energy and the slope on each side,
+    and each piece whose inner slopes go from negative to positive gets a
+    root search (``split_root``, to ``_ROOT_TOL``). The price is the least
+    energy of every size probed.
     """
     tol = bits_tol(load_bits)
     rate = profile.curve.rate
     probed = {}
 
-    def probe(l):
-        """Split energy and its slope at size ``l``, one pull per size."""
+    def probe(l, start=None, end=None):
+        """Split energy at size ``l`` and its slopes toward smaller and larger
+        sizes, one pull per size, read at an ``l_j`` with the corner at the
+        busy epoch's ``end`` and ``start``."""
         if l not in probed:
             if l > tol:
                 tunnel = lazy_first_tunnel(profile, l, buffer_bits)
                 schedule = pull_string(tunnel)
                 e = local.local_energy(load_bits - l) + schedule.energy(channel)
-                g = lazy_first_slope(schedule, tunnel, channel, rate)
+                corners = [None] if start is None else [bisect_left(schedule.lists[0], t) for t in (end, start)]
+                g = [lazy_first_slope(schedule, tunnel, channel, rate, c) for c in corners]
             else:  # nothing sent: the first bit goes out at a vanishing rate
                 e = local.local_energy(load_bits - l)
-                g = float(channel.marginal_energy_per_bit(0.0))
-            probed[l] = e, g - local.bit_energy
+                g = [float(channel.marginal_energy_per_bit(0.0))]
+            probed[l] = e, g[0] - local.bit_energy, g[-1] - local.bit_energy
         return probed[l]
 
     if high - low <= 1.0:
         return probe(low)[0]
-    cells = []
-
-    def settle(a, b, halvings):
-        (e_a, g_a), (e_b, g_b) = probe(a), probe(b)
-        d = b - a
-        if halvings and not (g_a <= g_b and e_b >= e_a + g_a * d and e_a >= e_b - g_b * d):
-            m = 0.5 * (a + b)
-            settle(a, m, halvings - 1)
-            settle(m, b, halvings - 1)
-        else:
-            cells.append((a, b))
-
-    xs = np.linspace(low, high, _GRID).tolist()
-    for a, b in zip(xs, xs[1:]):
-        settle(a, b, _HALVINGS)
-    for a, b in cells:
-        if probe(a)[1] < 0.0 < probe(b)[1]:
-            probe(split_root(lambda l: probe(l)[1], a, b, tol=_ROOT_TOL))
-    return min(e for e, _ in probed.values())
+    busy = {}  # l_j -> the first and the last boundary time at which the curve is c(t_j)
+    for t, c in zip(*profile.curve.parts[:2]):
+        l = profile.capacity - c
+        if max(low, tol) < l < high:
+            busy[l] = (busy[l][0] if l in busy else t), t
+    for l, (start, end) in busy.items():
+        probe(l, start, end)
+    ends = [low, *sorted(busy), high]
+    for a, b in zip(ends, ends[1:]):
+        inner = {a: probe(a)[2], b: probe(b)[1]}
+        if inner[a] < 0.0 < inner[b]:
+            probe(split_root(lambda l: inner[l] if l in inner else probe(l)[1], a, b, tol=_ROOT_TOL))
+    return min(e for e, _, _ in probed.values())
 
 
 def _scaled_slope(full, channel, offload_bits) -> float:

@@ -14,8 +14,10 @@ length: one pass of comparisons, which breaks even with numpy's check only
 near 100-150 vertices, about the largest tunnels a solve builds. The pull
 reads the tunnel's float lists (``FeasibilityTunnel.lists``), and its
 arrays only in a long chord scan; the schedule it returns keeps the times
-and the string's values as float lists, which its energy and
-``lazy_first_slope`` read, and makes its read-only arrays on first read.
+and the string's values as float lists, which ``lazy_first_slope`` and a
+short schedule's energy read, and makes its read-only arrays on first read.
+A long schedule takes its tunnel's ``times`` array and prices its energy on
+arrays, so none is made again per call.
 ``envelope_slope`` reads off a pulled string how its energy moves with any
 parameter that moves the tunnel, from the multipliers at its contacts;
 ``lazy_first_slope`` is its closed form for the size of a lazy-first
@@ -37,6 +39,8 @@ from .tunnel import (
     _build_tunnel,
     _fits,
     _float_lists,
+    _keep,
+    _without_arrays,
     bits_tol,
     bursty_effective_tunnel,
     effective_tunnel,
@@ -50,14 +54,18 @@ class OffloadSchedule:
 
     Kept as the float lists ``lists`` (times, cumulative), which the energy
     and the slopes read; ``times`` and ``cumulative`` are read-only float64
-    arrays of them, made on first read, like a tunnel's.
+    arrays of them, made on first read and left out of a pickle, like a
+    tunnel's.
     """
 
     times = _ListArray(0)
     cumulative = _ListArray(1)
 
     def __init__(self, times, cumulative):
-        self.lists = _float_lists(self, ("times", "cumulative"), (times, cumulative))
+        self.lists = _float_lists(self, _SCHEDULE_ARRAYS, (times, cumulative))
+
+    def __getstate__(self):
+        return _without_arrays(self, _SCHEDULE_ARRAYS)
 
     @property
     def bits(self) -> np.ndarray:
@@ -72,7 +80,12 @@ class OffloadSchedule:
         return float(self.lists[1][-1])
 
     def energy(self, channel: ChannelParams) -> float:
-        return schedule_energy(*self.lists, channel)
+        if len(self.lists[0]) - 2 < _SHORT_SPAN:
+            return schedule_energy(*self.lists, channel)
+        return schedule_energy(self.times, self.cumulative, channel)  # arrays made once, not per call
+
+
+_SCHEDULE_ARRAYS = ("times", "cumulative")
 
 
 def _taut_values(tunnel: FeasibilityTunnel, tol: float) -> list:
@@ -146,7 +159,10 @@ def pull_string(tunnel: FeasibilityTunnel) -> OffloadSchedule:
     """Minimum-energy schedule through a feasible tunnel."""
     times, floor, ceiling = tunnel.lists[:3]
     tol = _check_feasible(tunnel, floor, ceiling)
-    return OffloadSchedule(times, _taut_values(tunnel, 1e-3 * tol))
+    schedule = OffloadSchedule(times, _taut_values(tunnel, 1e-3 * tol))
+    if len(times) - 2 >= _SHORT_SPAN:
+        _keep(schedule, "times", tunnel.times)  # a long tunnel made this array at construction
+    return schedule
 
 
 def envelope_slope(schedule: OffloadSchedule, channel: ChannelParams, d_floor, d_ceiling, d_total: float) -> float:
@@ -174,11 +190,13 @@ def envelope_slope(schedule: OffloadSchedule, channel: ChannelParams, d_floor, d
 
 
 def lazy_first_slope(
-    schedule: OffloadSchedule, tunnel: FeasibilityTunnel, channel: ChannelParams, rate: float
+    schedule: OffloadSchedule, tunnel: FeasibilityTunnel, channel: ChannelParams, rate: float, corner=None
 ) -> float:
     """Slope in the transfer size ``l`` of the energy of the taut string
     through ``lazy_first_tunnel(profile, l, B)``, whose capacity curve rises
-    at ``rate`` bits/s where the floor leaves zero.
+    at ``rate`` bits/s where the floor leaves zero, read with the corner at
+    vertex ``corner`` (the tunnel's own by default): at a busy epoch's start
+    it gives the slope toward larger sizes, at its end toward smaller.
 
     Past the corner vertex c where the floor leaves zero, the floor, the
     ceiling and the total all rise by one bit per bit; before it the floor
@@ -195,7 +213,8 @@ def lazy_first_slope(
     """
     times, cumulative = schedule.lists
     n = len(times) - 1
-    c = n if tunnel.corner is None else tunnel.corner
+    c = tunnel.corner if corner is None else corner
+    c = n if c is None else c
     lo, hi = max(c - 1, 0), min(c + 1, n)
     t = times[lo : hi + 1]
     y = cumulative[lo : hi + 1]

@@ -96,6 +96,13 @@ def _keep(obj, name: str, array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _without_arrays(obj, names: tuple) -> dict:
+    """``obj``'s state to pickle: its ``__dict__`` less the arrays kept under
+    ``names``, which pickle would bring back writeable. A copy makes them
+    from its lists, read-only, on first read."""
+    return {k: v for k, v in obj.__dict__.items() if k not in names}
+
+
 def _float_lists(obj, names: tuple, values: tuple) -> tuple:
     """``obj.lists`` for ``values``: a list is kept as it is; anything else
     is copied into a float64 array, which ``obj`` hands out read-only under
@@ -126,8 +133,9 @@ class FeasibilityTunnel:
     the feasibility check read. Each array attribute is a read-only float64
     array of its list, made on its first read, so no caller can make the two
     disagree; a long tunnel's ``times`` is made at construction, for its
-    strict-increase check. ``cpu_flip`` is derived from ``cum_capacity`` when
-    first read.
+    strict-increase check. A pickled tunnel leaves its arrays out, so the
+    copy makes them read-only again. ``cpu_flip`` is derived from
+    ``cum_capacity`` when first read.
     """
 
     times = _ListArray(0)
@@ -152,6 +160,9 @@ class FeasibilityTunnel:
             increasing = not (times[1:] <= times[:-1]).any()
         if not increasing:
             raise ValueError("tunnel vertex times must be strictly increasing")
+
+    def __getstate__(self):
+        return _without_arrays(self, _TUNNEL_ARRAYS)
 
     @cached_property
     def cpu_flip(self) -> np.ndarray:

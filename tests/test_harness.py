@@ -481,12 +481,13 @@ def test_one_task_per_trial_prices_each_grid_value_as_alone():
 
 
 @cache
-def default_buffer_instances():
+def default_buffer_instances(trials=400):
     """Profile, channel, local CPU and feasible range of every feasible
-    trial among the first 400 of the default buffer sweep (206 of them)."""
+    trial among the first ``trials`` of the default buffer sweep (206 of
+    the first 400, 974 of the first 2000)."""
     cfg = SimConfig()
     out = []
-    for trial in range(400):
+    for trial in range(trials):
         profile, channel, local = trial_instance(cfg, "buffer", trial)
         low, high = partition_bounds(profile, local, cfg.load_bits)
         if low <= min(high, cfg.load_bits) + bits_tol(cfg.load_bits):
@@ -546,3 +547,30 @@ def test_buffer_first_price_never_above_the_scan_or_a_dense_grid():
             grid = np.clip(np.arange(low, high + step, step), low, high)
             assert price <= min(energy(l) for l in grid.tolist()) * (1 + 1e-9)
         assert lower > 0
+
+
+def test_buffer_first_price_never_above_the_scan_on_2000_default_trials():
+    # priced piece by piece between the corner breakpoints, buffer-first is
+    # never above the 13-point scan but for one case 2 ulps above it (trial
+    # 1243 at B = 1e4), as the slope-guided grid search before it priced it
+    cfg = SimConfig()
+    load = cfg.load_bits
+    instances = default_buffer_instances(2000)
+    assert len(instances) == 974
+    for buffer_bits in (1e4, 1e5, 3e5, 5e5):
+        for profile, channel, local, low, high in instances:
+            price = _buffer_first_energy(profile, channel, local, load, buffer_bits, low, high)
+            scanned = scanned_buffer_first(profile, channel, local, load, buffer_bits, low, high)
+            assert price - scanned <= 2.3e-16 * scanned, (buffer_bits, low, high)
+
+
+def test_buffer_first_root_is_found_to_a_thousandth_of_a_bit():
+    # with the corner near time 0 the slope climbs by 5e-10 J/bit within 4
+    # bits of the root, so a root found to one bit prices this trial 4.2e-11
+    # relative above the scan
+    cfg = SimConfig()
+    profile, channel, local = trial_instance(cfg, "buffer", 944)
+    low, high = partition_bounds(profile, local, cfg.load_bits)
+    price = _buffer_first_energy(profile, channel, local, cfg.load_bits, 3e5, low, high)
+    scanned = scanned_buffer_first(profile, channel, local, cfg.load_bits, 3e5, low, high)
+    assert price <= scanned

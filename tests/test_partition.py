@@ -277,6 +277,20 @@ def test_envelope_slope_in_the_chunk_share_matches_central_differences():
             checked += 1
 
 
+def test_zero_share_slope_charges_only_the_servable_bits():
+    # chunks at or after the last idle instant (0.05 s) are never served, so
+    # at a zero share the first bit's p'(0) is paid on the servable total T
+    # only, while the local side saves the energy of the whole arrived total A
+    prof = build_profile([Epoch(0.05, True), Epoch(0.05, False)], HELPER_HZ, CPB, 0.1)
+    arr = ArrivalProcess.from_events([(0.0, 3e5), (0.05, 1e5), (0.07, 1e5)], 0.1)
+    served, arrived = 3e5, arr.total
+    assert arrived == 5e5
+    m0 = float(CHAN.marginal_energy_per_bit(0.0))
+    slope = _share_slope(prof, arr, CHAN, LOCAL, merge_events(prof, arr), 0.0)
+    assert slope == m0 * served - arrived * LOCAL.bit_energy
+    assert slope != m0 * arrived - arrived * LOCAL.bit_energy
+
+
 def test_share_root_never_above_the_golden_search():
     # the share solved at the root of its slope costs no more than the
     # golden-section search it replaced, over every kind of range

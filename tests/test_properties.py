@@ -153,6 +153,45 @@ def test_paced_energy_is_midpoint_convex_across_the_buffer(
     assert energy(mid) <= 0.5 * (energy(bottom) + energy(top)) * (1 + 1e-9)
 
 
+@settings(max_examples=50)
+@given(
+    n=st.integers(5, 100),
+    seed=st.integers(0, 2**32 - 1),
+    idle_first=st.booleans(),
+    load_frac=st.floats(0.3, 1.0),
+    buffer_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    gain_exp=st.floats(-2.0, 2.0),
+)
+def test_buffer_first_energy_is_convex_between_its_corner_breakpoints(
+    n, seed, idle_first, load_frac, buffer_frac, gain_exp
+):
+    # buffer-first's floor corner, where the floor leaves zero, sits at level
+    # C - l of the capacity curve; it jumps over a busy epoch only at the
+    # sizes l_j = C - c(t_j), so its split energy, which the sweeps price
+    # piece by piece, must be convex on each piece between them. Checked by
+    # second differences on 17 evenly spaced sizes per piece, to 1e-12 of the
+    # piece's largest energy.
+    durations = np.random.default_rng(seed).uniform(1e-3, 3e-2, n).tolist()
+    epochs = [Epoch(d, (i % 2 == 0) == idle_first) for i, d in enumerate(durations)]
+    prof = build_profile(epochs, 5e9, 500.0, sum(durations))
+    load = load_frac * (prof.capacity + LOCAL.local_capacity(prof.horizon))
+    low, high = partition_bounds(prof, LOCAL, load)
+    assume(low + 1.0 < high)
+    buffer_bits = buffer_frac * high
+    chan = channel(gain_exp)
+
+    def energy(l):
+        return LOCAL.local_energy(load - l) + pull_string(lazy_first_tunnel(prof, l, buffer_bits)).energy(chan)
+
+    start = max(low, 1.0)
+    breaks = sorted(l for l in {prof.capacity - c for c in prof.cum_bits.tolist()} if start < l < high)
+    ends = [start, *breaks, high]
+    for a, b in zip(ends, ends[1:]):
+        es = [energy(l) for l in np.linspace(a, b, 17).tolist()]
+        worst = min(es[k - 1] - 2.0 * es[k] + es[k + 1] for k in range(1, len(es) - 1))
+        assert worst >= -1e-12 * max(es), (a, b, worst)
+
+
 def _by_each_branch(fn, *args):
     """``fn(*args)`` with every size switch at 0, so every curve takes the
     numpy branches, then at 1e9, so every curve takes the float-list ones.

@@ -1,7 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from offloadsim.cpu_profile import (
+    _SHORT_SPAN,
     ArrivalProcess,
     Epoch,
     _curve_time,
@@ -401,3 +404,20 @@ def test_tunnel_and_schedule_arrays_are_read_only():
     floor[1] += 1e5
     assert copy.lists[1] == tun.lists[1]
     assert np.array_equal(copy.floor, tun.floor)
+
+
+def test_pickled_tunnels_and_schedules_make_read_only_arrays_again():
+    # pickle brings an array back writeable, so a tunnel or a schedule leaves
+    # the arrays of its lists out and the copy makes them again on first read
+    long_profile = random_profile(np.random.default_rng(5), horizon=1.0)
+    arrays = ("times", "floor", "ceiling", "cum_capacity", "arrival_bits")
+    for tun in (effective_tunnel(oneshot_profile(), 5e5), effective_tunnel(long_profile, 0.5 * long_profile.capacity)):
+        sched = pull_string(tun)
+        for obj, names in ((tun, arrays), (sched, ("times", "cumulative"))):
+            made = {name: getattr(obj, name) for name in names}
+            copy = pickle.loads(pickle.dumps(obj))
+            assert [np.array(v).tobytes() for v in copy.lists] == [np.array(v).tobytes() for v in obj.lists]
+            for name, array in made.items():
+                assert not getattr(copy, name).flags.writeable, name
+                assert getattr(copy, name).tobytes() == array.tobytes(), name
+    assert len(tun.lists[0]) - 2 >= _SHORT_SPAN  # the long tunnel made its arrays with numpy
