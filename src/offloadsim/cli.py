@@ -60,23 +60,26 @@ def _values(text: str) -> list[float]:
         raise ConfigError(f"could not parse grid values from {text!r}")
 
 
+_DEFAULT = SimConfig()  # the instance flags default to the sweeps' scenario
+
+
 def _add_instance_flags(p: argparse.ArgumentParser):
     p.add_argument("--profile", required=True, help="epoch file: duration_s,idle|busy per line")
-    p.add_argument("--helper-hz", type=float, default=5e9, help="helper CPU frequency")
-    p.add_argument("--cycles-per-bit", type=float, default=500.0, help="CPU cycles per bit of work")
+    p.add_argument("--helper-hz", type=float, default=_DEFAULT.helper_hz, help="helper CPU frequency")
+    p.add_argument("--cycles-per-bit", type=float, default=_DEFAULT.cycles_per_bit, help="CPU cycles per bit of work")
     p.add_argument("--buffer", type=_bits, help="helper receive buffer in bits (default inf); one-shot only")
     p.add_argument("--arrivals", help="arrival file: time_s,bits per line (chunked workload)")
 
 
 def _add_channel_flags(p: argparse.ArgumentParser):
-    p.add_argument("--gain", type=float, default=1e-6, help="squared channel gain incl. path loss")
-    p.add_argument("--bandwidth-hz", type=float, default=1e6)
-    p.add_argument("--noise-w", type=float, default=1e-10, help="noise power over the band, W")
+    p.add_argument("--gain", type=float, default=_DEFAULT.mean_gain, help="squared channel gain incl. path loss")
+    p.add_argument("--bandwidth-hz", type=float, default=_DEFAULT.bandwidth_hz)
+    p.add_argument("--noise-w", type=float, default=_DEFAULT.noise_w, help="noise power over the band, W")
 
 
 def _add_local_flags(p: argparse.ArgumentParser):
-    p.add_argument("--local-hz", type=float, default=1e9, help="user CPU frequency")
-    p.add_argument("--switched-cap", type=float, default=1e-28, help="switched capacitance, J*s^2")
+    p.add_argument("--local-hz", type=float, default=_DEFAULT.local_hz, help="user CPU frequency")
+    p.add_argument("--switched-cap", type=float, default=_DEFAULT.switched_cap, help="switched capacitance, J*s^2")
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 
 import numpy as np
 
@@ -68,53 +69,10 @@ def normalize_epochs(epochs) -> tuple[Epoch, ...]:
     return tuple(merged)
 
 
-@dataclass(frozen=True, eq=False)
-class CapacityCurve:
-    """Piecewise-linear cumulative capacity: slope ``rate`` on idle pieces, flat on busy ones.
-
-    ``boundaries`` holds the piece edges from 0.0 to the horizon, ``cum_bits[k]``
-    the capacity accumulated by ``boundaries[k]`` and ``idle[k]`` the state of
-    piece k.
-    """
-
-    boundaries: np.ndarray
-    cum_bits: np.ndarray
-    idle: np.ndarray
-    rate: float
-
-    @classmethod
-    def from_durations(cls, durations, idle, rate, horizon) -> "CapacityCurve":
-        """Curve over pieces of the given durations, ending exactly at ``horizon``."""
-        boundaries = np.concatenate(([0.0], np.cumsum(durations)))
-        boundaries[-1] = horizon
-        cum_bits = np.concatenate(([0.0], np.cumsum(np.where(idle, durations * rate, 0.0))))
-        return cls(boundaries, cum_bits, idle, rate)
-
-    @cached_property
-    def _pieces(self):
-        """Start time, start value and slope of every piece, padded with a flat
-        piece before 0 and one after the horizon so ``at`` has no end cases."""
-        starts = np.concatenate(([0.0], self.boundaries))
-        values = np.concatenate(([0.0], self.cum_bits))
-        slopes = np.concatenate(([0.0], np.where(self.idle, self.rate, 0.0), [0.0]))
-        return starts, values, slopes
-
-    def at(self, t):
-        """Curve values at the times in ``t`` (clamped to the window)."""
-        starts, values, slopes = self._pieces
-        k = self.boundaries.searchsorted(t, side="right")
-        return values[k] + (t - starts[k]) * slopes[k]
-
-    @cached_property
-    def parts(self) -> tuple:
-        """``(boundaries, cum_bits, idle, rate)`` with the first two as float
-        lists: the curve as ``_curve_value`` and ``_curve_time`` read it, and
-        the vertex grids of tunnels."""
-        return self.boundaries.tolist(), self.cum_bits.tolist(), self.idle, self.rate
-
-
 def _curve_value(parts: tuple, t: float) -> float:
-    """``CapacityCurve.at`` for one time ``t >= 0``, on the curve's ``parts``."""
+    """Value at time ``t >= 0`` of the curve with these ``parts`` (see
+    ``CpuIdlingProfile.parts``): flat before the first edge it passes and
+    after the last."""
     edges, cum, idle, rate = parts
     k = bisect_right(edges, t) - 1
     slope = rate if k < len(idle) and idle[k] else 0.0
@@ -122,8 +80,8 @@ def _curve_value(parts: tuple, t: float) -> float:
 
 
 def _curve_time(parts: tuple, level: float) -> float:
-    """Earliest time at which the curve with these ``CapacityCurve.parts``
-    reaches ``level``."""
+    """Earliest time at which the curve with these ``parts`` reaches
+    ``level``."""
     if level <= 0.0:
         return 0.0
     edges, cum, _, rate = parts
@@ -135,54 +93,67 @@ def _curve_time(parts: tuple, level: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CpuIdlingProfile:
-    """Normalized epoch sequence plus the cumulative capacity curve.
+    """Normalized epochs as the helper's cumulative capacity curve c(t).
 
-    ``durations`` are the epoch lengths and ``curve`` the capacity curve over
-    the K+1 epoch edges. ``last_idle_index`` is the index of the last idle
-    epoch (None if the CPU is never idle) and ``capacity`` the total bits
-    computable for the user by the deadline.
+    The curve rises at ``rate`` bits/s (``helper_hz / cycles_per_bit``) over
+    idle epochs and is flat over busy ones. ``durations`` are the epoch
+    lengths and ``idle`` their states; ``boundaries`` holds the K+1 epoch
+    edges from 0.0 to the horizon and ``cum_bits[k]`` the capacity
+    accumulated by ``boundaries[k]``, all read-only arrays.
+    ``last_idle_index`` is the index of the last idle epoch (None if the CPU
+    is never idle) and ``capacity`` the total bits computable for the user by
+    the deadline.
     """
 
-    epochs: tuple[Epoch, ...]
     helper_hz: float
     cycles_per_bit: float
     durations: np.ndarray
-    curve: CapacityCurve
+    idle: np.ndarray
+    boundaries: np.ndarray
+    cum_bits: np.ndarray
+    rate: float
     last_idle_index: int | None
     capacity: float
 
-    @property
-    def boundaries(self) -> np.ndarray:
-        """The K+1 epoch edges, starting at 0.0 and ending at the horizon."""
-        return self.curve.boundaries
-
-    @property
-    def cum_bits(self) -> np.ndarray:
-        """``cum_bits[k]`` is the capacity accumulated by ``boundaries[k]``."""
-        return self.curve.cum_bits
+    @cached_property
+    def parts(self) -> tuple:
+        """``(boundaries, cum_bits, idle, rate)`` with the first three as
+        lists: the curve as ``_curve_value`` and ``_curve_time`` read it, and
+        the vertex grids of tunnels."""
+        return self.boundaries.tolist(), self.cum_bits.tolist(), self.idle.tolist(), self.rate
 
     @property
     def horizon(self) -> float:
-        return float(self.curve.boundaries[-1])
+        return float(self.boundaries[-1])
 
     @property
     def idle_end(self):
         """End of the last idle epoch: no offloaded bit is computable later."""
         k = self.last_idle_index
-        return None if k is None else float(self.curve.boundaries[k + 1])
+        return None if k is None else float(self.boundaries[k + 1])
 
     def capacity_at(self, t):
         """Cumulative computable bits by time t (piecewise linear).
 
-        ``t`` may be a scalar, which gives a float, or an array.
+        ``t`` may be a scalar, which gives a float, or an array. Times within
+        ``TIME_ATOL`` outside the window read the value at its nearer end.
+        Each time is evaluated on its own by ``_curve_value``, so an array
+        costs a Python call per element; the library itself reads the
+        curve's ``parts`` instead.
         """
         ts = np.asarray(t, dtype=float)
         end = self.horizon
         outside = ~((ts >= -TIME_ATOL) & (ts <= end + TIME_ATOL))
         if np.any(outside):
             raise ValueError(f"time {ts[outside].flat[0]} outside [0, {end}]")
-        values = self.curve.at(ts)
-        return float(values) if values.ndim == 0 else values
+        parts = self.parts
+        values = [_curve_value(parts, min(max(x, 0.0), end)) for x in ts.ravel().tolist()]
+        return values[0] if ts.ndim == 0 else np.array(values).reshape(ts.shape)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
 
 
 def build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> CpuIdlingProfile:
@@ -204,11 +175,17 @@ def build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> CpuIdlingProfil
     total = float(durs.sum())
     if abs(total - horizon) > max(TIME_ATOL, len(epochs) * _EPS * total):
         raise ValueError(f"epoch durations sum to {total}, expected horizon {horizon}")
-    curve = CapacityCurve.from_durations(durs, idle, helper_hz / cycles_per_bit, horizon)
+    rate = helper_hz / cycles_per_bit
+    boundaries = np.concatenate(([0.0], np.cumsum(durs)))
+    boundaries[-1] = horizon
+    cum_bits = np.concatenate(([0.0], np.cumsum(np.where(idle, durs * rate, 0.0))))
+    _read_only(durs, idle, boundaries, cum_bits)
     idle_at = np.flatnonzero(idle)
     last = int(idle_at[-1]) if len(idle_at) else None
-    capacity = 0.0 if last is None else float(curve.cum_bits[last + 1])
-    return CpuIdlingProfile(eps, float(helper_hz), float(cycles_per_bit), durs, curve, last, capacity)
+    capacity = 0.0 if last is None else float(cum_bits[last + 1])
+    return CpuIdlingProfile(
+        float(helper_hz), float(cycles_per_bit), durs, idle, boundaries, cum_bits, rate, last, capacity
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +200,7 @@ class ArrivalProcess:
     sizes: np.ndarray
     horizon: float
 
-    @property
+    @cached_property
     def total(self) -> float:
         return float(self.sizes.sum())
 
@@ -253,7 +230,9 @@ class ArrivalProcess:
                 sizes.append(s)
         times.append(horizon)
         sizes.append(0.0)
-        return cls(np.asarray(times), np.asarray(sizes), horizon)
+        times, sizes = np.array(times), np.array(sizes)
+        _read_only(times, sizes)
+        return cls(times, sizes, horizon)
 
 
 def epochs_from_units(idle, idle_units, busy_units, horizon, mean_idle, mean_busy) -> list[Epoch]:
@@ -341,40 +320,47 @@ class MergedTimeline:
 
 
 def merge_events(profile: CpuIdlingProfile, arrivals: ArrivalProcess) -> MergedTimeline:
-    """Interleave CPU boundaries and arrival instants into one timeline."""
+    """Interleave CPU boundaries and arrival instants into one timeline.
+
+    An arrival within ``TIME_ATOL`` of an epoch edge lands on the edge. The
+    capacity at an edge is its ``cum_bits`` entry, and at any other instant
+    ``_curve_value`` of the profile's curve.
+    """
     if abs(profile.horizon - arrivals.horizon) > TIME_ATOL:
         raise ValueError("profile and arrivals cover different horizons")
-    pb = profile.boundaries
-    at = arrivals.times
+    parts = profile.parts
+    edges, cum = parts[0], parts[1]
+    at, sizes = arrivals.times.tolist(), arrivals.sizes.tolist()
+    k = profile.last_idle_index
+    idle_end = None if k is None else k + 1  # the edge ending the last idle epoch
     times: list[float] = []
     bits: list[float] = []
-    cpu_idx: list[int] = []  # profile boundary index, -1 for pure arrivals
+    values: list[float] = []
+    idle_end_index = None
+    nb, na = len(edges), len(at)
     i = j = 0
-    while i < len(pb) or j < len(at):
-        tb = pb[i] if i < len(pb) else np.inf
-        ta = at[j] if j < len(at) else np.inf
+    while i < nb or j < na:
+        tb = edges[i] if i < nb else inf
+        ta = at[j] if j < na else inf
         if abs(tb - ta) <= TIME_ATOL:
-            times.append(float(tb))
-            bits.append(float(arrivals.sizes[j]))
-            cpu_idx.append(i)
-            i += 1
+            bits.append(sizes[j])
             j += 1
         elif tb < ta:
-            times.append(float(tb))
             bits.append(0.0)
-            cpu_idx.append(i)
-            i += 1
         else:
-            times.append(float(ta))
-            bits.append(float(arrivals.sizes[j]))
-            cpu_idx.append(-1)
+            times.append(ta)
+            bits.append(sizes[j])
+            values.append(_curve_value(parts, ta))
             j += 1
-    tarr = np.asarray(times)
-    idle_end_index = None
-    k_last = profile.last_idle_index
-    if k_last is not None:
-        idle_end_index = cpu_idx.index(k_last + 1)
-    return MergedTimeline(tarr, np.asarray(bits), profile.capacity_at(tarr), idle_end_index)
+            continue
+        if i == idle_end:
+            idle_end_index = len(times)
+        times.append(tb)
+        values.append(cum[i])
+        i += 1
+    arrays = tuple(np.array(seq, dtype=float) for seq in (times, bits, values))
+    _read_only(*arrays)
+    return MergedTimeline(*arrays, idle_end_index)
 
 
 # ---------------------------------------------------------------------------

@@ -289,7 +289,7 @@ def _buffer_first_energy(profile, channel, local, load_bits, buffer_bits, low, h
     energy of every size probed.
     """
     tol = bits_tol(load_bits)
-    rate = profile.curve.rate
+    rate = profile.rate
     probed = {}
 
     def probe(l, start=None, end=None):
@@ -312,7 +312,7 @@ def _buffer_first_energy(profile, channel, local, load_bits, buffer_bits, low, h
     if high - low <= 1.0:
         return probe(low)[0]
     busy = {}  # l_j -> the first and the last boundary time at which the curve is c(t_j)
-    for t, c in zip(*profile.curve.parts[:2]):
+    for t, c in zip(*profile.parts[:2]):
         l = profile.capacity - c
         if max(low, tol) < l < high:
             busy[l] = (busy[l][0] if l in busy else t), t

@@ -355,7 +355,7 @@ def _zero_solution(profile: CpuIdlingProfile, buffer_bits) -> tuple[OffloadSched
     """The empty transfer, over [0, the last idle instant or the horizon]."""
     end = profile.idle_end if profile.idle_end is not None else profile.horizon
     cap = profile.capacity
-    tunnel = _build_tunnel("effective", profile.curve.parts, [0.0, end], [0.0, cap], 0.0, cap, buffer_bits)
+    tunnel = _build_tunnel("effective", profile.parts, [0.0, end], [0.0, cap], 0.0, cap, buffer_bits)
     return OffloadSchedule(tunnel.lists[0], [0.0, 0.0]), tunnel
 
 

@@ -24,9 +24,9 @@ piecewise-linear curve at the vertices alone is exact. Step-shaped
 availability ceilings are stored by their left limits, which is the binding
 value for a continuous curve.
 
-The construction takes the capacity curve as ``CapacityCurve.parts`` (the
-proportional family derates it as a float list), and the base vertices and
-the curve's values there as float lists, and inserts the crossings with
+The construction takes the capacity curve as ``CpuIdlingProfile.parts``
+(the proportional family derates it as a float list), and the base vertices
+and the curve's values there as float lists, and inserts the crossings with
 ``bisect``, alike for every family. Only its envelope step and a tunnel's
 strict-increase check switch on size: below ``_SHORT_SPAN`` interior
 vertices they run on lists, where numpy's fixed cost per call would
@@ -224,9 +224,9 @@ def _build_tunnel(
 ) -> FeasibilityTunnel:
     """The one tunnel construction every family goes through.
 
-    ``curve`` is the capacity curve as ``CapacityCurve.parts``. ``times`` are
-    the base vertices, ending where the serving CPU computes its last bit,
-    ``values`` the curve there (``CapacityCurve.at``) and ``bits`` the data
+    ``curve`` is the capacity curve as ``CpuIdlingProfile.parts``. ``times``
+    are the base vertices, ending where the serving CPU computes its last
+    bit, ``values`` the curve there (``_curve_value``) and ``bits`` the data
     arriving at each (none by default), as float lists that the build extends
     and the tunnel keeps. The floor is ``max(curve - slack, 0)``, pinned to
     ``total`` at the end when there is slack. Without ``share`` the ceiling
@@ -320,7 +320,7 @@ def full_utilization_tunnel(profile: CpuIdlingProfile, buffer_bits=np.inf) -> Fe
     the ceiling adds the receive-buffer headroom, capped by the transfer size.
     """
     n = _idle_span(profile)
-    curve = profile.curve.parts
+    curve = profile.parts
     return _build_tunnel("full", curve, curve[0][:n], curve[1][:n], profile.capacity, 0.0, buffer_bits)
 
 
@@ -335,7 +335,7 @@ def effective_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits
     if buffer_bits < total - tol:
         raise ValueError(f"effective tunnel assumes buffer_bits holds the whole transfer, got {buffer_bits}")
     n = _idle_span(profile)
-    curve = profile.curve.parts
+    curve = profile.parts
     return _build_tunnel("effective", curve, curve[0][:n], curve[1][:n], total, profile.capacity - total, buffer_bits)
 
 
@@ -356,9 +356,9 @@ def proportional_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_b
     if not factor > 0.0:
         raise ValueError(f"offload_bits must be positive, got {offload_bits}")
     rate = profile.helper_hz * factor / profile.cycles_per_bit
-    edges, _, idle, _ = profile.curve.parts
-    # the derated curve's values, summed in order as CapacityCurve.from_durations sums them
-    pieces = zip(profile.durations.tolist(), idle.tolist())
+    edges, _, idle, _ = profile.parts
+    # the derated curve's values, summed in order as build_profile sums the profile's own
+    pieces = zip(profile.durations.tolist(), idle)
     cum = [0.0, *accumulate([d * rate if rising else 0.0 for d, rising in pieces])]
     return _build_tunnel("proportional", (edges, cum, idle, rate), edges[:n], cum[:n], cum[-1], 0.0, buffer_bits)
 
@@ -372,7 +372,7 @@ def lazy_first_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bit
     total = float(offload_bits)
     _check_transfer(profile, total)
     n = _idle_span(profile)
-    curve = profile.curve.parts
+    curve = profile.parts
     return _build_tunnel("lazy", curve, curve[0][:n], curve[1][:n], total, profile.capacity - total, buffer_bits)
 
 
@@ -392,7 +392,7 @@ def _chunked_tunnel(kind, profile, arrivals, ratio, timeline, effective) -> Feas
     late = float(tl.arrival_bits[end - 1 :].sum())
     times, bits, values = (seq[:end] for seq in tl.lists)
     bits[-1] = 0.0
-    return _build_tunnel(kind, profile.curve.parts, times, values, total, slack, bits=bits, share=ratio, late=late)
+    return _build_tunnel(kind, profile.parts, times, values, total, slack, bits=bits, share=ratio, late=late)
 
 
 def bursty_effective_tunnel(

@@ -9,6 +9,10 @@ the sweeps did before buffer-first was guided by its slope.
 ``matrix_local_compute_tunnel`` places each chunk at its nearest vertex
 through a chunks-by-vertices distance matrix, and ``looped_min_offload_ratio``
 steps through numpy scalars: the library's earlier ways of doing both.
+``eager_merge_events`` interleaves epoch edges and arrivals by stepping
+through numpy scalars and evaluates the capacity curve at every vertex at
+once with ``padded_curve_at``, the library's earlier merge, which the one
+that walks float lists must match byte for byte.
 
 ``eager_build_tunnel`` and ``eager_pull`` are the tunnel construction and the
 string pull as they made every array when they ran: ``np.fromiter`` and
@@ -16,8 +20,8 @@ string pull as they made every array when they ran: ``np.fromiter`` and
 size, and ``np.array`` of the string's values at pull time. The library
 keeps float lists and makes each array on its first read; these give the
 arrays it must read the same, byte for byte. ``eager_proportional_tunnel``
-derates the idle curve through ``CapacityCurve.from_durations``, and
-``eager_zero_solution`` builds the empty transfer eagerly too.
+derates the idle curve with numpy, and ``eager_zero_solution`` builds the
+empty transfer eagerly too.
 ``assert_same_attributes`` compares two tunnels or schedules byte for byte.
 """
 from bisect import bisect_left, bisect_right
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from offloadsim.cpu_profile import TIME_ATOL, CapacityCurve, _curve_time, _curve_value
+from offloadsim.cpu_profile import TIME_ATOL, _curve_time, _curve_value
 from offloadsim.partition import golden_section
 from offloadsim.string_pull import OffloadSchedule, pull_string
 from offloadsim.tunnel import _build_tunnel, _fits, bits_tol, lazy_first_tunnel
@@ -123,6 +127,51 @@ def looped_min_offload_ratio(arrivals, local) -> float:
     return float(worst)
 
 
+def padded_curve_at(profile, t):
+    """The profile's capacity curve at the times in ``t``, on whole arrays:
+    its pieces padded with a flat one before 0 and one after the horizon."""
+    starts = np.concatenate(([0.0], profile.boundaries))
+    values = np.concatenate(([0.0], profile.cum_bits))
+    slopes = np.concatenate(([0.0], np.where(profile.idle, profile.rate, 0.0), [0.0]))
+    k = profile.boundaries.searchsorted(t, side="right")
+    return values[k] + (t - starts[k]) * slopes[k]
+
+
+def eager_merge_events(profile, arrivals):
+    """``merge_events`` stepping through numpy scalars, with the curve read
+    by ``padded_curve_at``: ``(times, arrival_bits, cum_capacity,
+    idle_end_index)``."""
+    pb = profile.boundaries
+    at = arrivals.times
+    times = []
+    bits = []
+    cpu_idx = []  # profile boundary index, -1 for pure arrivals
+    i = j = 0
+    while i < len(pb) or j < len(at):
+        tb = pb[i] if i < len(pb) else np.inf
+        ta = at[j] if j < len(at) else np.inf
+        if abs(tb - ta) <= TIME_ATOL:
+            times.append(float(tb))
+            bits.append(float(arrivals.sizes[j]))
+            cpu_idx.append(i)
+            i += 1
+            j += 1
+        elif tb < ta:
+            times.append(float(tb))
+            bits.append(0.0)
+            cpu_idx.append(i)
+            i += 1
+        else:
+            times.append(float(ta))
+            bits.append(float(arrivals.sizes[j]))
+            cpu_idx.append(-1)
+            j += 1
+    tarr = np.asarray(times)
+    k_last = profile.last_idle_index
+    idle_end_index = None if k_last is None else cpu_idx.index(k_last + 1)
+    return tarr, np.asarray(bits), padded_curve_at(profile, tarr), idle_end_index
+
+
 TUNNEL_ATTRIBUTES = ("kind", "times", "floor", "ceiling", "total", "cum_capacity", "arrival_bits", "buffer_bits", "corner")
 
 
@@ -199,13 +248,15 @@ def eager_build_tunnel(kind, curve, times, values, total, slack, buffer_bits=np.
 
 
 def eager_proportional_tunnel(profile, offload_bits, buffer_bits):
-    """``proportional_tunnel`` over a derated ``CapacityCurve``, built eagerly."""
+    """``proportional_tunnel`` over the profile's curve derated with
+    ``np.cumsum``, built eagerly."""
     total = float(offload_bits)
     rate = profile.helper_hz * min(total / profile.capacity, 1.0) / profile.cycles_per_bit
-    curve = CapacityCurve.from_durations(profile.durations, profile.curve.idle, rate, profile.horizon)
+    cum = np.concatenate(([0.0], np.cumsum(np.where(profile.idle, profile.durations * rate, 0.0)))).tolist()
+    edges = profile.boundaries.tolist()
+    curve = (edges, cum, profile.idle.tolist(), rate)
     n = profile.last_idle_index + 2
-    edges, cum = curve.boundaries.tolist(), curve.cum_bits.tolist()
-    return eager_build_tunnel("proportional", curve.parts, edges[:n], cum[:n], cum[-1], 0.0, buffer_bits)
+    return eager_build_tunnel("proportional", curve, edges[:n], cum[:n], cum[-1], 0.0, buffer_bits)
 
 
 def eager_zero_solution(profile, buffer_bits):
@@ -213,7 +264,7 @@ def eager_zero_solution(profile, buffer_bits):
     cumulative arrays, and the tunnel."""
     end = profile.idle_end if profile.idle_end is not None else profile.horizon
     cap = profile.capacity
-    tunnel = eager_build_tunnel("effective", profile.curve.parts, [0.0, end], [0.0, cap], 0.0, cap, buffer_bits)
+    tunnel = eager_build_tunnel("effective", profile.parts, [0.0, end], [0.0, cap], 0.0, cap, buffer_bits)
     return (tunnel.times, np.zeros(2)), tunnel
 
 

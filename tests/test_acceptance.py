@@ -212,7 +212,7 @@ def test_criterion_5_small_buffer_approaches_spread_out_transmission():
     chan = ChannelParams(MEAN_GAIN, 1e6, 1e-10)
 
     def gap_curve(prof, load):
-        idle = sum(ep.duration for ep in prof.epochs if ep.idle)
+        idle = sum(d for d, rising in zip(prof.durations.tolist(), prof.idle.tolist()) if rising)
         e_ref = idle * float(chan.rate_to_power(load / idle))
         gaps = []
         for q in (0.1 * load, 0.01 * load, 1e-3 * load, 1.0):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from offloadsim.cli import main
+from offloadsim.cli import build_parser, main
 from offloadsim.cpu_profile import parse_arrivals, parse_epochs
 from offloadsim.energy import LocalComputeParams
 from offloadsim.sim_harness import SimConfig, format_csv, run_buffer_sweep, run_bursty_sweep, run_oneshot_sweep
@@ -44,6 +44,22 @@ def arrivals_file(tmp_path):
     path = tmp_path / "arrivals.txt"
     path.write_text(ARRIVALS)
     return str(path)
+
+
+def test_instance_flags_default_to_the_sweep_scenario():
+    args = build_parser().parse_args(["solve", "--profile", "p.txt"])
+    cfg = SimConfig()
+    fields = {
+        "helper_hz": "helper_hz",
+        "cycles_per_bit": "cycles_per_bit",
+        "gain": "mean_gain",
+        "bandwidth_hz": "bandwidth_hz",
+        "noise_w": "noise_w",
+        "local_hz": "local_hz",
+        "switched_cap": "switched_cap",
+    }
+    for flag, field in fields.items():
+        assert getattr(args, flag) == getattr(cfg, field), flag
 
 
 def test_solve_split(capsys, profile_file):

@@ -45,7 +45,7 @@ def test_normalize_rejects_bad_epochs():
 def test_build_profile_capacity_curve():
     prof = three_epoch_profile()
     assert prof.horizon == 0.1
-    assert prof.curve.rate == 1e7
+    assert prof.rate == 1e7
     assert np.allclose(prof.boundaries, [0.0, 0.05, 0.08, 0.1])
     assert np.allclose(prof.cum_bits, [0.0, 5e5, 5e5, 7e5])
     assert prof.capacity == 7e5
@@ -72,8 +72,8 @@ def capacity_by_epoch(prof, t):
         return 0.0
     k = int(np.searchsorted(b, t, side="right")) - 1
     base = float(prof.cum_bits[k])
-    if prof.epochs[k].idle:
-        base += (t - float(b[k])) * prof.curve.rate
+    if prof.idle[k]:
+        base += (t - float(b[k])) * prof.rate
     return base
 
 
@@ -236,6 +236,17 @@ def test_merge_events_grid_and_totals():
     late = ArrivalProcess.from_events([(0.02, 1e5), (0.07, 2e5)], 0.1)
     tl2 = merge_events(trail_busy, late)
     assert tl2.arrival_bits[: tl2.idle_end_index].sum() == pytest.approx(1e5)
+
+
+def test_profile_arrival_and_timeline_arrays_are_read_only():
+    # their cached views (``parts``, ``lists``, ``total``) could go stale
+    prof = three_epoch_profile()
+    arr = ArrivalProcess.from_events([(0.0, 4e5), (0.04, 4e5)], 0.1)
+    tl = merge_events(prof, arr)
+    arrays = (prof.durations, prof.idle, prof.boundaries, prof.cum_bits, arr.times, arr.sizes)
+    for a in (*arrays, tl.times, tl.arrival_bits, tl.cum_capacity):
+        with pytest.raises(ValueError):
+            a[0] = a[-1]
 
 
 def test_epoch_text_round_trip():

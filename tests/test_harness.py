@@ -132,7 +132,7 @@ def test_continued_idle_draws_keep_grid_points_paired():
     idle = {}
     for mean_idle in (0.02, 0.04):
         prof = _profile_from_draws(draws, SimConfig(horizon=12.0, mean_idle=mean_idle))
-        idle[mean_idle] = [ep.duration for ep in prof.epochs[:-1] if ep.idle]
+        idle[mean_idle] = prof.durations[:-1][prof.idle[:-1]].tolist()
     n = min(len(durations) for durations in idle.values())
     assert n > 128
     assert idle[0.04][:n] == [2.0 * d for d in idle[0.02][:n]]
@@ -513,7 +513,7 @@ def test_lazy_first_slope_matches_central_differences():
 
                 tunnel = lazy_first_tunnel(profile, l, buffer_bits)
                 schedule = pull_string(tunnel)
-                slope = lazy_first_slope(schedule, tunnel, channel, profile.curve.rate)
+                slope = lazy_first_slope(schedule, tunnel, channel, profile.rate)
                 e = schedule.energy(channel)
                 ahead, behind = energy(l + 1.0) - e, e - energy(l - 1.0)
                 if abs(ahead - behind) > 1e-4 * abs(ahead):

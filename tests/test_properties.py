@@ -47,6 +47,7 @@ from oracles import (
     TUNNEL_ATTRIBUTES,
     assert_same_attributes,
     eager_build_tunnel,
+    eager_merge_events,
     eager_proportional_tunnel,
     eager_pull,
     eager_taut_values,
@@ -471,8 +472,13 @@ def _same_chunked_tunnels(prof, arr, ratio):
     """Both branches build the chunked and local-CPU tunnels of the eager
     oracle, and data arriving at or after the last idle instant lifts the
     floor's end to the total plus its offloaded share when that is the
-    higher."""
+    higher. The timeline is the eager merge's, byte for byte."""
     tl = merge_events(prof, arr)
+    times, bits, values, idle_end_index = eager_merge_events(prof, arr)
+    assert same_array(tl.times, times)
+    assert same_array(tl.arrival_bits, bits)
+    assert same_array(tl.cum_capacity, values)
+    assert tl.idle_end_index == idle_end_index
     for build, args in (
         (bursty_effective_tunnel, (prof, arr, ratio, tl)),
         (bursty_tunnel, (prof, arr, ratio, tl)),

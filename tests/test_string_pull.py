@@ -17,6 +17,8 @@ from offloadsim.string_pull import (
     verify_optimality,
 )
 from offloadsim.tunnel import (
+    FeasibilityTunnel,
+    bits_tol,
     bursty_effective_tunnel,
     effective_tunnel,
     full_utilization_tunnel,
@@ -278,6 +280,15 @@ def test_floor_following_schedule_traces_floor():
     assert verify_optimality(tun, sched).feasible
     # lazier computing is never cheaper than the taut schedule
     assert pull_string(tun).energy(CHAN) <= sched.energy(CHAN) * (1 + 1e-12)
+
+
+def test_pull_bends_onto_a_floor_half_a_tolerance_above_its_chord():
+    # the chord scan gives way to breaches past a thousandth of the bit
+    # tolerance, so this floor vertex holds the string up
+    total = 1e6
+    floor = [0.0, 0.5 * total + 0.5 * bits_tol(total), total]
+    tunnel = FeasibilityTunnel("tight", [0.0, 1.0, 2.0], floor, [0.0, total, total], total, floor, [0.0] * 3, np.inf)
+    assert pull_string(tunnel).lists[1] == floor
 
 
 def test_schedule_text_round_trip():

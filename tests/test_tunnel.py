@@ -62,13 +62,13 @@ def random_profile(rng, horizon=0.1):
 
 def test_time_at_capacity():
     prof = oneshot_profile()
-    assert _curve_time(prof.curve.parts, 0.0) == 0.0
-    assert _curve_time(prof.curve.parts, 2e5) == pytest.approx(0.02)
-    assert _curve_time(prof.curve.parts, 5e5) == pytest.approx(0.05)
-    assert _curve_time(prof.curve.parts, 6e5) == pytest.approx(0.09)
-    assert _curve_time(prof.curve.parts, 7e5) == pytest.approx(0.1)
+    assert _curve_time(prof.parts, 0.0) == 0.0
+    assert _curve_time(prof.parts, 2e5) == pytest.approx(0.02)
+    assert _curve_time(prof.parts, 5e5) == pytest.approx(0.05)
+    assert _curve_time(prof.parts, 6e5) == pytest.approx(0.09)
+    assert _curve_time(prof.parts, 7e5) == pytest.approx(0.1)
     with pytest.raises(ValueError):
-        _curve_time(prof.curve.parts, 7e5 + 1.0)
+        _curve_time(prof.parts, 7e5 + 1.0)
 
 
 def test_full_utilization_tunnel_unbounded_buffer():
@@ -347,11 +347,11 @@ def test_format_tunnel_lists_vertices():
     assert (t0, f0, c0) == (0.0, 0.0, 0.0)
 
 
-def idle_mask_flips(tunnel, curve):
+def idle_mask_flips(tunnel, profile):
     """Oracle for ``cpu_flip``: the state of the capacity-curve piece that
     holds each segment's midpoint, differenced at the interior vertices."""
     mids = 0.5 * (tunnel.times[:-1] + tunnel.times[1:])
-    idle = curve.idle[curve.boundaries.searchsorted(mids, side="right") - 1].astype(int)
+    idle = profile.idle[profile.boundaries.searchsorted(mids, side="right") - 1].astype(int)
     flips = np.zeros(len(tunnel.times), dtype=int)
     flips[1:-1] = idle[1:] - idle[:-1]
     return flips
@@ -379,7 +379,7 @@ def test_cpu_flip_matches_idle_mask_of_the_capacity_curve():
             bursty_tunnel(prof, arr, ratio),
             bursty_effective_tunnel(prof, arr, ratio),
         ):
-            assert np.array_equal(tun.cpu_flip, idle_mask_flips(tun, prof.curve)), (i, tun.kind)
+            assert np.array_equal(tun.cpu_flip, idle_mask_flips(tun, prof)), (i, tun.kind)
             kinds.add(tun.kind)
         # the user's own CPU never idles
         local = local_compute_tunnel(arr, LOCAL, ratio)
