@@ -7,13 +7,19 @@ cycles_per_bit`` during idle epochs and is flat during busy ones. This module
 owns that piecewise-linear capacity curve, the workload arrival process, the
 random samplers used by the simulator, and the parsers for the
 line-oriented text formats the CLI reads.
+
+It also owns ``_ListArray``, the descriptor through which a profile, a
+feasibility tunnel and a schedule keep float lists and hand out a read-only
+array of each on its first read, and ``_without_arrays``, which leaves those
+arrays out of a pickle.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf
+from itertools import accumulate
+from math import inf, isfinite
 
 import numpy as np
 
@@ -24,14 +30,16 @@ _EPS = float(np.finfo(float).eps)
 # Size switch of the float-list branches: a curve over fewer than this many
 # interior vertices is handled as Python float lists, where numpy's fixed
 # cost per call would dominate. It bounds the taut string's chord scan and,
-# for a whole tunnel or schedule, the schedule energy, the tunnel envelopes
-# and the tunnel's strict-increase check. Measured crossovers against numpy:
-# one chord scan breaks even at 32-40 vertices for a chord that stays
-# straight and about 50 for one that bends, and on whole solves over
-# ~100-vertex tunnels 24 ran fastest of 24, 32 and 48; a tunnel build with
-# its envelopes on lists breaks even at 16-24 vertices and the schedule
-# energy at 40-45. So at 24 each list branch runs only up to about where it
-# stops being the faster one.
+# for a whole tunnel or schedule, the schedule energy, the tunnel envelopes,
+# the tunnel's strict-increase check and the energy slopes read off a pulled
+# string (``string_pull.envelope_slope`` and ``_scaled_slope``). Measured
+# crossovers against numpy: one chord scan breaks even at 32-40 vertices for
+# a chord that stays straight and about 50 for one that bends, and on whole
+# solves over ~100-vertex tunnels 24 ran fastest of 24, 32 and 48; a tunnel
+# build with its envelopes on lists breaks even at 16-24 vertices, the
+# schedule energy at 40-45 and an envelope slope at 65-100. So at 24 each
+# list branch runs only up to about where it stops being the faster one.
+# The helper profile has no switch: it is built on lists at every size.
 _SHORT_SPAN = 24
 
 
@@ -55,7 +63,7 @@ def normalize_epochs(epochs) -> tuple[Epoch, ...]:
     merged: list[Epoch] = []
     for ep in epochs:
         dur = float(ep.duration)
-        if not np.isfinite(dur) or dur <= 0:
+        if not isfinite(dur) or dur <= 0:
             raise ValueError(f"epoch duration must be positive, got {dur}")
         if merged and merged[-1].idle == ep.idle:
             merged[-1] = Epoch(merged[-1].duration + dur, ep.idle)
@@ -91,7 +99,41 @@ def _curve_time(parts: tuple, level: float) -> float:
     return edges[k - 1] + (level - cum[k - 1]) / rate
 
 
-@dataclass(frozen=True, eq=False)
+class _ListArray:
+    """Class attribute for a read-only array of one of an object's lists,
+    ``obj.lists[index]``. The array is made on its first read and kept in
+    the object's ``__dict__``, where every later read finds it before this
+    descriptor; unlike ``functools.cached_property``, whose first read takes
+    a lock on Python 3.11, it adds nothing to that read."""
+
+    def __init__(self, index: int, dtype=float):
+        self.index = index
+        self.dtype = dtype
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        values = obj.lists[self.index]
+        return _keep(obj, self.name, np.fromiter(values, self.dtype, len(values)))
+
+
+def _keep(obj, name: str, array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    obj.__dict__[name] = array
+    return array
+
+
+def _without_arrays(obj, names: tuple) -> dict:
+    """``obj``'s state to pickle: its ``__dict__`` less what it caches under
+    ``names``, the arrays made from its lists, which pickle would bring back
+    writeable, or the lists or sums made from its arrays. A copy makes them
+    again, arrays read-only, on first read."""
+    return {k: v for k, v in obj.__dict__.items() if k not in names}
+
+
 class CpuIdlingProfile:
     """Normalized epochs as the helper's cumulative capacity curve c(t).
 
@@ -99,38 +141,46 @@ class CpuIdlingProfile:
     idle epochs and is flat over busy ones. ``durations`` are the epoch
     lengths and ``idle`` their states; ``boundaries`` holds the K+1 epoch
     edges from 0.0 to the horizon and ``cum_bits[k]`` the capacity
-    accumulated by ``boundaries[k]``, all read-only arrays.
-    ``last_idle_index`` is the index of the last idle epoch (None if the CPU
-    is never idle) and ``capacity`` the total bits computable for the user by
-    the deadline.
+    accumulated by ``boundaries[k]``. ``last_idle_index`` is the index of the
+    last idle epoch (None if the CPU is never idle) and ``capacity`` the
+    total bits computable for the user by the deadline.
+
+    The profile keeps those four sequences as the lists ``lists``
+    (durations, idle, boundaries, cum_bits) that ``build_profile`` made.
+    ``parts`` is ``(boundaries, cum_bits, idle, rate)`` on the same lists:
+    the curve as ``_curve_value`` and ``_curve_time`` read it, and the vertex
+    grids of tunnels. Each array attribute is a read-only array of its list,
+    made on its first read and left out of a pickle, like a tunnel's.
     """
 
-    helper_hz: float
-    cycles_per_bit: float
-    durations: np.ndarray
-    idle: np.ndarray
-    boundaries: np.ndarray
-    cum_bits: np.ndarray
-    rate: float
-    last_idle_index: int | None
-    capacity: float
+    durations = _ListArray(0)
+    idle = _ListArray(1, bool)
+    boundaries = _ListArray(2)
+    cum_bits = _ListArray(3)
 
-    @cached_property
-    def parts(self) -> tuple:
-        """``(boundaries, cum_bits, idle, rate)`` with the first three as
-        lists: the curve as ``_curve_value`` and ``_curve_time`` read it, and
-        the vertex grids of tunnels."""
-        return self.boundaries.tolist(), self.cum_bits.tolist(), self.idle.tolist(), self.rate
+    def __init__(
+        self, helper_hz, cycles_per_bit, durations, idle, boundaries, cum_bits, rate, last_idle_index, capacity
+    ):
+        self.helper_hz = helper_hz
+        self.cycles_per_bit = cycles_per_bit
+        self.lists = durations, idle, boundaries, cum_bits
+        self.parts = boundaries, cum_bits, idle, rate
+        self.rate = rate
+        self.last_idle_index = last_idle_index
+        self.capacity = capacity
+
+    def __getstate__(self):
+        return _without_arrays(self, _PROFILE_ARRAYS)
 
     @property
     def horizon(self) -> float:
-        return float(self.boundaries[-1])
+        return self.lists[2][-1]
 
     @property
     def idle_end(self):
         """End of the last idle epoch: no offloaded bit is computable later."""
         k = self.last_idle_index
-        return None if k is None else float(self.boundaries[k + 1])
+        return None if k is None else self.lists[2][k + 1]
 
     def capacity_at(self, t):
         """Cumulative computable bits by time t (piecewise linear).
@@ -151,9 +201,19 @@ class CpuIdlingProfile:
         return values[0] if ts.ndim == 0 else np.array(values).reshape(ts.shape)
 
 
+_PROFILE_ARRAYS = ("durations", "idle", "boundaries", "cum_bits")
+
+
 def _read_only(*arrays):
     for a in arrays:
         a.setflags(write=False)
+
+
+def _restore(obj, state: dict, *arrays: str):
+    """Unpickle ``state`` into ``obj`` and make its ``arrays`` read-only
+    again: pickle brings an array back writeable."""
+    obj.__dict__.update(state)
+    _read_only(*(state[name] for name in arrays))
 
 
 def build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> CpuIdlingProfile:
@@ -162,7 +222,8 @@ def build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> CpuIdlingProfil
     Epoch durations must sum to the horizon within 1e-12 s, or within the
     rounding of summing them, ``n * eps * sum`` for n epochs (Higham,
     *Accuracy and Stability of Numerical Algorithms*, ch. 4), if that is
-    larger: one ulp of a 1e4 s horizon is already 1.8e-12 s.
+    larger: one ulp of a 1e4 s horizon is already 1.8e-12 s. The sum checked
+    is numpy's pairwise one, the rest is summed in order on float lists.
     """
     if not 0 < helper_hz < np.inf:
         raise ValueError(f"helper_hz must be positive and finite, got {helper_hz}")
@@ -170,19 +231,18 @@ def build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> CpuIdlingProfil
         raise ValueError(f"cycles_per_bit must be positive and finite, got {cycles_per_bit}")
     epochs = list(epochs)
     eps = normalize_epochs(epochs)
-    durs = np.array([ep.duration for ep in eps], dtype=float)
-    idle = np.array([ep.idle for ep in eps], dtype=bool)
-    total = float(durs.sum())
+    durs = [ep.duration for ep in eps]
+    idle = [ep.idle for ep in eps]
+    total = float(np.fromiter(durs, float, len(durs)).sum())
     if abs(total - horizon) > max(TIME_ATOL, len(epochs) * _EPS * total):
         raise ValueError(f"epoch durations sum to {total}, expected horizon {horizon}")
-    rate = helper_hz / cycles_per_bit
-    boundaries = np.concatenate(([0.0], np.cumsum(durs)))
-    boundaries[-1] = horizon
-    cum_bits = np.concatenate(([0.0], np.cumsum(np.where(idle, durs * rate, 0.0))))
-    _read_only(durs, idle, boundaries, cum_bits)
-    idle_at = np.flatnonzero(idle)
-    last = int(idle_at[-1]) if len(idle_at) else None
-    capacity = 0.0 if last is None else float(cum_bits[last + 1])
+    rate = float(helper_hz / cycles_per_bit)
+    # running sums in epoch order, as np.cumsum adds
+    boundaries = [0.0, *accumulate(durs)]
+    boundaries[-1] = float(horizon)
+    cum_bits = [0.0, *accumulate([d * rate if rising else 0.0 for d, rising in zip(durs, idle)])]
+    last = next((k for k in range(len(idle) - 1, -1, -1) if idle[k]), None)
+    capacity = 0.0 if last is None else cum_bits[last + 1]
     return CpuIdlingProfile(
         float(helper_hz), float(cycles_per_bit), durs, idle, boundaries, cum_bits, rate, last, capacity
     )
@@ -194,6 +254,8 @@ class ArrivalProcess:
 
     Times are strictly increasing; the last event sits exactly at the horizon
     and carries zero bits (data arriving at the deadline can never be served).
+    A pickled copy leaves out the cached ``total`` and makes its arrays
+    read-only again.
     """
 
     times: np.ndarray
@@ -203,6 +265,12 @@ class ArrivalProcess:
     @cached_property
     def total(self) -> float:
         return float(self.sizes.sum())
+
+    def __getstate__(self):
+        return _without_arrays(self, ("total",))
+
+    def __setstate__(self, state):
+        _restore(self, state, "times", "sizes")
 
     @classmethod
     def from_events(cls, events, horizon) -> "ArrivalProcess":
@@ -305,7 +373,8 @@ class MergedTimeline:
     ``arrival_bits[v]`` is the data arriving exactly at ``times[v]``;
     ``cum_capacity[v]`` is the helper capacity by then; ``idle_end_index``
     locates the end of the last idle epoch inside ``times`` (None when the CPU
-    is never idle).
+    is never idle). A pickled copy leaves out the cached ``lists`` and makes
+    its arrays read-only again.
     """
 
     times: np.ndarray
@@ -317,6 +386,12 @@ class MergedTimeline:
     def lists(self) -> tuple[list, list, list]:
         """``times``, ``arrival_bits`` and ``cum_capacity`` as float lists."""
         return self.times.tolist(), self.arrival_bits.tolist(), self.cum_capacity.tolist()
+
+    def __getstate__(self):
+        return _without_arrays(self, ("lists",))
+
+    def __setstate__(self, state):
+        _restore(self, state, "times", "arrival_bits", "cum_capacity")
 
 
 def merge_events(profile: CpuIdlingProfile, arrivals: ArrivalProcess) -> MergedTimeline:

@@ -39,6 +39,7 @@ from .energy import ChannelParams, LocalComputeParams
 from .errors import InfeasibleError, NumericError
 from .string_pull import (
     OffloadSchedule,
+    _marginal_powers,
     bursty_offload_energy,
     envelope_slope,
     min_energy_offload,
@@ -196,8 +197,10 @@ def _proportional_slope(schedule: OffloadSchedule, tunnel: FeasibilityTunnel, ch
     the ceiling ``floor + B`` below the total; where the ceiling is flat at
     the total it moves by 1.
     """
-    share = tunnel.floor / tunnel.total if tunnel.total > 0.0 else tunnel.floor
-    d_ceiling = np.where(tunnel.ceiling >= tunnel.total, 1.0, share)
+    floor, ceiling = tunnel.lists[1:3]
+    total = tunnel.total
+    share = [f / total for f in floor] if total > 0.0 else floor
+    d_ceiling = [1.0 if c >= total else d for c, d in zip(ceiling, share)]
     return envelope_slope(schedule, channel, share, d_ceiling, 1.0)
 
 
@@ -290,23 +293,30 @@ class RatioResult:
     method: str  # "pinned" or "root"
 
 
-def _share_slope(profile, arrivals, channel, local, timeline, ratio) -> float:
+def _servable_bits(timeline: MergedTimeline) -> float:
+    """Data arriving before the last idle instant of ``timeline``."""
+    return float(timeline.arrival_bits[: timeline.idle_end_index].sum())
+
+
+def _share_slope(profile, arrivals, channel, local, timeline, ratio, served=None) -> float:
     """Slope in the share ``ratio`` of the chunked objective: local energy of
     the kept share plus the optimal transfer's energy.
 
     The transfer's tunnel moves with the share by the servable data ``T``
-    (chunks before the last idle instant) in its floor, where positive, and
-    in its total, and by the arrived data ``A(t)`` in its ceiling. A transfer
-    too small to build a tunnel for is priced at the marginal power of rate
-    zero per servable bit.
+    (``served``, chunks before the last idle instant, summed from
+    ``timeline`` unless given) in its floor, where positive, and in its
+    total, and by the arrived data ``A(t)`` in its ceiling. A transfer too
+    small to build a tunnel for is priced at the marginal power of rate zero
+    per servable bit.
     """
-    served = float(timeline.arrival_bits[: timeline.idle_end_index].sum())
+    served = _servable_bits(timeline) if served is None else served
     local_slope = arrivals.total * local.bit_energy
     if ratio * arrivals.total <= bits_tol(arrivals.total):
-        return float(channel.marginal_energy_per_bit(0.0)) * served - local_slope
+        return _marginal_powers(channel, (0.0,))[0] * served - local_slope
     schedule, tunnel = min_energy_offload_bursty(profile, arrivals, ratio, timeline)
-    d_floor = np.where(tunnel.floor > 0.0, served, 0.0)
-    return envelope_slope(schedule, channel, d_floor, tunnel.ceiling / ratio, served) - local_slope
+    floor, ceiling = tunnel.lists[1:3]
+    d_floor = [served if f > 0.0 else 0.0 for f in floor]
+    return envelope_slope(schedule, channel, d_floor, [c / ratio for c in ceiling], served) - local_slope
 
 
 def optimize_ratio(
@@ -349,7 +359,7 @@ def optimize_ratio(
         best = min((r_lo, r_hi), key=objective)  # r_lo on a tie
         method = "pinned"
     else:
-        slope = partial(_share_slope, profile, arrivals, channel, local, tl)
+        slope = partial(_share_slope, profile, arrivals, channel, local, tl, served=_servable_bits(tl))
         best = split_root(slope, r_lo, r_hi, tol=_RATIO_TOL)
         method = "root"
     schedule, tunnel = min_energy_offload_bursty(profile, arrivals, best, tl)

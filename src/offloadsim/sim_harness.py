@@ -48,7 +48,14 @@ from .cpu_profile import (
 from .energy import ChannelParams, LocalComputeParams, schedule_energy
 from .errors import ConfigError, InfeasibleError
 from .partition import _split_slope, optimize_partition, optimize_ratio, partition_bounds, split_root
-from .string_pull import floor_following_schedule, lazy_first_slope, offload_energy, pull_string
+from .string_pull import (
+    _marginal_powers,
+    _scaled_slope,
+    floor_following_schedule,
+    lazy_first_slope,
+    offload_energy,
+    pull_string,
+)
 from .tunnel import (
     bits_tol,
     bursty_effective_tunnel,
@@ -305,7 +312,7 @@ def _buffer_first_energy(profile, channel, local, load_bits, buffer_bits, low, h
                 g = [lazy_first_slope(schedule, tunnel, channel, rate, c) for c in corners]
             else:  # nothing sent: the first bit goes out at a vanishing rate
                 e = local.local_energy(load_bits - l)
-                g = [float(channel.marginal_energy_per_bit(0.0))]
+                g = [_marginal_powers(channel, (0.0,))[0]]
             probed[l] = e, g[0] - local.bit_energy, g[-1] - local.bit_energy
         return probed[l]
 
@@ -324,16 +331,6 @@ def _buffer_first_energy(profile, channel, local, load_bits, buffer_bits, low, h
         if inner[a] < 0.0 < inner[b]:
             probe(split_root(lambda l: inner[l] if l in inner else probe(l)[1], a, b, tol=_ROOT_TOL))
     return min(e for e, _, _ in probed.values())
-
-
-def _scaled_slope(full, channel, offload_bits) -> float:
-    """Slope in the transfer size of the energy of ``full`` scaled to
-    ``offload_bits``: ``sum over segments of p'(s r) * bits / C`` with ``s =
-    offload_bits / C``, ``r`` and ``bits`` the segments' rates and bits and
-    ``C`` the string's total. An overflowing ``p'`` only meets positive bits,
-    so the slope is then ``+inf``, never NaN."""
-    s = offload_bits / full.total
-    return float(channel.marginal_energy_per_bit(s * full.rates) @ full.bits) / full.total
 
 
 def _paced_energy(profile, channel, local, load_bits, buffer_bits, low, high) -> float:
@@ -397,17 +394,19 @@ _PROFILE_AXES = {"mean_idle", "mean_busy", "horizon"}
 def _split_trial(task):
     """One one-shot trial at every grid value: a case tuple per value.
 
-    The trial's draws are made once, and so is its profile unless the axis
-    moves it. Within one profile a case depends only on the gain, the load
-    and the buffer, and a buffer holding every feasible transfer never binds,
-    so it is priced as no buffer at all, once for all such grid values.
+    ``task`` is ``(configs, kind, axis, values, trial)``, with the scenario
+    at each grid value in ``configs``, built once per sweep by
+    ``_run_sweep``. The trial's draws are made once, and so is its profile
+    unless the axis moves it. Within one profile a case depends only on the
+    gain, the load and the buffer, and a buffer holding every feasible
+    transfer never binds, so it is priced as no buffer at all, once for all
+    such grid values.
     """
-    cfg, kind, axis, values, trial = task
-    draws = draw_trial(cfg.seed, _TAGS[kind], trial)
+    configs, kind, axis, _, trial = task
+    draws = draw_trial(configs[0].seed, _TAGS[kind], trial)
     profile = None
     cases = []
-    for value in values:
-        cfg_pt = _apply_axis(cfg, axis, value)
+    for cfg_pt in configs:
         if profile is None or axis in _PROFILE_AXES:
             profile, priced = _profile_from_draws(draws, cfg_pt), {}
         gain = cfg_pt.mean_gain * (draws.gain_unit if cfg_pt.rayleigh_fading else 1.0)
@@ -430,12 +429,11 @@ def _bursty_trial(task):
     """One chunked-arrival trial at every grid value: a case tuple per value,
     with the draws made once and the profile built once unless the axis
     moves it."""
-    cfg, kind, axis, values, trial = task
-    draws = draw_trial(cfg.seed, _TAGS[kind], trial)
+    configs, kind, axis, values, trial = task
+    draws = draw_trial(configs[0].seed, _TAGS[kind], trial)
     profile = None
     cases = []
-    for value in values:
-        cfg_pt = _apply_axis(cfg, axis, value)
+    for cfg_pt, value in zip(configs, values):
         if profile is None or axis in _PROFILE_AXES:
             profile = _profile_from_draws(draws, cfg_pt)
         scale = value if axis == "size_scale" else 1.0
@@ -600,11 +598,11 @@ def _run_sweep(cfg, axis, values, kind, worker, jobs) -> SweepResult:
     values = [float(v) for v in values]
     if not values:
         raise ConfigError("sweep needs at least one grid value")
-    for v in values:
-        _apply_axis(cfg, axis, v)  # reject a bad grid value before any trial runs
+    configs = [_apply_axis(cfg, axis, v) for v in values]  # a bad grid value fails before any trial runs
     if jobs is not None and not jobs >= 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    tasks = [(cfg, kind, axis, values, t) for t in range(cfg.trials)]  # one per trial, all its grid values
+    # one task per trial, at all its grid values; the trial comes last
+    tasks = [(configs, kind, axis, values, t) for t in range(cfg.trials)]
     results = _forked_map(worker, tasks, min(jobs or 1, len(tasks)))
     per_trial = [list(cases) for cases in zip(*results)]  # one list per grid value, trial order
     rows = [_aggregate(kind, axis, v, cases) for v, cases in zip(values, per_trial)]

@@ -17,30 +17,40 @@ arrays only in a long chord scan; the schedule it returns keeps the times
 and the string's values as float lists, which ``lazy_first_slope`` and a
 short schedule's energy read, and makes its read-only arrays on first read.
 A long schedule takes its tunnel's ``times`` array and prices its energy on
-arrays, so none is made again per call.
+arrays, so none is made again per call. A schedule's arrays are made through
+``cpu_profile._ListArray``, as a tunnel's and a profile's are.
 ``envelope_slope`` reads off a pulled string how its energy moves with any
 parameter that moves the tunnel, from the multipliers at its contacts;
 ``lazy_first_slope`` is its closed form for the size of a lazy-first
-transfer, whose floor corner moves in time as well.
+transfer, whose floor corner moves in time as well, and ``_scaled_slope``
+the slope of a string scaled to a size. Below ``_SHORT_SPAN`` interior
+vertices ``envelope_slope`` and ``_scaled_slope`` sum in Python floats, from
+the schedule's lists and the per-vertex slopes that callers build from the
+tunnel's lists; this module alone decides the branch.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, expm1, inf
+from math import exp, expm1, inf, nan
 
 import numpy as np
 
-from .cpu_profile import _SHORT_SPAN, ArrivalProcess, CpuIdlingProfile, MergedTimeline
+from .cpu_profile import (
+    _SHORT_SPAN,
+    ArrivalProcess,
+    CpuIdlingProfile,
+    MergedTimeline,
+    _ListArray,
+    _keep,
+    _without_arrays,
+)
 from .energy import _LN2, ChannelParams, schedule_energy
 from .errors import InfeasibleError
 from .tunnel import (
     FeasibilityTunnel,
-    _ListArray,
     _build_tunnel,
     _fits,
     _float_lists,
-    _keep,
-    _without_arrays,
     bits_tol,
     bursty_effective_tunnel,
     effective_tunnel,
@@ -174,19 +184,71 @@ def envelope_slope(schedule: OffloadSchedule, channel: ChannelParams, d_floor, d
     under the ceiling, zero where it runs straight. By the envelope theorem
     the energy then moves by ``sum max(w, 0) * d_floor + sum min(w, 0) *
     d_ceiling + m_last * d_total`` per unit of the parameter, given the
-    per-vertex slopes of the floor and ceiling and the slope of the total.
+    per-vertex slopes of the floor and ceiling (float lists or arrays) and
+    the slope of the total.
+
+    A string over fewer than ``_SHORT_SPAN`` interior vertices is read from
+    its float lists and summed in Python floats, where numpy's cost per call
+    would dominate; a longer one with numpy. The two sum in different orders
+    and raise two to a power with different code, so they agree to rounding,
+    not bit for bit.
 
     A marginal power that overflows makes the slope ``+inf`` (the energy is
     infinite there too); a NaN rate makes it NaN.
     """
-    m = channel.marginal_energy_per_bit(schedule.rates)
-    top = float(np.max(m))
-    if not 0.0 < top < np.inf:
-        return top
-    m = m / top  # so no sum below can overflow into inf - inf
-    w = m[:-1] - m[1:]
-    s = np.maximum(w, 0.0) @ d_floor[1:-1] + np.minimum(w, 0.0) @ d_ceiling[1:-1] + m[-1] * d_total
-    return top * float(s)
+    t, c = schedule.lists
+    if len(t) - 2 >= _SHORT_SPAN:
+        m = channel.marginal_energy_per_bit(schedule.rates)
+        top = float(np.max(m))
+        if not 0.0 < top < np.inf:
+            return top
+        m = m / top  # so no sum below can overflow into inf - inf
+        w = m[:-1] - m[1:]
+        s = np.maximum(w, 0.0) @ d_floor[1:-1] + np.minimum(w, 0.0) @ d_ceiling[1:-1] + m[-1] * d_total
+        return top * float(s)
+    m = _marginal_powers(channel, [(c1 - c0) / (t1 - t0) for t0, t1, c0, c1 in zip(t, t[1:], c, c[1:])])
+    top = max(m)
+    if not 0.0 < top < inf:
+        return nan if any(v != v for v in m) else top  # max keeps a NaN only where it comes first
+    m = [v / top for v in m]
+    on_floor = on_ceiling = 0.0
+    for before, after, df, dc in zip(m, m[1:], d_floor[1:], d_ceiling[1:]):
+        w = before - after
+        if w > 0.0:
+            on_floor += w * df
+        else:
+            on_ceiling += w * dc
+    return top * float(on_floor + on_ceiling + m[-1] * d_total)
+
+
+def _scaled_slope(full: OffloadSchedule, channel: ChannelParams, offload_bits: float) -> float:
+    """Slope in the transfer size of the energy of ``full`` scaled to
+    ``offload_bits``: ``sum over segments of p'(s r) * bits / C`` with ``s =
+    offload_bits / C``, ``r`` and ``bits`` the segments' rates and bits and
+    ``C`` the string's total, in Python floats below ``_SHORT_SPAN`` interior
+    vertices and with numpy above, as ``envelope_slope``. An overflowing
+    ``p'`` only meets positive bits, so the slope is then ``+inf``, never
+    NaN."""
+    t, c = full.lists
+    total = c[-1]
+    s = offload_bits / total
+    if len(t) - 2 >= _SHORT_SPAN:
+        return float(channel.marginal_energy_per_bit(s * full.rates) @ full.bits) / total
+    bits = [c1 - c0 for c0, c1 in zip(c, c[1:])]
+    rates = [b / (t1 - t0) for b, t0, t1 in zip(bits, t, t[1:])]
+    slope = 0.0
+    for m, b in zip(_marginal_powers(channel, rates, s), bits):
+        slope += m * b
+    return slope / total
+
+
+def _marginal_powers(channel: ChannelParams, rates, scale: float = 1.0) -> list:
+    """``channel.marginal_energy_per_bit(scale * rate)`` of each of
+    ``rates``, in Python floats: ``+inf`` where the power of two overflows,
+    as numpy gives it and Python's ``**`` would raise."""
+    w = channel.bandwidth_hz
+    base = channel.noise_w * _LN2 / (w * channel.gain)
+    return [inf if x >= 1024.0 else base * 2.0 ** x for x in [scale * r / w for r in rates]]
 
 
 def lazy_first_slope(

@@ -35,11 +35,13 @@ float64 operations and comparisons, so both give the same arrays and
 verdicts bit for bit.
 
 A tunnel keeps its vertex sequences as the float lists the build made
-(``FeasibilityTunnel.lists``), and ``_fits``, the one feasibility rule, and
-the string pull read those. Its array attributes are read-only and made on
-first read, so a short tunnel priced end to end makes none; a long one keeps
-the ``times``, ``floor`` and ``ceiling`` arrays that its strict-increase
-check and numpy envelopes made, which the pull's long chord scans read.
+(``FeasibilityTunnel.lists``), and ``_fits``, the one feasibility rule, the
+string pull and the energy slopes read those. Its array attributes are
+read-only and made on first read, through ``cpu_profile._ListArray``, which
+the helper profile uses too; so a short tunnel priced end to end makes none;
+a long one keeps the ``times``, ``floor`` and ``ceiling`` arrays that its
+strict-increase check and numpy envelopes made, which the pull's long chord
+scans read.
 """
 from __future__ import annotations
 
@@ -55,8 +57,11 @@ from .cpu_profile import (
     ArrivalProcess,
     CpuIdlingProfile,
     MergedTimeline,
+    _ListArray,
     _curve_time,
     _curve_value,
+    _keep,
+    _without_arrays,
     merge_events,
 )
 from .errors import InfeasibleError
@@ -68,39 +73,6 @@ BITS_ATOL = 1e-6
 def bits_tol(scale: float) -> float:
     """Comparison tolerance for bit quantities of the given magnitude."""
     return max(BITS_ATOL, BITS_RTOL * abs(scale))
-
-
-class _ListArray:
-    """Class attribute for a read-only float64 array of one of an object's
-    float lists, ``obj.lists[index]``. The array is made on its first read
-    and kept in the object's ``__dict__``, where every later read finds it
-    before this descriptor; unlike ``functools.cached_property``, whose first
-    read takes a lock on Python 3.11, it adds nothing to that read."""
-
-    def __init__(self, index: int):
-        self.index = index
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        values = obj.lists[self.index]
-        return _keep(obj, self.name, np.fromiter(values, float, len(values)))
-
-
-def _keep(obj, name: str, array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    obj.__dict__[name] = array
-    return array
-
-
-def _without_arrays(obj, names: tuple) -> dict:
-    """``obj``'s state to pickle: its ``__dict__`` less the arrays kept under
-    ``names``, which pickle would bring back writeable. A copy makes them
-    from its lists, read-only, on first read."""
-    return {k: v for k, v in obj.__dict__.items() if k not in names}
 
 
 def _float_lists(obj, names: tuple, values: tuple) -> tuple:
@@ -356,9 +328,9 @@ def proportional_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_b
     if not factor > 0.0:
         raise ValueError(f"offload_bits must be positive, got {offload_bits}")
     rate = profile.helper_hz * factor / profile.cycles_per_bit
-    edges, _, idle, _ = profile.parts
+    durations, idle, edges, _ = profile.lists
     # the derated curve's values, summed in order as build_profile sums the profile's own
-    pieces = zip(profile.durations.tolist(), idle)
+    pieces = zip(durations, idle)
     cum = [0.0, *accumulate([d * rate if rising else 0.0 for d, rising in pieces])]
     return _build_tunnel("proportional", (edges, cum, idle, rate), edges[:n], cum[:n], cum[-1], 0.0, buffer_bits)
 

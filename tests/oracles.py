@@ -12,7 +12,9 @@ steps through numpy scalars: the library's earlier ways of doing both.
 ``eager_merge_events`` interleaves epoch edges and arrivals by stepping
 through numpy scalars and evaluates the capacity curve at every vertex at
 once with ``padded_curve_at``, the library's earlier merge, which the one
-that walks float lists must match byte for byte.
+that walks float lists must match byte for byte. ``eager_build_profile`` is
+the library's earlier profile build on numpy arrays, which the one on float
+lists must match byte for byte too.
 
 ``eager_build_tunnel`` and ``eager_pull`` are the tunnel construction and the
 string pull as they made every array when they ran: ``np.fromiter`` and
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from offloadsim.cpu_profile import TIME_ATOL, _curve_time, _curve_value
+from offloadsim.cpu_profile import TIME_ATOL, _curve_time, _curve_value, normalize_epochs
 from offloadsim.partition import golden_section
 from offloadsim.string_pull import OffloadSchedule, pull_string
 from offloadsim.tunnel import _build_tunnel, _fits, bits_tol, lazy_first_tunnel
@@ -125,6 +127,49 @@ def looped_min_offload_ratio(arrivals, local) -> float:
         room = rate * (horizon - t)
         worst = max(worst, 1.0 - room / tail)
     return float(worst)
+
+
+@dataclass(frozen=True, eq=False)
+class EagerProfile:
+    """A helper profile with every array made when it was built."""
+
+    helper_hz: float
+    cycles_per_bit: float
+    durations: np.ndarray
+    idle: np.ndarray
+    boundaries: np.ndarray
+    cum_bits: np.ndarray
+    rate: float
+    last_idle_index: int | None
+    capacity: float
+
+    @property
+    def parts(self) -> tuple:
+        return self.boundaries.tolist(), self.cum_bits.tolist(), self.idle.tolist(), self.rate
+
+
+def eager_build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> EagerProfile:
+    """``build_profile`` on numpy arrays: ``np.cumsum`` for the boundaries
+    and the capacity, ``flatnonzero`` for the last idle epoch."""
+    if not 0 < helper_hz < np.inf:
+        raise ValueError(f"helper_hz must be positive and finite, got {helper_hz}")
+    if not 0 < cycles_per_bit < np.inf:
+        raise ValueError(f"cycles_per_bit must be positive and finite, got {cycles_per_bit}")
+    epochs = list(epochs)
+    eps = normalize_epochs(epochs)
+    durs = np.array([ep.duration for ep in eps], dtype=float)
+    idle = np.array([ep.idle for ep in eps], dtype=bool)
+    total = float(durs.sum())
+    if abs(total - horizon) > max(TIME_ATOL, len(epochs) * np.finfo(float).eps * total):
+        raise ValueError(f"epoch durations sum to {total}, expected horizon {horizon}")
+    rate = helper_hz / cycles_per_bit
+    boundaries = np.concatenate(([0.0], np.cumsum(durs)))
+    boundaries[-1] = horizon
+    cum_bits = np.concatenate(([0.0], np.cumsum(np.where(idle, durs * rate, 0.0))))
+    idle_at = np.flatnonzero(idle)
+    last = int(idle_at[-1]) if len(idle_at) else None
+    capacity = 0.0 if last is None else float(cum_bits[last + 1])
+    return EagerProfile(float(helper_hz), float(cycles_per_bit), durs, idle, boundaries, cum_bits, rate, last, capacity)
 
 
 def padded_curve_at(profile, t):

@@ -16,16 +16,20 @@ from offloadsim.cpu_profile import (
     Epoch,
     build_profile,
     merge_events,
+    normalize_epochs,
     sample_arrivals,
     sample_cpu_process,
 )
 from offloadsim.energy import ChannelParams, LocalComputeParams, schedule_energy
 from offloadsim.errors import InfeasibleError
-from offloadsim.partition import optimize_partition, partition_bounds
+from offloadsim.partition import _proportional_slope, _share_slope, optimize_partition, partition_bounds
 from offloadsim.string_pull import (
+    _scaled_slope,
     _taut_values,
     _zero_solution,
     floor_following_schedule,
+    min_energy_offload,
+    min_energy_offload_bursty,
     offload_energy,
     pull_string,
 )
@@ -46,6 +50,7 @@ from convex_reference import convex_reference_schedule
 from oracles import (
     TUNNEL_ATTRIBUTES,
     assert_same_attributes,
+    eager_build_profile,
     eager_build_tunnel,
     eager_merge_events,
     eager_proportional_tunnel,
@@ -356,6 +361,57 @@ def test_both_energy_branches_agree_on_edge_segments():
             assert by_numpy == by_lists == want
 
 
+PROFILE_ATTRIBUTES = (
+    "helper_hz", "cycles_per_bit", "durations", "idle", "boundaries", "cum_bits", "rate", "last_idle_index", "capacity",
+)
+
+
+def _same_profile_as_eager(epochs, horizon):
+    """``build_profile`` of ``epochs`` refuses them as the eager oracle does,
+    or reads its arrays byte for byte and its lists, ``parts`` and scalars
+    to the last bit and type. Returns the profile, or None."""
+    try:
+        eager = eager_build_profile(epochs, 5e9, 500.0, horizon)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            build_profile(epochs, 5e9, 500.0, horizon)
+        assert str(refused.value) == str(exc)
+        return None
+    prof = build_profile(epochs, 5e9, 500.0, horizon)
+    arrays = (eager.durations, eager.idle, eager.boundaries, eager.cum_bits)
+    assert repr(prof.lists) == repr(tuple(a.tolist() for a in arrays))
+    assert repr(prof.parts) == repr(eager.parts)
+    for name in PROFILE_ATTRIBUTES:
+        got, want = getattr(prof, name), getattr(eager, name)
+        assert same_array(got, want) if isinstance(want, np.ndarray) else repr(got) == repr(want), name
+    return prof
+
+
+def test_profile_build_checks_the_horizon_on_the_eager_sum():
+    # the horizon check reads numpy's pairwise sum of the durations, which
+    # the running sums of the boundaries can miss by a few ulps: at each
+    # horizon a few ulps either side of both edges of the tolerance the
+    # build accepts or refuses the epochs as the eager build does, and some
+    # of them a check on the running sum would decide the other way
+    rng = np.random.default_rng(11)
+    eps = np.finfo(float).eps
+    split = 0
+    for scale in (1e-1, 1e4):
+        for n in (3, 7, 9, 40, 300):
+            durations = (scale / n * rng.uniform(0.5, 1.5, n)).tolist()
+            epochs = [Epoch(d, k % 3 != 0) for k, d in enumerate(durations)]  # some neighbours merge
+            merged = [ep.duration for ep in normalize_epochs(epochs)]
+            pairwise, running = float(np.sum(merged)), sum(merged)
+            for total in (pairwise, running):
+                tol = max(TIME_ATOL, n * eps * total)
+                for edge in (total - tol, total + tol):
+                    for ulps in range(-4, 5):
+                        horizon = edge + ulps * np.spacing(edge)
+                        accepted = _same_profile_as_eager(epochs, horizon) is not None
+                        split += accepted == (abs(running - horizon) > max(TIME_ATOL, n * eps * running))
+    assert split > 0
+
+
 def _tunnel_arrays(t):
     if isinstance(t, Exception):
         return t
@@ -383,7 +439,7 @@ def test_both_branches_build_the_same_one_shot_tunnels(durations, idle_first, sc
     # tolerance, so one placed on a boundary can land just past it
     durations = np.array(durations) * 10.0**scale_exp
     epochs = [Epoch(d, (i % 2 == 0) == idle_first) for i, d in enumerate(durations)]
-    prof = build_profile(epochs, 5e9, 500.0, float(durations.sum()))
+    prof = _same_profile_as_eager(epochs, float(durations.sum()))
     size = _size(prof.capacity, prof.cum_bits, size_pick)
     if isinstance(buffer_pick, int):
         buffer_bits = _size(prof.capacity, prof.cum_bits, buffer_pick)
@@ -445,7 +501,7 @@ def chunked_instances(draw):
     durations = scale * np.array(draw(st.lists(st.floats(1e-3, 3e-2), min_size=n, max_size=n)))
     idle_first = draw(st.booleans())
     epochs = [Epoch(d, (i % 2 == 0) == idle_first) for i, d in enumerate(durations)]
-    prof = build_profile(epochs, 5e9, 500.0, float(durations.sum()))
+    prof = _same_profile_as_eager(epochs, float(durations.sum()))
     edges, end = prof.boundaries, prof.idle_end or 0.0
     at = st.one_of(
         st.floats(0.0, 1.0).map(lambda u: u * prof.horizon),
@@ -509,6 +565,73 @@ def test_both_branches_build_the_same_long_chunked_tunnels():
     assert len(merge_events(prof, arr).times) > 4000
     for ratio in (0.3, min(max_offload_ratio(prof, arr), 1.0)):
         _same_chunked_tunnels(prof, arr, ratio)
+
+
+def _slope_magnitude(schedule, chan, d_floor, d_ceiling, d_total) -> float:
+    """Sum of the magnitudes that ``envelope_slope`` of ``schedule`` adds
+    up: each multiplier's two marginal powers times its vertex's slope, and
+    the last marginal power times the total's. Rounding moves the slope by
+    a few ulps of each, whatever cancels."""
+    m = chan.marginal_energy_per_bit(schedule.rates)
+    d = np.where(m[:-1] >= m[1:], np.asarray(d_floor)[1:-1], np.asarray(d_ceiling)[1:-1])
+    return float(((m[:-1] + m[1:]) * np.abs(d)).sum() + m[-1] * abs(d_total))
+
+
+def _agree_to_rounding(by_numpy, by_lists, n, magnitude):
+    """The two slope branches agree within ``8 n eps`` of the magnitude of
+    what they add, the bound of an n-term float64 sum with a few ulps of
+    error in each term (Higham, ch. 3); an error or a NaN on both sides."""
+    if isinstance(by_numpy, Exception):
+        assert _same_error(by_numpy, by_lists)
+    elif np.isnan(by_numpy):
+        assert np.isnan(by_lists)
+    else:
+        assert by_numpy == by_lists or abs(by_numpy - by_lists) <= 8 * n * np.finfo(float).eps * magnitude
+
+
+@settings(max_examples=100)
+@given(
+    durations=st.lists(st.floats(1e-3, 3e-2), min_size=1, max_size=40),
+    idle_first=st.booleans(),
+    size_frac=st.floats(0.0, 1.0),
+    buffer_frac=st.floats(0.0, 1.0),
+    gain_exp=st.floats(-2.0, 2.0),
+)
+def test_both_branches_read_the_same_split_slopes(durations, idle_first, size_frac, buffer_frac, gain_exp):
+    # the slope of a transfer above its buffer (a proportional or full
+    # tunnel's string) and of the full string scaled to a size, in Python
+    # floats and with numpy
+    epochs = [Epoch(d, (i % 2 == 0) == idle_first) for i, d in enumerate(durations)]
+    prof = build_profile(epochs, 5e9, 500.0, float(np.sum(durations)))
+    size = size_frac * prof.capacity
+    assume(size > bits_tol(prof.capacity))
+    chan = channel(gain_exp)
+    schedule, tunnel = min_energy_offload(prof, size, buffer_frac * size)
+    n = len(schedule.lists[0])
+    share = tunnel.floor / tunnel.total
+    magnitude = _slope_magnitude(schedule, chan, share, np.where(tunnel.ceiling >= tunnel.total, 1.0, share), 1.0)
+    _agree_to_rounding(*_by_each_branch(_proportional_slope, schedule, tunnel, chan), n, magnitude)
+    full = pull_string(full_utilization_tunnel(prof, np.inf))
+    s = size / full.total
+    magnitude = float((chan.marginal_energy_per_bit(s * full.rates) * full.bits).sum()) / full.total
+    _agree_to_rounding(*_by_each_branch(_scaled_slope, full, chan, size), len(full.lists[0]), magnitude)
+
+
+@settings(max_examples=100)
+@given(instance=chunked_instances(), gain_exp=st.floats(-2.0, 2.0))
+def test_both_branches_read_the_same_share_slope(instance, gain_exp):
+    prof, arr, ratio = instance
+    tl = merge_events(prof, arr)
+    chan = channel(gain_exp)
+    by_numpy, by_lists = _by_each_branch(_share_slope, prof, arr, chan, LOCAL, tl, ratio)
+    n, magnitude = 1, arr.total * LOCAL.bit_energy
+    if ratio * arr.total > bits_tol(arr.total) and not isinstance(by_numpy, Exception):
+        schedule, tunnel = min_energy_offload_bursty(prof, arr, ratio, tl)
+        served = float(tl.arrival_bits[: tl.idle_end_index].sum())
+        d_floor = np.where(tunnel.floor > 0.0, served, 0.0)
+        n = len(schedule.lists[0])
+        magnitude += _slope_magnitude(schedule, chan, d_floor, tunnel.ceiling / ratio, served)
+    _agree_to_rounding(by_numpy, by_lists, n, magnitude)
 
 
 def _verdict(schedule, tunnel):

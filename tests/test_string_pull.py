@@ -311,5 +311,18 @@ def test_envelope_slope_survives_marginal_powers_near_overflow():
     # past overflow the slope is +inf; a NaN rate makes it NaN
     faster = OffloadSchedule(schedule.times, 1.01 * schedule.cumulative)
     assert envelope_slope(faster, chan, ones, ones, 1.0) == np.inf
+    # also where the power of two alone overflows, times a factor below one
+    assert envelope_slope(faster, ChannelParams(1.0, 1e3, 1e-6), ones, ones, 1.0) == np.inf
     broken = OffloadSchedule(schedule.times, np.where(np.arange(6) == 3, np.nan, schedule.cumulative))
     assert np.isnan(envelope_slope(broken, chan, ones, ones, 1.0))
+    # a NaN rate makes it NaN also where another rate overflows, before the
+    # NaN or after it, though a running max over a list skips a NaN it
+    # meets after the first value
+    for fast in (0, 4):
+        rates = np.ones(5)
+        rates[fast] = 1030.0
+        cumulative = np.concatenate(([0.0], np.cumsum(rates * chan.bandwidth_hz)))
+        cumulative[3] = np.nan  # the rates of segments 2 and 3
+        both = OffloadSchedule(schedule.times, cumulative)
+        assert np.isinf(chan.marginal_energy_per_bit(both.rates[fast]))
+        assert np.isnan(envelope_slope(both, chan, ones, ones, 1.0)), fast
