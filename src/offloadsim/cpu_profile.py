@@ -8,16 +8,20 @@ owns that piecewise-linear capacity curve, the workload arrival process, the
 random samplers used by the simulator, and the parsers for the
 line-oriented text formats the CLI reads.
 
-It also owns ``_ListArray``, the descriptor through which a profile, a
-feasibility tunnel and a schedule keep float lists and hand out a read-only
-array of each on its first read, and ``_without_arrays``, which leaves those
-arrays out of a pickle.
+It also states the one rule by which a profile, the arrivals, a merged
+timeline, a feasibility tunnel and a schedule hold their data, as list
+records (``_ListRecord``): each keeps the float lists its builder made in
+``lists``, and each ``_ListArray`` attribute is a read-only array of one
+of them, made on its first read. A constructor keeps a list as it is and
+copies anything else into such an array (``_float_lists``), so no caller
+can make a list and its array disagree. A pickled record leaves the arrays
+out, since pickle would bring them back writeable, and the copy makes them
+read-only again on first read.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from math import inf, isfinite
 
@@ -48,6 +52,14 @@ def as_generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def _check_positive(**fields):
+    """Reject each field that is not positive and finite, by name (a
+    sampler would loop forever on a NaN or infinite one)."""
+    for name, value in fields.items():
+        if not (isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -100,11 +112,11 @@ def _curve_time(parts: tuple, level: float) -> float:
 
 
 class _ListArray:
-    """Class attribute for a read-only array of one of an object's lists,
+    """Class attribute for a read-only array of one of a record's lists,
     ``obj.lists[index]``. The array is made on its first read and kept in
     the object's ``__dict__``, where every later read finds it before this
-    descriptor; unlike ``functools.cached_property``, whose first read takes
-    a lock on Python 3.11, it adds nothing to that read."""
+    descriptor; unlike a ``functools`` cached property, whose first read
+    takes a lock on Python 3.11, it adds nothing to that read."""
 
     def __init__(self, index: int, dtype=float):
         self.index = index
@@ -126,15 +138,43 @@ def _keep(obj, name: str, array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _without_arrays(obj, names: tuple) -> dict:
-    """``obj``'s state to pickle: its ``__dict__`` less what it caches under
-    ``names``, the arrays made from its lists, which pickle would bring back
-    writeable, or the lists or sums made from its arrays. A copy makes them
-    again, arrays read-only, on first read."""
-    return {k: v for k, v in obj.__dict__.items() if k not in names}
+def _float_lists(obj, values: tuple) -> tuple:
+    """``obj.lists`` for ``values``: a list is kept as it is; anything else
+    is copied into an array of its ``_ListArray``'s dtype, which ``obj``
+    hands out read-only, and read as a list."""
+    for v in values:
+        if type(v) is not list:
+            arrays = {a.index: a for a in vars(type(obj)).values() if isinstance(a, _ListArray)}
+            return tuple(
+                u if type(u) is list else _keep(obj, arrays[i].name, np.array(u, arrays[i].dtype)).tolist()
+                for i, u in enumerate(values)
+            )
+    return values
 
 
-class CpuIdlingProfile:
+class _ListRecord:
+    """A record of float lists, ``lists``, with ``_ListArray`` attributes
+    (see the module docstring). Its pickled state is its ``__dict__`` less
+    the arrays its ``_ListArray`` attributes made."""
+
+    def __getstate__(self):
+        cls = type(self)
+        return {k: v for k, v in self.__dict__.items() if not isinstance(getattr(cls, k, None), _ListArray)}
+
+
+def _numpy_sum(values: list) -> float:
+    """numpy's ``.sum()`` of a float list. Below 8 terms numpy adds them in
+    order from 0.0, as this loop does; from 8 on it adds them pairwise,
+    which differs in the last bit, so numpy sums those."""
+    if len(values) >= 8:
+        return float(np.fromiter(values, float, len(values)).sum())
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+class CpuIdlingProfile(_ListRecord):
     """Normalized epochs as the helper's cumulative capacity curve c(t).
 
     The curve rises at ``rate`` bits/s (``helper_hz / cycles_per_bit``) over
@@ -145,12 +185,11 @@ class CpuIdlingProfile:
     last idle epoch (None if the CPU is never idle) and ``capacity`` the
     total bits computable for the user by the deadline.
 
-    The profile keeps those four sequences as the lists ``lists``
-    (durations, idle, boundaries, cum_bits) that ``build_profile`` made.
-    ``parts`` is ``(boundaries, cum_bits, idle, rate)`` on the same lists:
-    the curve as ``_curve_value`` and ``_curve_time`` read it, and the vertex
-    grids of tunnels. Each array attribute is a read-only array of its list,
-    made on its first read and left out of a pickle, like a tunnel's.
+    A list record (``_ListRecord``) of ``lists`` (durations, idle,
+    boundaries, cum_bits), as ``build_profile`` made them. ``parts`` is
+    ``(boundaries, cum_bits, idle, rate)`` on the same lists: the curve as
+    ``_curve_value`` and ``_curve_time`` read it, and the vertex grids of
+    tunnels.
     """
 
     durations = _ListArray(0)
@@ -163,14 +202,12 @@ class CpuIdlingProfile:
     ):
         self.helper_hz = helper_hz
         self.cycles_per_bit = cycles_per_bit
-        self.lists = durations, idle, boundaries, cum_bits
+        self.lists = _float_lists(self, (durations, idle, boundaries, cum_bits))
+        _, idle, boundaries, cum_bits = self.lists
         self.parts = boundaries, cum_bits, idle, rate
         self.rate = rate
         self.last_idle_index = last_idle_index
         self.capacity = capacity
-
-    def __getstate__(self):
-        return _without_arrays(self, _PROFILE_ARRAYS)
 
     @property
     def horizon(self) -> float:
@@ -201,21 +238,6 @@ class CpuIdlingProfile:
         return values[0] if ts.ndim == 0 else np.array(values).reshape(ts.shape)
 
 
-_PROFILE_ARRAYS = ("durations", "idle", "boundaries", "cum_bits")
-
-
-def _read_only(*arrays):
-    for a in arrays:
-        a.setflags(write=False)
-
-
-def _restore(obj, state: dict, *arrays: str):
-    """Unpickle ``state`` into ``obj`` and make its ``arrays`` read-only
-    again: pickle brings an array back writeable."""
-    obj.__dict__.update(state)
-    _read_only(*(state[name] for name in arrays))
-
-
 def build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> CpuIdlingProfile:
     """Validate and normalize epochs into a capacity profile.
 
@@ -223,17 +245,14 @@ def build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> CpuIdlingProfil
     rounding of summing them, ``n * eps * sum`` for n epochs (Higham,
     *Accuracy and Stability of Numerical Algorithms*, ch. 4), if that is
     larger: one ulp of a 1e4 s horizon is already 1.8e-12 s. The sum checked
-    is numpy's pairwise one, the rest is summed in order on float lists.
+    is numpy's (``_numpy_sum``), the rest is summed in order on float lists.
     """
-    if not 0 < helper_hz < np.inf:
-        raise ValueError(f"helper_hz must be positive and finite, got {helper_hz}")
-    if not 0 < cycles_per_bit < np.inf:
-        raise ValueError(f"cycles_per_bit must be positive and finite, got {cycles_per_bit}")
+    _check_positive(helper_hz=helper_hz, cycles_per_bit=cycles_per_bit, horizon=horizon)
     epochs = list(epochs)
     eps = normalize_epochs(epochs)
     durs = [ep.duration for ep in eps]
     idle = [ep.idle for ep in eps]
-    total = float(np.fromiter(durs, float, len(durs)).sum())
+    total = _numpy_sum(durs)
     if abs(total - horizon) > max(TIME_ATOL, len(epochs) * _EPS * total):
         raise ValueError(f"epoch durations sum to {total}, expected horizon {horizon}")
     rate = float(helper_hz / cycles_per_bit)
@@ -248,35 +267,27 @@ def build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> CpuIdlingProfil
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ArrivalProcess:
+class ArrivalProcess(_ListRecord):
     """Workload arrival instants and sizes over one deadline window.
 
     Times are strictly increasing; the last event sits exactly at the horizon
     and carries zero bits (data arriving at the deadline can never be served).
-    A pickled copy leaves out the cached ``total`` and makes its arrays
-    read-only again.
+    A list record (``_ListRecord``) of ``lists`` (times, sizes); ``total`` is
+    numpy's sum of the sizes.
     """
 
-    times: np.ndarray
-    sizes: np.ndarray
-    horizon: float
+    times = _ListArray(0)
+    sizes = _ListArray(1)
 
-    @cached_property
-    def total(self) -> float:
-        return float(self.sizes.sum())
-
-    def __getstate__(self):
-        return _without_arrays(self, ("total",))
-
-    def __setstate__(self, state):
-        _restore(self, state, "times", "sizes")
+    def __init__(self, times, sizes, horizon):
+        self.lists = _float_lists(self, (times, sizes))
+        self.horizon = horizon
+        self.total = _numpy_sum(self.lists[1])
 
     @classmethod
     def from_events(cls, events, horizon) -> "ArrivalProcess":
         horizon = float(horizon)
-        if not 0 < horizon < np.inf:
-            raise ValueError(f"horizon must be positive and finite, got {horizon}")
+        _check_positive(horizon=horizon)
         pairs = [(float(t), float(s)) for t, s in events]
         for t, s in pairs:
             if not -TIME_ATOL <= t <= horizon + TIME_ATOL:
@@ -298,8 +309,6 @@ class ArrivalProcess:
                 sizes.append(s)
         times.append(horizon)
         sizes.append(0.0)
-        times, sizes = np.array(times), np.array(sizes)
-        _read_only(times, sizes)
         return cls(times, sizes, horizon)
 
 
@@ -344,8 +353,7 @@ def arrivals_from_units(
 
 def sample_cpu_process(seed, horizon, mean_idle, mean_busy, idle_start_prob=0.5):
     """Draw an alternating busy/idle epoch list with exponential durations."""
-    if horizon <= 0 or mean_idle <= 0 or mean_busy <= 0:
-        raise ValueError("horizon and epoch means must be positive")
+    _check_positive(horizon=horizon, mean_idle=mean_idle, mean_busy=mean_busy)
     if not 0.0 <= idle_start_prob <= 1.0:
         raise ValueError("idle_start_prob must be in [0, 1]")
     rng = as_generator(seed)
@@ -356,8 +364,7 @@ def sample_cpu_process(seed, horizon, mean_idle, mean_busy, idle_start_prob=0.5)
 
 def sample_arrivals(seed, horizon, mean_interarrival, size_low, size_high) -> ArrivalProcess:
     """Poisson arrivals on (0, horizon) with uniform sizes in [low, high]."""
-    if mean_interarrival <= 0:
-        raise ValueError("mean_interarrival must be positive")
+    _check_positive(horizon=horizon, mean_interarrival=mean_interarrival)
     if not 0 <= size_low <= size_high:
         raise ValueError("need 0 <= size_low <= size_high")
     rng = as_generator(seed)
@@ -366,32 +373,23 @@ def sample_arrivals(seed, horizon, mean_interarrival, size_low, size_high) -> Ar
     return arrivals_from_units(gaps, sizes, horizon, mean_interarrival, size_low, size_high)
 
 
-@dataclass(frozen=True, eq=False)
-class MergedTimeline:
+class MergedTimeline(_ListRecord):
     """Union of CPU epoch edges and arrival instants over one window.
 
     ``arrival_bits[v]`` is the data arriving exactly at ``times[v]``;
     ``cum_capacity[v]`` is the helper capacity by then; ``idle_end_index``
     locates the end of the last idle epoch inside ``times`` (None when the CPU
-    is never idle). A pickled copy leaves out the cached ``lists`` and makes
-    its arrays read-only again.
+    is never idle). A list record (``_ListRecord``) of ``lists`` (times,
+    arrival_bits, cum_capacity).
     """
 
-    times: np.ndarray
-    arrival_bits: np.ndarray
-    cum_capacity: np.ndarray
-    idle_end_index: int | None
+    times = _ListArray(0)
+    arrival_bits = _ListArray(1)
+    cum_capacity = _ListArray(2)
 
-    @cached_property
-    def lists(self) -> tuple[list, list, list]:
-        """``times``, ``arrival_bits`` and ``cum_capacity`` as float lists."""
-        return self.times.tolist(), self.arrival_bits.tolist(), self.cum_capacity.tolist()
-
-    def __getstate__(self):
-        return _without_arrays(self, ("lists",))
-
-    def __setstate__(self, state):
-        _restore(self, state, "times", "arrival_bits", "cum_capacity")
+    def __init__(self, times, arrival_bits, cum_capacity, idle_end_index):
+        self.lists = _float_lists(self, (times, arrival_bits, cum_capacity))
+        self.idle_end_index = idle_end_index
 
 
 def merge_events(profile: CpuIdlingProfile, arrivals: ArrivalProcess) -> MergedTimeline:
@@ -405,7 +403,7 @@ def merge_events(profile: CpuIdlingProfile, arrivals: ArrivalProcess) -> MergedT
         raise ValueError("profile and arrivals cover different horizons")
     parts = profile.parts
     edges, cum = parts[0], parts[1]
-    at, sizes = arrivals.times.tolist(), arrivals.sizes.tolist()
+    at, sizes = arrivals.lists
     k = profile.last_idle_index
     idle_end = None if k is None else k + 1  # the edge ending the last idle epoch
     times: list[float] = []
@@ -433,9 +431,7 @@ def merge_events(profile: CpuIdlingProfile, arrivals: ArrivalProcess) -> MergedT
         times.append(tb)
         values.append(cum[i])
         i += 1
-    arrays = tuple(np.array(seq, dtype=float) for seq in (times, bits, values))
-    _read_only(*arrays)
-    return MergedTimeline(*arrays, idle_end_index)
+    return MergedTimeline(times, bits, values, idle_end_index)
 
 
 # ---------------------------------------------------------------------------

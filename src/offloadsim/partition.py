@@ -34,7 +34,7 @@ from math import ceil, inf, isnan, log2, nextafter, sqrt
 
 import numpy as np
 
-from .cpu_profile import ArrivalProcess, CpuIdlingProfile, MergedTimeline, merge_events
+from .cpu_profile import ArrivalProcess, CpuIdlingProfile, MergedTimeline, _numpy_sum, merge_events
 from .energy import ChannelParams, LocalComputeParams
 from .errors import InfeasibleError, NumericError
 from .string_pull import (
@@ -295,7 +295,7 @@ class RatioResult:
 
 def _servable_bits(timeline: MergedTimeline) -> float:
     """Data arriving before the last idle instant of ``timeline``."""
-    return float(timeline.arrival_bits[: timeline.idle_end_index].sum())
+    return _numpy_sum(timeline.lists[1][: timeline.idle_end_index])
 
 
 def _share_slope(profile, arrivals, channel, local, timeline, ratio, served=None) -> float:

@@ -352,8 +352,9 @@ def _paced_energy(profile, channel, local, load_bits, buffer_bits, low, high) ->
     def transfer_energy(l):
         if l > buffer_bits:
             return offload_energy(profile, l, buffer_bits, channel)
-        string = full()
-        return schedule_energy(string.times, (l / string.total) * string.cumulative, channel)
+        times, cumulative = full().lists
+        scale = l / cumulative[-1]
+        return schedule_energy(times, [scale * c for c in cumulative], channel)
 
     if high - low > 1.0:
         low = split_root(slope, low, high, tol=1e-3)

@@ -13,12 +13,11 @@ The feasibility check before the pull reads the same float lists at any
 length: one pass of comparisons, which breaks even with numpy's check only
 near 100-150 vertices, about the largest tunnels a solve builds. The pull
 reads the tunnel's float lists (``FeasibilityTunnel.lists``), and its
-arrays only in a long chord scan; the schedule it returns keeps the times
-and the string's values as float lists, which ``lazy_first_slope`` and a
-short schedule's energy read, and makes its read-only arrays on first read.
-A long schedule takes its tunnel's ``times`` array and prices its energy on
-arrays, so none is made again per call. A schedule's arrays are made through
-``cpu_profile._ListArray``, as a tunnel's and a profile's are.
+arrays only in a long chord scan. The schedule it returns is a list record
+(``cpu_profile._ListRecord``), as a tunnel is: ``lazy_first_slope`` and a
+short schedule's energy read its lists. A long schedule takes its tunnel's
+``times`` array and prices its energy on arrays, so none is made again per
+call.
 ``envelope_slope`` reads off a pulled string how its energy moves with any
 parameter that moves the tunnel, from the multipliers at its contacts;
 ``lazy_first_slope`` is its closed form for the size of a lazy-first
@@ -41,8 +40,9 @@ from .cpu_profile import (
     CpuIdlingProfile,
     MergedTimeline,
     _ListArray,
+    _ListRecord,
+    _float_lists,
     _keep,
-    _without_arrays,
 )
 from .energy import _LN2, ChannelParams, schedule_energy
 from .errors import InfeasibleError
@@ -50,7 +50,6 @@ from .tunnel import (
     FeasibilityTunnel,
     _build_tunnel,
     _fits,
-    _float_lists,
     bits_tol,
     bursty_effective_tunnel,
     effective_tunnel,
@@ -59,23 +58,18 @@ from .tunnel import (
 )
 
 
-class OffloadSchedule:
+class OffloadSchedule(_ListRecord):
     """Piecewise-constant-rate transmission plan as a cumulative curve.
 
-    Kept as the float lists ``lists`` (times, cumulative), which the energy
-    and the slopes read; ``times`` and ``cumulative`` are read-only float64
-    arrays of them, made on first read and left out of a pickle, like a
-    tunnel's.
+    A list record (``cpu_profile._ListRecord``) of ``lists`` (times,
+    cumulative), which the energy and the slopes read.
     """
 
     times = _ListArray(0)
     cumulative = _ListArray(1)
 
     def __init__(self, times, cumulative):
-        self.lists = _float_lists(self, _SCHEDULE_ARRAYS, (times, cumulative))
-
-    def __getstate__(self):
-        return _without_arrays(self, _SCHEDULE_ARRAYS)
+        self.lists = _float_lists(self, (times, cumulative))
 
     @property
     def bits(self) -> np.ndarray:
@@ -93,9 +87,6 @@ class OffloadSchedule:
         if len(self.lists[0]) - 2 < _SHORT_SPAN:
             return schedule_energy(*self.lists, channel)
         return schedule_energy(self.times, self.cumulative, channel)  # arrays made once, not per call
-
-
-_SCHEDULE_ARRAYS = ("times", "cumulative")
 
 
 def _taut_values(tunnel: FeasibilityTunnel, tol: float) -> list:

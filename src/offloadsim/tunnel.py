@@ -34,14 +34,13 @@ dominate, and above it with numpy. Each list branch does the numpy branch's
 float64 operations and comparisons, so both give the same arrays and
 verdicts bit for bit.
 
-A tunnel keeps its vertex sequences as the float lists the build made
-(``FeasibilityTunnel.lists``), and ``_fits``, the one feasibility rule, the
-string pull and the energy slopes read those. Its array attributes are
-read-only and made on first read, through ``cpu_profile._ListArray``, which
-the helper profile uses too; so a short tunnel priced end to end makes none;
+A tunnel is a list record (``cpu_profile._ListRecord``): ``_fits``, the
+one feasibility rule, the string pull and the energy slopes read the float
+lists the build made, so a short tunnel priced end to end makes no array;
 a long one keeps the ``times``, ``floor`` and ``ceiling`` arrays that its
 strict-increase check and numpy envelopes made, which the pull's long chord
-scans read.
+scans read. The chunked tunnels and the share bounds read the merged
+timeline's and the arrivals' lists the same way.
 """
 from __future__ import annotations
 
@@ -58,10 +57,12 @@ from .cpu_profile import (
     CpuIdlingProfile,
     MergedTimeline,
     _ListArray,
+    _ListRecord,
     _curve_time,
     _curve_value,
+    _float_lists,
     _keep,
-    _without_arrays,
+    _numpy_sum,
     merge_events,
 )
 from .errors import InfeasibleError
@@ -75,20 +76,7 @@ def bits_tol(scale: float) -> float:
     return max(BITS_ATOL, BITS_RTOL * abs(scale))
 
 
-def _float_lists(obj, names: tuple, values: tuple) -> tuple:
-    """``obj.lists`` for ``values``: a list is kept as it is; anything else
-    is copied into a float64 array, which ``obj`` hands out read-only under
-    its name in ``names``, and read as a list."""
-    for v in values:
-        if type(v) is not list:
-            return tuple(
-                u if type(u) is list else _keep(obj, name, np.array(u, dtype=float)).tolist()
-                for name, u in zip(names, values)
-            )
-    return values
-
-
-class FeasibilityTunnel:
+class FeasibilityTunnel(_ListRecord):
     """Vertex grid plus envelopes and the bookkeeping verify checks need.
 
     ``cum_capacity`` is the computing-capacity curve the tunnel was built
@@ -100,14 +88,11 @@ class FeasibilityTunnel:
     recorded by the build, because the floor computed at a crossing may round
     to just above zero. None when the floor never leaves zero.
 
-    The tunnel keeps its five vertex sequences as the float lists ``lists``
-    (times, floor, ceiling, cum_capacity, arrival_bits), which the pull and
-    the feasibility check read. Each array attribute is a read-only float64
-    array of its list, made on its first read, so no caller can make the two
-    disagree; a long tunnel's ``times`` is made at construction, for its
-    strict-increase check. A pickled tunnel leaves its arrays out, so the
-    copy makes them read-only again. ``cpu_flip`` is derived from
-    ``cum_capacity`` when first read.
+    A list record (``cpu_profile._ListRecord``) of ``lists`` (times, floor,
+    ceiling, cum_capacity, arrival_bits), which the pull and the feasibility
+    check read; a long tunnel's ``times`` array is made at construction, for
+    its strict-increase check. ``cpu_flip`` is derived from ``cum_capacity``
+    when first read.
     """
 
     times = _ListArray(0)
@@ -121,7 +106,7 @@ class FeasibilityTunnel:
         self.total = total
         self.buffer_bits = buffer_bits
         self.corner = corner
-        self.lists = _float_lists(self, _TUNNEL_ARRAYS, (times, floor, ceiling, cum_capacity, arrival_bits))
+        self.lists = _float_lists(self, (times, floor, ceiling, cum_capacity, arrival_bits))
         n = len(self.lists[0])
         if n < 2:
             raise ValueError("tunnel needs at least two vertices")
@@ -132,9 +117,6 @@ class FeasibilityTunnel:
             increasing = not (times[1:] <= times[:-1]).any()
         if not increasing:
             raise ValueError("tunnel vertex times must be strictly increasing")
-
-    def __getstate__(self):
-        return _without_arrays(self, _TUNNEL_ARRAYS)
 
     @cached_property
     def cpu_flip(self) -> np.ndarray:
@@ -156,9 +138,6 @@ class FeasibilityTunnel:
     def is_feasible(self, tol: float | None = None) -> bool:
         tol = bits_tol(self.total) if tol is None else tol
         return _fits(self.lists[1], self.lists[2], self.total, tol)
-
-
-_TUNNEL_ARRAYS = ("times", "floor", "ceiling", "cum_capacity", "arrival_bits")
 
 
 def _increasing(t: list) -> bool:
@@ -357,13 +336,11 @@ def _chunked_tunnel(kind, profile, arrivals, ratio, timeline, effective) -> Feas
     if tl.idle_end_index is None:
         raise InfeasibleError("helper CPU is never idle, nothing can be offloaded")
     end = tl.idle_end_index + 1
-    head = tl.arrival_bits[:end].copy()
-    head[-1] = 0.0  # data arriving at the last idle instant cannot be served
-    total = ratio * float(head.sum())
-    slack = profile.capacity - total if effective else 0.0
-    late = float(tl.arrival_bits[end - 1 :].sum())
     times, bits, values = (seq[:end] for seq in tl.lists)
-    bits[-1] = 0.0
+    late = _numpy_sum(tl.lists[1][end - 1 :])
+    bits[-1] = 0.0  # data arriving at the last idle instant cannot be served
+    total = ratio * _numpy_sum(bits)
+    slack = profile.capacity - total if effective else 0.0
     return _build_tunnel(kind, profile.parts, times, values, total, slack, bits=bits, share=ratio, late=late)
 
 
@@ -442,9 +419,10 @@ def max_offload_ratio(
     if tl.idle_end_index is None:
         return 0.0
     cap = profile.capacity
-    tails = np.cumsum(tl.arrival_bits[::-1])[::-1].tolist()  # bits arriving at or after each vertex
+    _, bits, cum = tl.lists
+    tails = [*accumulate(reversed(bits))][::-1]  # bits arriving at or after each vertex, as np.cumsum adds
     best = 1.0
-    for used, tail in zip(tl.lists[2], tails):
+    for used, tail in zip(cum, tails):
         if tail <= 0.0:
             break
         best = min(best, max(cap - used, 0.0) / tail)
@@ -461,9 +439,10 @@ def min_offload_ratio(arrivals: ArrivalProcess, local) -> float:
         return 0.0
     rate = local.cpu_hz / local.cycles_per_bit
     horizon = arrivals.horizon
-    tails = np.cumsum(arrivals.sizes[::-1])[::-1].tolist()  # bits arriving at or after each chunk
+    times, sizes = arrivals.lists
+    tails = [*accumulate(reversed(sizes))][::-1]  # bits arriving at or after each chunk, as np.cumsum adds
     worst = 0.0
-    for t, tail in zip(arrivals.times.tolist(), tails):
+    for t, tail in zip(times, tails):
         if tail <= 0.0:
             break
         room = rate * (horizon - t)

@@ -155,6 +155,8 @@ def eager_build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> EagerProf
         raise ValueError(f"helper_hz must be positive and finite, got {helper_hz}")
     if not 0 < cycles_per_bit < np.inf:
         raise ValueError(f"cycles_per_bit must be positive and finite, got {cycles_per_bit}")
+    if not 0 < horizon < np.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     epochs = list(epochs)
     eps = normalize_epochs(epochs)
     durs = np.array([ep.duration for ep in eps], dtype=float)

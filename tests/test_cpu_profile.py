@@ -104,6 +104,9 @@ def test_build_profile_rejects_bad_rate_by_name():
             build_profile(epochs, bad, CPB, 0.1)
         with pytest.raises(ValueError, match="cycles_per_bit"):
             build_profile(epochs, HELPER_HZ, bad, 0.1)
+        # a NaN horizon would pass the check against the durations' sum
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            build_profile(epochs, HELPER_HZ, CPB, bad)
 
 
 def test_build_profile_rejects_horizon_mismatch():
@@ -111,6 +114,22 @@ def test_build_profile_rejects_horizon_mismatch():
         build_profile([Epoch(0.05, True)], HELPER_HZ, CPB, 0.1)
     with pytest.raises(ValueError):
         build_profile([Epoch(0.05, True)], 0.0, CPB, 0.05)
+
+
+def test_samplers_reject_non_finite_or_non_positive_inputs_by_name():
+    # a NaN passes a ``<= 0`` check, and a sampler given a NaN or infinite
+    # horizon or mean never reaches the end of its window
+    for bad in (np.nan, np.inf, 0.0):
+        for field, args in (
+            ("horizon", (bad, 0.02, 0.02)),
+            ("mean_idle", (0.1, bad, 0.02)),
+            ("mean_busy", (0.1, 0.02, bad)),
+        ):
+            with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+                sample_cpu_process(1, *args)
+        for field, args in (("horizon", (bad, 0.02)), ("mean_interarrival", (0.1, bad))):
+            with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+                sample_arrivals(1, *args, 5e4, 1.5e5)
 
 
 def test_idle_bookkeeping():

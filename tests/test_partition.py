@@ -291,6 +291,23 @@ def test_zero_share_slope_charges_only_the_servable_bits():
     assert slope != m0 * arrived - arrived * LOCAL.bit_energy
 
 
+def test_arrivals_and_timeline_make_their_arrays_only_on_first_read():
+    # the merge, the share bounds, the chunked tunnels and the share slope
+    # read the float lists, so a short share solve makes none of the arrays
+    prof = build_profile([Epoch(0.05, True), Epoch(0.03, False), Epoch(0.02, True)], HELPER_HZ, CPB, 0.1)
+    arr = ArrivalProcess.from_events([(0.0, 1e5), (0.02, 1e5), (0.04, 1e5), (0.06, 1e5)], 0.1)
+    tl = merge_events(prof, arr)
+
+    def arrays(record):
+        return [name for name, value in vars(record).items() if isinstance(value, np.ndarray)]
+
+    assert arrays(arr) == arrays(tl) == []
+    res = optimize_ratio(prof, arr, ChannelParams(1e-8, CHAN.bandwidth_hz, CHAN.noise_w), LOCAL, tl)
+    assert res.method == "root" and res.ratio_low < res.ratio < res.ratio_high
+    assert arrays(arr) == arrays(tl) == []
+    assert not tl.times.flags.writeable and arrays(tl) == ["times"]
+
+
 def test_share_root_never_above_the_golden_search():
     # the share solved at the root of its slope costs no more than the
     # golden-section search it replaced, over every kind of range
