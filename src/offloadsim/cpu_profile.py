@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from math import inf, isfinite
+from math import fsum, inf, isfinite
 
 import numpy as np
 
@@ -35,13 +35,13 @@ _EPS = float(np.finfo(float).eps)
 # interior vertices is handled as Python float lists, where numpy's fixed
 # cost per call would dominate. It bounds the taut string's chord scan and,
 # for a whole tunnel or schedule, the schedule energy, the tunnel envelopes,
-# the tunnel's strict-increase check and the energy slopes read off a pulled
-# string (``string_pull.envelope_slope`` and ``_scaled_slope``). Measured
+# the tunnel's strict-increase check and the multiplier sums of the energy
+# slopes (``string_pull.energy_slope`` and ``_scaled_slope``). Measured
 # crossovers against numpy: one chord scan breaks even at 32-40 vertices for
 # a chord that stays straight and about 50 for one that bends, and on whole
 # solves over ~100-vertex tunnels 24 ran fastest of 24, 32 and 48; a tunnel
 # build with its envelopes on lists breaks even at 16-24 vertices, the
-# schedule energy at 40-45 and an envelope slope at 65-100. So at 24 each
+# schedule energy at 40-45 and a multiplier sum at 65-100. So at 24 each
 # list branch runs only up to about where it stops being the faster one.
 # The helper profile has no switch: it is built on lists at every size.
 _SHORT_SPAN = 24
@@ -162,18 +162,6 @@ class _ListRecord:
         return {k: v for k, v in self.__dict__.items() if not isinstance(getattr(cls, k, None), _ListArray)}
 
 
-def _numpy_sum(values: list) -> float:
-    """numpy's ``.sum()`` of a float list. Below 8 terms numpy adds them in
-    order from 0.0, as this loop does; from 8 on it adds them pairwise,
-    which differs in the last bit, so numpy sums those."""
-    if len(values) >= 8:
-        return float(np.fromiter(values, float, len(values)).sum())
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 class CpuIdlingProfile(_ListRecord):
     """Normalized epochs as the helper's cumulative capacity curve c(t).
 
@@ -245,14 +233,15 @@ def build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> CpuIdlingProfil
     rounding of summing them, ``n * eps * sum`` for n epochs (Higham,
     *Accuracy and Stability of Numerical Algorithms*, ch. 4), if that is
     larger: one ulp of a 1e4 s horizon is already 1.8e-12 s. The sum checked
-    is numpy's (``_numpy_sum``), the rest is summed in order on float lists.
+    is correctly rounded (``math.fsum``), the rest is summed in order on
+    float lists.
     """
     _check_positive(helper_hz=helper_hz, cycles_per_bit=cycles_per_bit, horizon=horizon)
     epochs = list(epochs)
     eps = normalize_epochs(epochs)
     durs = [ep.duration for ep in eps]
     idle = [ep.idle for ep in eps]
-    total = _numpy_sum(durs)
+    total = fsum(durs)
     if abs(total - horizon) > max(TIME_ATOL, len(epochs) * _EPS * total):
         raise ValueError(f"epoch durations sum to {total}, expected horizon {horizon}")
     rate = float(helper_hz / cycles_per_bit)
@@ -273,7 +262,7 @@ class ArrivalProcess(_ListRecord):
     Times are strictly increasing; the last event sits exactly at the horizon
     and carries zero bits (data arriving at the deadline can never be served).
     A list record (``_ListRecord``) of ``lists`` (times, sizes); ``total`` is
-    numpy's sum of the sizes.
+    the correctly rounded sum of the sizes (``math.fsum``).
     """
 
     times = _ListArray(0)
@@ -282,7 +271,7 @@ class ArrivalProcess(_ListRecord):
     def __init__(self, times, sizes, horizon):
         self.lists = _float_lists(self, (times, sizes))
         self.horizon = horizon
-        self.total = _numpy_sum(self.lists[1])
+        self.total = fsum(self.lists[1])
 
     @classmethod
     def from_events(cls, events, horizon) -> "ArrivalProcess":

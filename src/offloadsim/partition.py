@@ -10,7 +10,8 @@ into each other under convex combinations of the split:
 - a buffer below every transfer leaves proportional tunnels, whose floor
   ``(l/C) c(t)`` is linear in ``l`` and whose ceiling ``min((l/C) c(t) + B,
   l)`` is concave in it. One string pull gives the energy's slope in ``l``
-  (``string_pull.envelope_slope``), so the split is the root of that slope
+  (``string_pull.energy_slope``, from the scalars by which the tunnel says
+  its family moves with ``l``), so the split is the root of that slope
   minus the local energy per bit, found by safeguarded regula falsi;
 - a buffer inside the feasible range splits it at ``l = B`` into an
   effective piece (golden section) and a proportional piece (root), and the
@@ -21,27 +22,28 @@ than strictly necessary can never pay off, skipping the search entirely.
 
 For chunked arrivals the variable is the share ``r`` of every chunk that is
 offloaded, and the energy is convex in it. One string pull gives its slope
-in ``r`` (``_share_slope``): the ceiling ``r A(t)`` moves by the arrived data
-``A(t)``, the floor and the total by the servable data ``T`` where the floor
-is positive. The share is the root of that slope minus the local energy of
-the whole load per unit share, found by the same regula falsi.
+in ``r`` (``_share_slope``, through the same ``energy_slope``): the ceiling
+``r A(t)`` moves by the arrived data ``A(t)``, the floor and the total by
+the servable data ``T`` where the floor is positive. The share is the root
+of that slope minus the local energy of the whole load per unit share,
+found by the same regula falsi.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import ceil, inf, isnan, log2, nextafter, sqrt
+from math import ceil, fsum, inf, isnan, log2, nextafter, sqrt
 
 import numpy as np
 
-from .cpu_profile import ArrivalProcess, CpuIdlingProfile, MergedTimeline, _numpy_sum, merge_events
+from .cpu_profile import ArrivalProcess, CpuIdlingProfile, MergedTimeline, merge_events
 from .energy import ChannelParams, LocalComputeParams
 from .errors import InfeasibleError, NumericError
 from .string_pull import (
     OffloadSchedule,
     _marginal_powers,
     bursty_offload_energy,
-    envelope_slope,
+    energy_slope,
     min_energy_offload,
     min_energy_offload_bursty,
     offload_energy,
@@ -189,27 +191,12 @@ def minimal_offload_is_best(
     return channel.energy_per_bit(low / t_end) >= local.bit_energy
 
 
-def _proportional_slope(schedule: OffloadSchedule, tunnel: FeasibilityTunnel, channel: ChannelParams) -> float:
-    """Slope in the transfer size of the energy of a proportional tunnel's
-    taut string (or of the full-utilization tunnel, its largest size).
-
-    The floor ``(l/C) c(t)`` moves by ``floor / total`` per bit, and so does
-    the ceiling ``floor + B`` below the total; where the ceiling is flat at
-    the total it moves by 1.
-    """
-    floor, ceiling = tunnel.lists[1:3]
-    total = tunnel.total
-    share = [f / total for f in floor] if total > 0.0 else floor
-    d_ceiling = [1.0 if c >= total else d for c, d in zip(ceiling, share)]
-    return envelope_slope(schedule, channel, share, d_ceiling, 1.0)
-
-
 def _split_slope(profile, channel, local, buffer_bits, offload_bits) -> float:
     """Slope in ``offload_bits`` of the split objective (local energy of the
     kept bits plus the optimal transfer's energy) for a transfer above the
     buffer, whose optimal transfer pulls a proportional tunnel."""
     schedule, tunnel = min_energy_offload(profile, offload_bits, buffer_bits)
-    return _proportional_slope(schedule, tunnel, channel) - local.bit_energy
+    return energy_slope(schedule, tunnel, channel) - local.bit_energy
 
 
 def optimize_partition(
@@ -293,30 +280,22 @@ class RatioResult:
     method: str  # "pinned" or "root"
 
 
-def _servable_bits(timeline: MergedTimeline) -> float:
-    """Data arriving before the last idle instant of ``timeline``."""
-    return _numpy_sum(timeline.lists[1][: timeline.idle_end_index])
-
-
-def _share_slope(profile, arrivals, channel, local, timeline, ratio, served=None) -> float:
+def _share_slope(profile, arrivals, channel, local, timeline, ratio) -> float:
     """Slope in the share ``ratio`` of the chunked objective: local energy of
     the kept share plus the optimal transfer's energy.
 
     The transfer's tunnel moves with the share by the servable data ``T``
-    (``served``, chunks before the last idle instant, summed from
-    ``timeline`` unless given) in its floor, where positive, and in its
-    total, and by the arrived data ``A(t)`` in its ceiling. A transfer too
-    small to build a tunnel for is priced at the marginal power of rate zero
-    per servable bit.
+    (chunks before the last idle instant) in its floor, where positive, and
+    in its total, and by the arrived data ``A(t)`` in its ceiling
+    (``energy_slope``). A transfer too small to build a tunnel for is priced
+    at the marginal power of rate zero per servable bit.
     """
-    served = _servable_bits(timeline) if served is None else served
     local_slope = arrivals.total * local.bit_energy
     if ratio * arrivals.total <= bits_tol(arrivals.total):
+        served = fsum(timeline.lists[1][: timeline.idle_end_index])  # chunks before the last idle instant
         return _marginal_powers(channel, (0.0,))[0] * served - local_slope
     schedule, tunnel = min_energy_offload_bursty(profile, arrivals, ratio, timeline)
-    floor, ceiling = tunnel.lists[1:3]
-    d_floor = [served if f > 0.0 else 0.0 for f in floor]
-    return envelope_slope(schedule, channel, d_floor, [c / ratio for c in ceiling], served) - local_slope
+    return energy_slope(schedule, tunnel, channel) - local_slope
 
 
 def optimize_ratio(
@@ -359,7 +338,7 @@ def optimize_ratio(
         best = min((r_lo, r_hi), key=objective)  # r_lo on a tie
         method = "pinned"
     else:
-        slope = partial(_share_slope, profile, arrivals, channel, local, tl, served=_servable_bits(tl))
+        slope = partial(_share_slope, profile, arrivals, channel, local, tl)
         best = split_root(slope, r_lo, r_hi, tol=_RATIO_TOL)
         method = "root"
     schedule, tunnel = min_energy_offload_bursty(profile, arrivals, best, tl)

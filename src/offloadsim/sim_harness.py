@@ -51,8 +51,8 @@ from .partition import _split_slope, optimize_partition, optimize_ratio, partiti
 from .string_pull import (
     _marginal_powers,
     _scaled_slope,
+    energy_slope,
     floor_following_schedule,
-    lazy_first_slope,
     offload_energy,
     pull_string,
 )
@@ -296,7 +296,6 @@ def _buffer_first_energy(profile, channel, local, load_bits, buffer_bits, low, h
     energy of every size probed.
     """
     tol = bits_tol(load_bits)
-    rate = profile.rate
     probed = {}
 
     def probe(l, start=None, end=None):
@@ -309,7 +308,7 @@ def _buffer_first_energy(profile, channel, local, load_bits, buffer_bits, low, h
                 schedule = pull_string(tunnel)
                 e = local.local_energy(load_bits - l) + schedule.energy(channel)
                 corners = [None] if start is None else [bisect_left(schedule.lists[0], t) for t in (end, start)]
-                g = [lazy_first_slope(schedule, tunnel, channel, rate, c) for c in corners]
+                g = [energy_slope(schedule, tunnel, channel, c) for c in corners]
             else:  # nothing sent: the first bit goes out at a vanishing rate
                 e = local.local_energy(load_bits - l)
                 g = [_marginal_powers(channel, (0.0,))[0]]

@@ -14,18 +14,18 @@ length: one pass of comparisons, which breaks even with numpy's check only
 near 100-150 vertices, about the largest tunnels a solve builds. The pull
 reads the tunnel's float lists (``FeasibilityTunnel.lists``), and its
 arrays only in a long chord scan. The schedule it returns is a list record
-(``cpu_profile._ListRecord``), as a tunnel is: ``lazy_first_slope`` and a
-short schedule's energy read its lists. A long schedule takes its tunnel's
+(``cpu_profile._ListRecord``), as a tunnel is: the slopes and a short
+schedule's energy read its lists. A long schedule takes its tunnel's
 ``times`` array and prices its energy on arrays, so none is made again per
 call.
-``envelope_slope`` reads off a pulled string how its energy moves with any
-parameter that moves the tunnel, from the multipliers at its contacts;
-``lazy_first_slope`` is its closed form for the size of a lazy-first
-transfer, whose floor corner moves in time as well, and ``_scaled_slope``
-the slope of a string scaled to a size. Below ``_SHORT_SPAN`` interior
-vertices ``envelope_slope`` and ``_scaled_slope`` sum in Python floats, from
-the schedule's lists and the per-vertex slopes that callers build from the
-tunnel's lists; this module alone decides the branch.
+``energy_slope`` reads off a pulled string how its energy moves with its
+tunnel family's parameter (a transfer size or a share), from the
+multipliers at its contacts and the scalars the tunnel recorded
+(``FeasibilityTunnel.moves``), or in closed form where that sum
+telescopes; ``_scaled_slope`` is the slope of a string scaled to a size.
+Below ``_SHORT_SPAN`` interior vertices both sum in Python floats, from
+the schedule's lists and per-vertex slopes derived from the tunnel's
+lists; this module alone decides the branch.
 """
 from __future__ import annotations
 
@@ -47,6 +47,7 @@ from .cpu_profile import (
 from .energy import _LN2, ChannelParams, schedule_energy
 from .errors import InfeasibleError
 from .tunnel import (
+    _SIZE_SLACK,
     FeasibilityTunnel,
     _build_tunnel,
     _fits,
@@ -166,27 +167,68 @@ def pull_string(tunnel: FeasibilityTunnel) -> OffloadSchedule:
     return schedule
 
 
-def envelope_slope(schedule: OffloadSchedule, channel: ChannelParams, d_floor, d_ceiling, d_total: float) -> float:
-    """Slope of a taut string's energy in a parameter that moves its tunnel.
+def energy_slope(schedule: OffloadSchedule, tunnel: FeasibilityTunnel, channel: ChannelParams, corner=None) -> float:
+    """Slope of the energy of the taut string ``schedule`` through
+    ``tunnel`` in the family's own parameter, read off its ``moves``.
 
     With ``m`` the marginal power ``p'(rate)`` of each segment, the string
     is held at interior vertex k by the multiplier ``w_k = m_{k-1} - m_k``:
     positive where it bends down onto the floor, negative where it bends up
-    under the ceiling, zero where it runs straight. By the envelope theorem
-    the energy then moves by ``sum max(w, 0) * d_floor + sum min(w, 0) *
-    d_ceiling + m_last * d_total`` per unit of the parameter, given the
-    per-vertex slopes of the floor and ceiling (float lists or arrays) and
-    the slope of the total.
+    under the ceiling. By the envelope theorem the energy moves by ``sum
+    max(w, 0) * d_floor + sum min(w, 0) * d_ceiling + m_last * d_total``:
+    where positive, the floor ``curve - slack`` moves by the curve's move
+    less the slack's; a buffer's ceiling ``min(floor + buffer, total)`` with
+    the floor below the total and with the total at it; a share's ceiling
+    ``share * arrived`` by the data arrived, ``ceiling / share``.
 
-    A string over fewer than ``_SHORT_SPAN`` interior vertices is read from
-    its float lists and summed in Python floats, where numpy's cost per call
-    would dominate; a longer one with numpy. The two sum in different orders
-    and raise two to a power with different code, so they agree to rounding,
-    not bit for bit.
+    Where the curve stays put under a buffer's ceiling and the slack falls
+    as the total rises (effective and lazy-first tunnels), every envelope
+    past the corner vertex c, where the floor leaves zero, moves with the
+    total, and none the string meets before it does: the sum telescopes to
+    ``m_c * d_total``. The corner moves in time by ``d_slack /
+    tunnel.rate``, which adds ``(h(r_{c-1}) - h(r_c)) * d_slack /
+    tunnel.rate``, with ``h(r) = p(r) - r p'(r)`` the change of a segment's
+    energy with its duration at fixed bits. Only these two segments are
+    read, in Python floats. ``corner`` puts the corner at another vertex:
+    at a busy epoch's start it gives the slope toward larger sizes, at its
+    end toward smaller.
 
-    A marginal power that overflows makes the slope ``+inf`` (the energy is
-    infinite there too); a NaN rate makes it NaN.
+    An overflowing marginal power makes the slope ``+inf``, as the energy
+    is; a NaN rate makes the multiplier sum NaN.
     """
+    scale, d_slack, d_total = tunnel.moves
+    if tunnel.share is not None or scale != inf or d_slack != -d_total:
+        _, floor, ceiling, values = tunnel.lists[:4]
+        d_floor = [v / scale - d_slack if f > 0.0 else 0.0 for f, v in zip(floor, values)]
+        if tunnel.share is None:
+            d_ceiling = [d_total if c >= tunnel.total else d for c, d in zip(ceiling, d_floor)]
+        else:
+            d_ceiling = [c / tunnel.share for c in ceiling]
+        return _multiplier_sum(schedule, channel, d_floor, d_ceiling, d_total)
+    times, cumulative = schedule.lists
+    n = len(times) - 1
+    c = tunnel.corner if corner is None else corner
+    c = n if c is None else c
+    lo, hi = max(c - 1, 0), min(c + 1, n)
+    t = times[lo : hi + 1]
+    y = cumulative[lo : hi + 1]
+    w, power = channel.bandwidth_hz, channel.noise_w / channel.gain
+    # with x = r ln2 / w: p(r) = power * expm1(x), p'(r) = power * ln2 / w * e^x
+    xs = [(y[k + 1] - y[k]) / (t[k + 1] - t[k]) / w * _LN2 for k in range(len(t) - 1)]
+    if max(xs) > 709.0:
+        return inf  # exp overflows past ln(DBL_MAX)
+    slope = power * _LN2 / w * exp(xs[-1]) * d_total  # m_c, or at c = n the last segment's
+    if 0 < c < n:  # the first and last vertices stay put in time
+        h_before, h_after = (power * (expm1(x) - x * exp(x)) for x in xs)
+        slope += (h_before - h_after) * d_slack / tunnel.rate
+    return slope
+
+
+def _multiplier_sum(schedule: OffloadSchedule, channel: ChannelParams, d_floor, d_ceiling, d_total: float) -> float:
+    """The multiplier sum of ``energy_slope``, given the envelopes' slopes
+    as float lists: in Python floats below ``_SHORT_SPAN`` interior
+    vertices, with numpy above. The two agree to rounding, not bit for bit
+    (another summation order, another power function)."""
     t, c = schedule.lists
     if len(t) - 2 >= _SHORT_SPAN:
         m = channel.marginal_energy_per_bit(schedule.rates)
@@ -217,7 +259,7 @@ def _scaled_slope(full: OffloadSchedule, channel: ChannelParams, offload_bits: f
     ``offload_bits``: ``sum over segments of p'(s r) * bits / C`` with ``s =
     offload_bits / C``, ``r`` and ``bits`` the segments' rates and bits and
     ``C`` the string's total, in Python floats below ``_SHORT_SPAN`` interior
-    vertices and with numpy above, as ``envelope_slope``. An overflowing
+    vertices and with numpy above, as ``energy_slope``. An overflowing
     ``p'`` only meets positive bits, so the slope is then ``+inf``, never
     NaN."""
     t, c = full.lists
@@ -240,47 +282,6 @@ def _marginal_powers(channel: ChannelParams, rates, scale: float = 1.0) -> list:
     w = channel.bandwidth_hz
     base = channel.noise_w * _LN2 / (w * channel.gain)
     return [inf if x >= 1024.0 else base * 2.0 ** x for x in [scale * r / w for r in rates]]
-
-
-def lazy_first_slope(
-    schedule: OffloadSchedule, tunnel: FeasibilityTunnel, channel: ChannelParams, rate: float, corner=None
-) -> float:
-    """Slope in the transfer size ``l`` of the energy of the taut string
-    through ``lazy_first_tunnel(profile, l, B)``, whose capacity curve rises
-    at ``rate`` bits/s where the floor leaves zero, read with the corner at
-    vertex ``corner`` (the tunnel's own by default): at a busy epoch's start
-    it gives the slope toward larger sizes, at its end toward smaller.
-
-    Past the corner vertex c where the floor leaves zero, the floor, the
-    ceiling and the total all rise by one bit per bit; before it the floor
-    stays at zero and the ceiling at the buffer (at the total for a buffer
-    holding ``l``, which the string meets only at its end). So the sum of
-    ``envelope_slope`` telescopes to the marginal power ``m_c`` of the
-    segment after the corner. The corner keeps its values but moves in time,
-    by ``-1/rate`` per bit, which moves the energy by ``(h(r_{c-1}) -
-    h(r_c)) * -1/rate``, with ``h(r) = p(r) - r p'(r)`` the change of a
-    segment's energy ``p(r) * tau`` with its duration at fixed bits. Only
-    the two segments at the corner are read, in Python floats: numpy's cost
-    per call would outweigh the arithmetic. A marginal power that overflows
-    makes the slope ``+inf``.
-    """
-    times, cumulative = schedule.lists
-    n = len(times) - 1
-    c = tunnel.corner if corner is None else corner
-    c = n if c is None else c
-    lo, hi = max(c - 1, 0), min(c + 1, n)
-    t = times[lo : hi + 1]
-    y = cumulative[lo : hi + 1]
-    w, scale = channel.bandwidth_hz, channel.noise_w / channel.gain
-    # with x = r ln2 / w: p(r) = scale * expm1(x), p'(r) = scale * ln2 / w * e^x
-    xs = [(y[k + 1] - y[k]) / (t[k + 1] - t[k]) / w * _LN2 for k in range(len(t) - 1)]
-    if max(xs) > 709.0:
-        return inf  # exp overflows past ln(DBL_MAX)
-    slope = scale * _LN2 / w * exp(xs[-1])  # m_c, or at c = n the last segment's, as only the total moves
-    if 0 < c < n:  # the first and last vertices stay put in time
-        h_before, h_after = (scale * (expm1(x) - x * exp(x)) for x in xs)
-        slope += (h_after - h_before) / rate
-    return slope
 
 
 def floor_following_schedule(tunnel: FeasibilityTunnel) -> OffloadSchedule:
@@ -408,7 +409,7 @@ def _zero_solution(profile: CpuIdlingProfile, buffer_bits) -> tuple[OffloadSched
     """The empty transfer, over [0, the last idle instant or the horizon]."""
     end = profile.idle_end if profile.idle_end is not None else profile.horizon
     cap = profile.capacity
-    tunnel = _build_tunnel("effective", profile.parts, [0.0, end], [0.0, cap], 0.0, cap, buffer_bits)
+    tunnel = _build_tunnel("effective", profile.parts, [0.0, end], [0.0, cap], 0.0, cap, _SIZE_SLACK, buffer_bits)
     return OffloadSchedule(tunnel.lists[0], [0.0, 0.0]), tunnel
 
 

@@ -17,10 +17,12 @@ pace, or the user's own CPU as the line ``rate * t``):
   offloaded share of the data that has already arrived for chunked
   workloads.
 
-The families differ only in curve, slack and ceiling rule. All envelope
-breakpoints are materialized as vertices (capacity-curve kinks, the
-crossings of the slack and buffer levels, arrival instants), so checking a
-piecewise-linear curve at the vertices alone is exact. Step-shaped
+The families differ only in curve, slack and ceiling rule, and in how
+their own parameter (a size or a share) moves the curve, the slack and the
+total: scalars the tunnel keeps for ``string_pull.energy_slope``. All
+envelope breakpoints are materialized as vertices (capacity-curve kinks,
+the crossings of the slack and buffer levels, arrival instants), so
+checking a piecewise-linear curve at the vertices alone is exact. Step-shaped
 availability ceilings are stored by their left limits, which is the binding
 value for a continuous curve.
 
@@ -47,6 +49,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import accumulate
+from math import fsum
 
 import numpy as np
 
@@ -62,13 +65,16 @@ from .cpu_profile import (
     _curve_value,
     _float_lists,
     _keep,
-    _numpy_sum,
     merge_events,
 )
 from .errors import InfeasibleError
 
 BITS_RTOL = 1e-9
 BITS_ATOL = 1e-6
+
+
+# how an effective or lazy-first tunnel moves with its size (see FeasibilityTunnel.moves)
+_SIZE_SLACK = (np.inf, -1.0, 1.0)
 
 
 def bits_tol(scale: float) -> float:
@@ -88,6 +94,12 @@ class FeasibilityTunnel(_ListRecord):
     recorded by the build, because the floor computed at a crossing may round
     to just above zero. None when the floor never leaves zero.
 
+    ``share`` is the share of arrived data the ceiling holds (None for a
+    buffer), ``rate`` the curve's slope where it rises, and ``moves`` how
+    the family moves per unit of its parameter, ``(scale, slack, total)``:
+    each curve value ``v`` by ``v / scale`` (inf for a curve that stays
+    put), the slack by ``slack``, the total by ``total`` (None: no slope).
+
     A list record (``cpu_profile._ListRecord``) of ``lists`` (times, floor,
     ceiling, cum_capacity, arrival_bits), which the pull and the feasibility
     check read; a long tunnel's ``times`` array is made at construction, for
@@ -101,11 +113,15 @@ class FeasibilityTunnel(_ListRecord):
     cum_capacity = _ListArray(3)
     arrival_bits = _ListArray(4)
 
-    def __init__(self, kind, times, floor, ceiling, total, cum_capacity, arrival_bits, buffer_bits, corner=None):
+    def __init__(
+        self, kind, times, floor, ceiling, total, cum_capacity, arrival_bits, buffer_bits,
+        corner=None, share=None, moves=None, rate=None,
+    ):
         self.kind = kind
         self.total = total
         self.buffer_bits = buffer_bits
         self.corner = corner
+        self.share, self.moves, self.rate = share, moves, rate
         self.lists = _float_lists(self, (times, floor, ceiling, cum_capacity, arrival_bits))
         n = len(self.lists[0])
         if n < 2:
@@ -168,6 +184,7 @@ def _build_tunnel(
     values: list,
     total: float,
     slack: float,
+    moves: tuple | None,
     buffer_bits: float = np.inf,
     bits: list | None = None,
     share: float | None = None,
@@ -186,7 +203,7 @@ def _build_tunnel(
     ``late`` data (arriving at or after the last vertex, so never served)
     lifts the floor's end above ``total``. Vertices are added where the curve
     crosses ``slack`` and, for a buffer smaller than the transfer, ``capacity
-    - buffer_bits``.
+    - buffer_bits``. ``moves`` is kept as ``FeasibilityTunnel.moves``.
     """
     if not buffer_bits >= 0:
         raise ValueError(f"buffer_bits must be nonnegative, got {buffer_bits}")
@@ -236,9 +253,13 @@ def _build_tunnel(
         floor[-1] = max(floor[-1], total + share * late)
     buffer_bits = float(buffer_bits)
     if type(floor) is list:
-        return FeasibilityTunnel(kind, times, floor, ceiling, total, values, bits, buffer_bits, corner)
+        return FeasibilityTunnel(
+            kind, times, floor, ceiling, total, values, bits, buffer_bits, corner, share, moves, curve[3]
+        )
     # numpy made the envelopes: the tunnel keeps them for the long chord scans
-    tunnel = FeasibilityTunnel(kind, times, floor.tolist(), ceiling.tolist(), total, values, bits, buffer_bits, corner)
+    tunnel = FeasibilityTunnel(
+        kind, times, floor.tolist(), ceiling.tolist(), total, values, bits, buffer_bits, corner, share, moves, curve[3]
+    )
     _keep(tunnel, "floor", floor)
     _keep(tunnel, "ceiling", ceiling)
     return tunnel
@@ -269,10 +290,12 @@ def full_utilization_tunnel(profile: CpuIdlingProfile, buffer_bits=np.inf) -> Fe
 
     The helper must never starve, so the floor is the capacity curve itself;
     the ceiling adds the receive-buffer headroom, capped by the transfer size.
+    It is the proportional tunnel of the largest size, and moves as one.
     """
     n = _idle_span(profile)
     curve = profile.parts
-    return _build_tunnel("full", curve, curve[0][:n], curve[1][:n], profile.capacity, 0.0, buffer_bits)
+    cap = profile.capacity
+    return _build_tunnel("full", curve, curve[0][:n], curve[1][:n], cap, 0.0, (cap, 0.0, 1.0), buffer_bits)
 
 
 def effective_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits=np.inf) -> FeasibilityTunnel:
@@ -287,7 +310,8 @@ def effective_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits
         raise ValueError(f"effective tunnel assumes buffer_bits holds the whole transfer, got {buffer_bits}")
     n = _idle_span(profile)
     curve = profile.parts
-    return _build_tunnel("effective", curve, curve[0][:n], curve[1][:n], total, profile.capacity - total, buffer_bits)
+    slack = profile.capacity - total
+    return _build_tunnel("effective", curve, curve[0][:n], curve[1][:n], total, slack, _SIZE_SLACK, buffer_bits)
 
 
 def proportional_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits) -> FeasibilityTunnel:
@@ -311,7 +335,8 @@ def proportional_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_b
     # the derated curve's values, summed in order as build_profile sums the profile's own
     pieces = zip(durations, idle)
     cum = [0.0, *accumulate([d * rate if rising else 0.0 for d, rising in pieces])]
-    return _build_tunnel("proportional", (edges, cum, idle, rate), edges[:n], cum[:n], cum[-1], 0.0, buffer_bits)
+    curve, total = (edges, cum, idle, rate), cum[-1]
+    return _build_tunnel("proportional", curve, edges[:n], cum[:n], total, 0.0, (total, 0.0, 1.0), buffer_bits)
 
 
 def lazy_first_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits) -> FeasibilityTunnel:
@@ -324,7 +349,8 @@ def lazy_first_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bit
     _check_transfer(profile, total)
     n = _idle_span(profile)
     curve = profile.parts
-    return _build_tunnel("lazy", curve, curve[0][:n], curve[1][:n], total, profile.capacity - total, buffer_bits)
+    slack = profile.capacity - total
+    return _build_tunnel("lazy", curve, curve[0][:n], curve[1][:n], total, slack, _SIZE_SLACK, buffer_bits)
 
 
 def _chunked_tunnel(kind, profile, arrivals, ratio, timeline, effective) -> FeasibilityTunnel:
@@ -337,11 +363,13 @@ def _chunked_tunnel(kind, profile, arrivals, ratio, timeline, effective) -> Feas
         raise InfeasibleError("helper CPU is never idle, nothing can be offloaded")
     end = tl.idle_end_index + 1
     times, bits, values = (seq[:end] for seq in tl.lists)
-    late = _numpy_sum(tl.lists[1][end - 1 :])
+    late = fsum(tl.lists[1][end - 1 :])
     bits[-1] = 0.0  # data arriving at the last idle instant cannot be served
-    total = ratio * _numpy_sum(bits)
+    served = fsum(bits)
+    total = ratio * served
     slack = profile.capacity - total if effective else 0.0
-    return _build_tunnel(kind, profile.parts, times, values, total, slack, bits=bits, share=ratio, late=late)
+    moves = (np.inf, -served if effective else 0.0, served)
+    return _build_tunnel(kind, profile.parts, times, values, total, slack, moves, bits=bits, share=ratio, late=late)
 
 
 def bursty_effective_tunnel(
@@ -400,7 +428,8 @@ def local_compute_tunnel(arrivals: ArrivalProcess, local, ratio: float) -> Feasi
     total = share * arrivals.total
     times = times.tolist()
     values = [t * rate for t in times]
-    return _build_tunnel("local", line, times, values, total, rate * horizon - total, bits=bits.tolist(), share=share)
+    slack = rate * horizon - total
+    return _build_tunnel("local", line, times, values, total, slack, None, bits=bits.tolist(), share=share)
 
 
 def max_offload_ratio(

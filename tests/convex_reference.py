@@ -84,4 +84,8 @@ def convex_reference_schedule(
     if not res.success and "ROUNDING ERRORS" not in str(res.message).upper():
         raise NumericError(f"reference solver failed: {res.message}")
     y[1:n] = np.clip(res.x * y_scale, lo, hi)
+    # the solver may leave consecutive values a fraction of a bit out of
+    # order where the rate is near zero; no family's floor or ceiling ever
+    # falls, so the running maximum keeps every value inside its box
+    np.maximum.accumulate(y, out=y)
     return OffloadSchedule(times.copy(), y)

@@ -28,6 +28,7 @@ empty transfer eagerly too.
 """
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import fsum
 
 import numpy as np
 
@@ -110,7 +111,8 @@ def matrix_local_compute_tunnel(arrivals, local, ratio):
     total = share * arrivals.total
     times = times.tolist()
     values = [t * rate for t in times]
-    return _build_tunnel("local", line, times, values, total, rate * horizon - total, bits=bits.tolist(), share=share)
+    slack = rate * horizon - total
+    return _build_tunnel("local", line, times, values, total, slack, None, bits=bits.tolist(), share=share)
 
 
 def looped_min_offload_ratio(arrivals, local) -> float:
@@ -150,7 +152,8 @@ class EagerProfile:
 
 def eager_build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> EagerProfile:
     """``build_profile`` on numpy arrays: ``np.cumsum`` for the boundaries
-    and the capacity, ``flatnonzero`` for the last idle epoch."""
+    and the capacity, ``flatnonzero`` for the last idle epoch, and the
+    horizon checked on the correctly rounded sum of the durations."""
     if not 0 < helper_hz < np.inf:
         raise ValueError(f"helper_hz must be positive and finite, got {helper_hz}")
     if not 0 < cycles_per_bit < np.inf:
@@ -161,7 +164,7 @@ def eager_build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> EagerProf
     eps = normalize_epochs(epochs)
     durs = np.array([ep.duration for ep in eps], dtype=float)
     idle = np.array([ep.idle for ep in eps], dtype=bool)
-    total = float(durs.sum())
+    total = fsum(durs.tolist())
     if abs(total - horizon) > max(TIME_ATOL, len(epochs) * np.finfo(float).eps * total):
         raise ValueError(f"epoch durations sum to {total}, expected horizon {horizon}")
     rate = helper_hz / cycles_per_bit
@@ -253,9 +256,11 @@ class EagerTunnel:
     corner: int | None
 
 
-def eager_build_tunnel(kind, curve, times, values, total, slack, buffer_bits=np.inf, bits=None, share=None, late=0.0):
+def eager_build_tunnel(
+    kind, curve, times, values, total, slack, moves, buffer_bits=np.inf, bits=None, share=None, late=0.0
+):
     """``tunnel._build_tunnel`` with its arrays made at build time and its
-    envelopes computed with numpy at every size."""
+    envelopes computed with numpy at every size (``moves`` is not kept)."""
     capacity = curve[1][-1]
     levels = [slack]
     if share is None and buffer_bits < total:
@@ -303,7 +308,7 @@ def eager_proportional_tunnel(profile, offload_bits, buffer_bits):
     edges = profile.boundaries.tolist()
     curve = (edges, cum, profile.idle.tolist(), rate)
     n = profile.last_idle_index + 2
-    return eager_build_tunnel("proportional", curve, edges[:n], cum[:n], cum[-1], 0.0, buffer_bits)
+    return eager_build_tunnel("proportional", curve, edges[:n], cum[:n], cum[-1], 0.0, None, buffer_bits)
 
 
 def eager_zero_solution(profile, buffer_bits):
@@ -311,7 +316,7 @@ def eager_zero_solution(profile, buffer_bits):
     cumulative arrays, and the tunnel."""
     end = profile.idle_end if profile.idle_end is not None else profile.horizon
     cap = profile.capacity
-    tunnel = eager_build_tunnel("effective", profile.parts, [0.0, end], [0.0, cap], 0.0, cap, buffer_bits)
+    tunnel = eager_build_tunnel("effective", profile.parts, [0.0, end], [0.0, cap], 0.0, cap, None, buffer_bits)
     return (tunnel.times, np.zeros(2)), tunnel
 
 

@@ -27,7 +27,7 @@ from offloadsim.sim_harness import (
     wilson_interval,
     write_csv,
 )
-from offloadsim.string_pull import lazy_first_slope, offload_energy, pull_string
+from offloadsim.string_pull import energy_slope, offload_energy, pull_string
 from offloadsim.tunnel import bits_tol, full_utilization_tunnel, lazy_first_tunnel, proportional_tunnel
 
 from oracles import scan_minimize, scanned_buffer_first
@@ -513,7 +513,7 @@ def test_lazy_first_slope_matches_central_differences():
 
                 tunnel = lazy_first_tunnel(profile, l, buffer_bits)
                 schedule = pull_string(tunnel)
-                slope = lazy_first_slope(schedule, tunnel, channel, profile.rate)
+                slope = energy_slope(schedule, tunnel, channel)
                 e = schedule.energy(channel)
                 ahead, behind = energy(l + 1.0) - e, e - energy(l - 1.0)
                 if abs(ahead - behind) > 1e-4 * abs(ahead):

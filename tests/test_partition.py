@@ -14,7 +14,6 @@ from offloadsim.energy import ChannelParams, LocalComputeParams, schedule_energy
 from offloadsim.errors import InfeasibleError, NumericError
 from offloadsim.partition import (
     _RATIO_TOL,
-    _proportional_slope,
     _share_slope,
     golden_section,
     minimal_offload_is_best,
@@ -32,6 +31,7 @@ from offloadsim.sim_harness import (
 )
 from offloadsim.string_pull import (
     bursty_offload_energy,
+    energy_slope,
     min_energy_offload,
     offload_energy,
     pull_string,
@@ -237,7 +237,7 @@ def test_envelope_slope_matches_central_differences():
         )
         assert _scaled_slope(full, chan, l) == pytest.approx(scaled, rel=1e-6)
         buffer_bits = float(rng.choice([0.0, rng.uniform(0.0, 0.999)])) * l
-        slope = _proportional_slope(*min_energy_offload(prof, l, buffer_bits), chan)
+        slope = energy_slope(*min_energy_offload(prof, l, buffer_bits), chan)
         diff = central_slope(lambda x: offload_energy(prof, x, buffer_bits, chan), l, delta)
         if diff is None:
             kinks += 1
@@ -397,7 +397,7 @@ def test_root_split_brackets_the_slope_sign_change():
             continue
 
         def g(l):
-            return _proportional_slope(*min_energy_offload(prof, l, buffer_bits), chan) - LOCAL.bit_energy
+            return energy_slope(*min_energy_offload(prof, l, buffer_bits), chan) - LOCAL.bit_energy
 
         assert g(l_star - 1.0) <= 0.0 <= g(l_star + 1.0)
         interior += 1
@@ -411,7 +411,7 @@ def test_overflowing_marginal_power_reads_as_an_infinite_slope():
     prof = oneshot_profile()
     load, buffer_bits = 5e5, 1e3
     low, high = partition_bounds(prof, local, load)
-    assert _proportional_slope(*min_energy_offload(prof, high, buffer_bits), chan) == np.inf
+    assert energy_slope(*min_energy_offload(prof, high, buffer_bits), chan) == np.inf
     with np.errstate(invalid="raise"):  # no inf - inf or 0 * inf on the way
         res = optimize_partition(prof, chan, local, load, buffer_bits)
     assert res.method == "search"
@@ -426,7 +426,7 @@ def test_overflowing_marginal_power_reads_as_an_infinite_slope():
 
 
 def test_nan_slope_raises_numeric_error(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr("offloadsim.partition.envelope_slope", lambda *args: np.nan)
+    monkeypatch.setattr("offloadsim.partition.energy_slope", lambda *args: np.nan)
     prof = oneshot_profile()
     low, _ = partition_bounds(prof, LOCAL, 7e5)
     with pytest.raises(NumericError, match=f"offload of {low} bits"):

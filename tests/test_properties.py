@@ -3,10 +3,11 @@
 Under the default ``ci`` hypothesis profile (tests/conftest.py) every run
 draws the same examples; ``--hypothesis-profile=fuzz`` draws new ones."""
 import warnings
+from math import fsum
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from offloadsim import energy, string_pull, tunnel as tunnel_module
@@ -22,11 +23,12 @@ from offloadsim.cpu_profile import (
 )
 from offloadsim.energy import ChannelParams, LocalComputeParams, schedule_energy
 from offloadsim.errors import InfeasibleError
-from offloadsim.partition import _proportional_slope, _share_slope, optimize_partition, partition_bounds
+from offloadsim.partition import _share_slope, optimize_partition, partition_bounds
 from offloadsim.string_pull import (
     _scaled_slope,
     _taut_values,
     _zero_solution,
+    energy_slope,
     floor_following_schedule,
     min_energy_offload,
     min_energy_offload_bursty,
@@ -88,8 +90,21 @@ def corridors(draw):
     return FeasibilityTunnel("corridor", times, floor, ceiling, total, floor.copy(), zeros, np.inf)
 
 
+def _stepped_corridor():
+    """58 vertices 1/128 s apart; the floor steps from 0 to 1e4 bits at
+    vertex 32 and the ceiling from 0 to 1 bit at vertex 23, the total being
+    2e4. The L-BFGS-B reference once left its values a fraction of a bit
+    out of order on it, so its energy could not be priced."""
+    k = np.arange(58)
+    floor = np.where(k >= 32, 1e4, 0.0)
+    ceiling = np.select([k >= 46, k >= 32, k >= 23], [10000.5, 1e4, 1.0], 0.0)
+    floor[-1] = ceiling[-1] = 2e4
+    return FeasibilityTunnel("corridor", k / 128.0, floor, ceiling, 2e4, floor.copy(), np.zeros(58), np.inf)
+
+
 @settings(max_examples=50)
 @given(tunnel=corridors(), gain_exp=st.floats(-2.0, 2.0))
+@example(tunnel=_stepped_corridor(), gain_exp=0.0)
 def test_taut_string_matches_convex_reference_on_corridors(tunnel, gain_exp):
     assume(tunnel.total > 1.0)
     chan = channel(gain_exp)
@@ -388,9 +403,9 @@ def _same_profile_as_eager(epochs, horizon):
 
 
 def test_profile_build_checks_the_horizon_on_the_eager_sum():
-    # the horizon check reads numpy's pairwise sum of the durations, which
-    # the running sums of the boundaries can miss by a few ulps: at each
-    # horizon a few ulps either side of both edges of the tolerance the
+    # the horizon check reads the correctly rounded sum of the durations,
+    # which the running sums of the boundaries can miss by a few ulps: at
+    # each horizon a few ulps either side of both edges of the tolerance the
     # build accepts or refuses the epochs as the eager build does, and some
     # of them a check on the running sum would decide the other way
     rng = np.random.default_rng(11)
@@ -401,8 +416,8 @@ def test_profile_build_checks_the_horizon_on_the_eager_sum():
             durations = (scale / n * rng.uniform(0.5, 1.5, n)).tolist()
             epochs = [Epoch(d, k % 3 != 0) for k, d in enumerate(durations)]  # some neighbours merge
             merged = [ep.duration for ep in normalize_epochs(epochs)]
-            pairwise, running = float(np.sum(merged)), sum(merged)
-            for total in (pairwise, running):
+            rounded, running = fsum(merged), sum(merged)
+            for total in (rounded, running):
                 tol = max(TIME_ATOL, n * eps * total)
                 for edge in (total - tol, total + tol):
                     for ulps in range(-4, 5):
@@ -544,7 +559,7 @@ def _same_chunked_tunnels(prof, arr, ratio):
         if tunnel is None or build is local_compute_tunnel:
             continue
         total = tunnel.total
-        lift = ratio * float(tl.arrival_bits[tl.idle_end_index :].sum())
+        lift = ratio * fsum(tl.lists[1][tl.idle_end_index :])
         slack = prof.capacity - total if build is bursty_effective_tunnel else 0.0
         end = total if slack > 0.0 else max(prof.capacity - slack, 0.0)
         want = max(end, total + lift) if lift > bits_tol(total) else end
@@ -568,10 +583,10 @@ def test_both_branches_build_the_same_long_chunked_tunnels():
 
 
 def _slope_magnitude(schedule, chan, d_floor, d_ceiling, d_total) -> float:
-    """Sum of the magnitudes that ``envelope_slope`` of ``schedule`` adds
-    up: each multiplier's two marginal powers times its vertex's slope, and
-    the last marginal power times the total's. Rounding moves the slope by
-    a few ulps of each, whatever cancels."""
+    """Sum of the magnitudes that the multiplier sum of ``energy_slope``
+    over ``schedule`` adds up: each multiplier's two marginal powers times
+    its vertex's slope, and the last marginal power times the total's.
+    Rounding moves the slope by a few ulps of each, whatever cancels."""
     m = chan.marginal_energy_per_bit(schedule.rates)
     d = np.where(m[:-1] >= m[1:], np.asarray(d_floor)[1:-1], np.asarray(d_ceiling)[1:-1])
     return float(((m[:-1] + m[1:]) * np.abs(d)).sum() + m[-1] * abs(d_total))
@@ -610,7 +625,7 @@ def test_both_branches_read_the_same_split_slopes(durations, idle_first, size_fr
     n = len(schedule.lists[0])
     share = tunnel.floor / tunnel.total
     magnitude = _slope_magnitude(schedule, chan, share, np.where(tunnel.ceiling >= tunnel.total, 1.0, share), 1.0)
-    _agree_to_rounding(*_by_each_branch(_proportional_slope, schedule, tunnel, chan), n, magnitude)
+    _agree_to_rounding(*_by_each_branch(energy_slope, schedule, tunnel, chan), n, magnitude)
     full = pull_string(full_utilization_tunnel(prof, np.inf))
     s = size / full.total
     magnitude = float((chan.marginal_energy_per_bit(s * full.rates) * full.bits).sum()) / full.total
@@ -632,6 +647,89 @@ def test_both_branches_read_the_same_share_slope(instance, gain_exp):
         n = len(schedule.lists[0])
         magnitude += _slope_magnitude(schedule, chan, d_floor, tunnel.ceiling / ratio, served)
     _agree_to_rounding(by_numpy, by_lists, n, magnitude)
+
+
+_SIZE_FAMILIES = {"effective": effective_tunnel, "lazy": lazy_first_tunnel, "proportional": proportional_tunnel}
+
+
+def _corner_sum(schedule, tunnel, chan):
+    """The multiplier sum of a slack family's string (both branches) with
+    every envelope past the corner moving with the total, plus the corner's
+    time term, and the magnitude of what they add up."""
+    floor, ceiling = tunnel.lists[1:3]
+    n = len(floor) - 1
+    c = n if tunnel.corner is None else tunnel.corner
+    d_floor = [1.0 if k > c else 0.0 for k in range(n + 1)]
+    d_ceiling = [1.0 if k > c or ceiling[k] >= tunnel.total else 0.0 for k in range(n + 1)]
+    magnitude = _slope_magnitude(schedule, chan, d_floor, d_ceiling, 1.0)
+    time_term = 0.0
+    if 0 < c < n:  # h(r) = p(r) - r p'(r) on each side of the corner, which moves by -1/rate
+        r = schedule.rates[c - 1 : c + 1]
+        h = chan.rate_to_power(r) - r * chan.marginal_energy_per_bit(r)
+        time_term = float(h[1] - h[0]) / tunnel.rate
+        magnitude += float(np.abs(h).sum()) / tunnel.rate
+    sums = _by_each_branch(string_pull._multiplier_sum, schedule, chan, d_floor, d_ceiling, 1.0)
+    return [s + time_term for s in sums], magnitude
+
+
+@pytest.mark.parametrize("family", [*_SIZE_FAMILIES, "full", "bursty-effective"])
+@settings(max_examples=40)
+@given(
+    durations=st.lists(st.floats(1e-3, 3e-2), min_size=1, max_size=40),
+    idle_first=st.booleans(),
+    frac=st.floats(0.05, 0.95),
+    buffer_frac=st.floats(0.0, 0.999),
+    gain_exp=st.floats(-2.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_energy_slope_matches_central_differences_on_every_family(
+    family, durations, idle_first, frac, buffer_frac, gain_exp, seed
+):
+    # away from kinks, the slope read off one string in the family's own
+    # parameter (a size, the capacity of a full tunnel, or a share) matches
+    # a central difference of the pulled energy, on both size branches
+    epochs = [Epoch(d, (i % 2 == 0) == idle_first) for i, d in enumerate(durations)]
+    horizon = float(np.sum(durations))
+    prof = build_profile(epochs, 5e9, 500.0, horizon)
+    assume(prof.capacity > 1e3)
+    if family == "bursty-effective":
+        arr = sample_arrivals(seed, horizon, horizon / 8, 5e4, 1.5e5)
+        tl = merge_events(prof, arr)
+        x = frac * min(max_offload_ratio(prof, arr), 1.0)
+        assume(x * arr.total > 1e3)
+
+        def tunnel_at(r):
+            return bursty_effective_tunnel(prof, arr, r, tl)
+
+    elif family == "full":  # the capacity moves with the helper's clock
+        x, buffer_bits = prof.capacity, buffer_frac * prof.capacity
+
+        def tunnel_at(cap):
+            return full_utilization_tunnel(build_profile(epochs, 5e9 * cap / x, 500.0, horizon), buffer_bits)
+
+    else:
+        x = frac * prof.capacity
+        buffer_bits = np.inf if family == "effective" else buffer_frac * x
+
+        def tunnel_at(l):
+            return _SIZE_FAMILIES[family](prof, l, buffer_bits)
+
+    chan = channel(gain_exp)
+    tunnel = tunnel_at(x)
+    schedule = pull_string(tunnel)
+    e, delta = schedule.energy(chan), 1e-6 * x
+    ahead = (pull_string(tunnel_at(x + delta)).energy(chan) - e) / delta
+    behind = (e - pull_string(tunnel_at(x - delta)).energy(chan)) / delta
+    mid = 0.5 * (ahead + behind)
+    if abs(ahead - behind) <= 1e-4 * abs(mid):  # no kink within delta
+        for slope in _by_each_branch(energy_slope, schedule, tunnel, chan):
+            assert slope == pytest.approx(mid, rel=1e-6), family
+    if family in ("effective", "lazy"):
+        # the closed form is the telescoped multiplier sum plus the corner's time term
+        closed = energy_slope(schedule, tunnel, chan)
+        sums, magnitude = _corner_sum(schedule, tunnel, chan)
+        for general in sums:
+            _agree_to_rounding(closed, general, len(schedule.lists[0]), magnitude)
 
 
 def _verdict(schedule, tunnel):

@@ -6,7 +6,7 @@ from offloadsim.energy import ChannelParams, schedule_energy
 from offloadsim.errors import InfeasibleError
 from offloadsim.string_pull import (
     OffloadSchedule,
-    envelope_slope,
+    energy_slope,
     floor_following_schedule,
     format_schedule,
     min_energy_offload,
@@ -306,15 +306,17 @@ def test_envelope_slope_survives_marginal_powers_near_overflow():
     schedule = OffloadSchedule(np.arange(6.0), np.concatenate(([0.0], np.cumsum(rates))))
     top = float(chan.marginal_energy_per_bit(rates[0]))
     assert np.isfinite(top) and 2.0 * top == np.inf
+    # a tunnel whose floor, ceiling and total all move by one per unit
     ones = np.ones(6)
-    assert envelope_slope(schedule, chan, ones, ones, 1.0) == pytest.approx(top, rel=1e-12)
+    by_one = FeasibilityTunnel("ones", schedule.times, ones, ones, 1.0, ones, 0 * ones, np.inf, moves=(1.0, 0.0, 1.0))
+    assert energy_slope(schedule, by_one, chan) == pytest.approx(top, rel=1e-12)
     # past overflow the slope is +inf; a NaN rate makes it NaN
     faster = OffloadSchedule(schedule.times, 1.01 * schedule.cumulative)
-    assert envelope_slope(faster, chan, ones, ones, 1.0) == np.inf
+    assert energy_slope(faster, by_one, chan) == np.inf
     # also where the power of two alone overflows, times a factor below one
-    assert envelope_slope(faster, ChannelParams(1.0, 1e3, 1e-6), ones, ones, 1.0) == np.inf
+    assert energy_slope(faster, by_one, ChannelParams(1.0, 1e3, 1e-6)) == np.inf
     broken = OffloadSchedule(schedule.times, np.where(np.arange(6) == 3, np.nan, schedule.cumulative))
-    assert np.isnan(envelope_slope(broken, chan, ones, ones, 1.0))
+    assert np.isnan(energy_slope(broken, by_one, chan))
     # a NaN rate makes it NaN also where another rate overflows, before the
     # NaN or after it, though a running max over a list skips a NaN it
     # meets after the first value
@@ -325,4 +327,4 @@ def test_envelope_slope_survives_marginal_powers_near_overflow():
         cumulative[3] = np.nan  # the rates of segments 2 and 3
         both = OffloadSchedule(schedule.times, cumulative)
         assert np.isinf(chan.marginal_energy_per_bit(both.rates[fast]))
-        assert np.isnan(envelope_slope(both, chan, ones, ones, 1.0)), fast
+        assert np.isnan(energy_slope(both, by_one, chan)), fast
