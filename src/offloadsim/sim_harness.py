@@ -20,10 +20,13 @@ calling process and forks ``min(N, trials) - 1`` children for the rest;
 every child is reaped before the call returns or raises. Where ``os.fork``
 does not exist the sweep runs in one process, with the same output.
 
-Policies whose energy is convex in the offload size are priced by one solver
-each, the optimal split and proportional pacing (``_paced_energy``).
-Buffer-first's energy over the split is not convex, so it is priced piece by
-piece between the sizes where it may not be (``_buffer_first_energy``).
+The late-transmit benchmark sends along the tunnel floor, at the helper's
+idle rate wherever it sends, so it is priced in closed form with no tunnel
+(``_benchmark_energy``). Policies whose energy is convex in the offload size
+are priced by one solver each, the optimal split and proportional pacing
+(``_paced_energy``). Buffer-first's energy over the split is not convex, so
+it is priced piece by piece between the sizes where it may not be
+(``_buffer_first_energy``).
 """
 from __future__ import annotations
 
@@ -52,17 +55,10 @@ from .string_pull import (
     _marginal_powers,
     _scaled_slope,
     energy_slope,
-    floor_following_schedule,
     offload_energy,
     pull_string,
 )
-from .tunnel import (
-    bits_tol,
-    bursty_effective_tunnel,
-    effective_tunnel,
-    full_utilization_tunnel,
-    lazy_first_tunnel,
-)
+from .tunnel import bits_tol, full_utilization_tunnel, lazy_first_tunnel
 
 _TAGS = {"oneshot": 11, "buffer": 12, "bursty": 13}  # seed-sequence tag per sweep kind
 _POOL = 128  # pre-drawn values per unit pool, kind and trial
@@ -249,20 +245,23 @@ def _arrivals_from_draws(draws: TrialDraws, cfg: SimConfig, scale: float) -> Arr
     )
 
 
-def _benchmark_energy(channel, local, ends, tunnel_fn) -> float:
-    """Best energy of the transmit-as-late-as-possible policy over the split.
+def _benchmark_energy(channel, local, rate, ends) -> float:
+    """Best energy of the transmit-as-late-as-possible policy over the split,
+    in closed form.
 
-    That policy always transmits at the helper's idle computing rate, so its
-    transfer energy is linear in the transfer size and the best split sits at
-    an end of the feasible range. ``ends`` pairs each end's kept bits with
-    its offload (a size or a share), None where nothing is offloaded, and
-    ``tunnel_fn`` builds the tunnel of an offload.
+    That policy sends along the tunnel floor, so wherever it sends it sends
+    at the helper's idle computing ``rate``, and its transfer energy is the
+    bits sent times ``channel.energy_per_bit(rate)``. That is linear in the
+    transfer size, so the best split sits at an end of the feasible range.
+    ``ends`` pairs each end's kept bits with its sent bits, None where
+    nothing is offloaded.
     """
+    per_bit = channel.energy_per_bit(rate)
     best = inf
-    for kept, offload in ends:
+    for kept, sent in ends:
         e = local.local_energy(kept)
-        if offload is not None:
-            e += floor_following_schedule(tunnel_fn(offload)).energy(channel)
+        if sent is not None:
+            e += sent * per_bit
         best = min(best, e)
     return best
 
@@ -362,8 +361,9 @@ def _paced_energy(profile, channel, local, load_bits, buffer_bits, low, high) ->
 
 def _split_case(kind, profile, channel, local, load, buffer_bits, low, high):
     """Energies of one feasible one-shot case: the optimal split, the kind's
-    baseline policy (late-transmit for oneshot, proportional pacing for
-    buffer) and buffer-first, plus the optimal offload size.
+    baseline policy (late-transmit for oneshot, in closed form at the ends
+    of ``[low, high]``; proportional pacing for buffer) and buffer-first,
+    plus the optimal offload size.
 
     A buffer below every transfer makes the optimal split's solver pace
     proportionally throughout, so the optimum prices proportional pacing;
@@ -375,7 +375,7 @@ def _split_case(kind, profile, channel, local, load, buffer_bits, low, high):
     res = optimize_partition(profile, channel, local, load, buffer_bits)
     if _SCHEMAS[kind][1] == "bench_energy":
         ends = [(load - l, l if l > bits_tol(load) else None) for l in (low, high)]
-        baseline = _benchmark_energy(channel, local, ends, lambda l: effective_tunnel(profile, l, inf))
+        baseline = _benchmark_energy(channel, local, profile.rate, ends)
     elif buffer_bits < low:
         baseline = res.energy  # min_energy_offload(p, l, B) pulls proportional_tunnel(p, l, B) for l > B
     else:
@@ -453,14 +453,9 @@ def _bursty_case(draws, cfg, profile, scale):
         res = optimize_ratio(profile, arrivals, channel, local, timeline)
     except InfeasibleError:
         return (False, nan, nan, nan, nan)
-    total = arrivals.total
-    ends = [
-        ((1.0 - r) * total, r if r * total > bits_tol(total) else None)
-        for r in (res.ratio_low, res.ratio_high)
-    ]
-    bench = _benchmark_energy(
-        channel, local, ends, lambda r: bursty_effective_tunnel(profile, arrivals, r, timeline)
-    )
+    total, tol = arrivals.total, bits_tol(arrivals.total)
+    ends = [((1.0 - r) * total, r * total if r * total > tol else None) for r in (res.ratio_low, res.ratio_high)]
+    bench = _benchmark_energy(channel, local, profile.rate, ends)
     return (True, res.ratio, res.energy, bench, res.offload_bits)
 
 

@@ -284,13 +284,6 @@ def _marginal_powers(channel: ChannelParams, rates, scale: float = 1.0) -> list:
     return [inf if x >= 1024.0 else base * 2.0 ** x for x in [scale * r / w for r in rates]]
 
 
-def floor_following_schedule(tunnel: FeasibilityTunnel) -> OffloadSchedule:
-    """Benchmark policy: transmit as late as the tunnel floor allows."""
-    times, floor, ceiling = tunnel.lists[:3]
-    _check_feasible(tunnel, floor, ceiling)
-    return OffloadSchedule(times, floor)
-
-
 @dataclass(frozen=True)
 class BufferTrace:
     """Helper-side replay of a schedule: greedy computing, vertex snapshots."""

@@ -9,7 +9,8 @@ the receive buffer cannot hold or that has not arrived yet".
 
 Every tunnel family is one construction, ``_build_tunnel``, applied to a
 capacity curve (the helper's idle profile, the same profile at a derated
-pace, or the user's own CPU as the line ``rate * t``):
+pace, or the user's own CPU as a profile of one idle epoch, which the
+local-CPU tunnel runs through the chunked families' ``_chunked_tunnel``):
 
 - floor = max(capacity - slack, 0), where ``slack`` is the capacity the
   transfer may leave unused (zero for full utilization);
@@ -58,6 +59,7 @@ from .cpu_profile import (
     TIME_ATOL,
     ArrivalProcess,
     CpuIdlingProfile,
+    Epoch,
     MergedTimeline,
     _ListArray,
     _ListRecord,
@@ -65,6 +67,7 @@ from .cpu_profile import (
     _curve_value,
     _float_lists,
     _keep,
+    build_profile,
     merge_events,
 )
 from .errors import InfeasibleError
@@ -304,14 +307,21 @@ def effective_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits
     The helper may stay idle for ``capacity - offload_bits`` worth of cycles,
     so the floor is the capacity curve shifted down by that slack and clamped.
     """
+    return _slack_tunnel("effective", profile, offload_bits, buffer_bits)
+
+
+def _slack_tunnel(kind: str, profile: CpuIdlingProfile, offload_bits: float, buffer_bits) -> FeasibilityTunnel:
+    """The effective floor, the capacity curve less the slack ``capacity -
+    offload_bits``, under the buffer's ceiling; the effective family's
+    buffer must hold the whole transfer."""
     total = float(offload_bits)
     tol = _check_transfer(profile, total)
-    if buffer_bits < total - tol:
+    if kind == "effective" and buffer_bits < total - tol:
         raise ValueError(f"effective tunnel assumes buffer_bits holds the whole transfer, got {buffer_bits}")
     n = _idle_span(profile)
     curve = profile.parts
     slack = profile.capacity - total
-    return _build_tunnel("effective", curve, curve[0][:n], curve[1][:n], total, slack, _SIZE_SLACK, buffer_bits)
+    return _build_tunnel(kind, curve, curve[0][:n], curve[1][:n], total, slack, _SIZE_SLACK, buffer_bits)
 
 
 def proportional_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits) -> FeasibilityTunnel:
@@ -345,12 +355,7 @@ def lazy_first_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bit
     The helper's computing curve is pinned to the latest feasible one (the
     effective floor), and the buffer constraint is taken relative to it.
     """
-    total = float(offload_bits)
-    _check_transfer(profile, total)
-    n = _idle_span(profile)
-    curve = profile.parts
-    slack = profile.capacity - total
-    return _build_tunnel("lazy", curve, curve[0][:n], curve[1][:n], total, slack, _SIZE_SLACK, buffer_bits)
+    return _slack_tunnel("lazy", profile, offload_bits, buffer_bits)
 
 
 def _chunked_tunnel(kind, profile, arrivals, ratio, timeline, effective) -> FeasibilityTunnel:
@@ -405,31 +410,15 @@ def bursty_tunnel(
 def local_compute_tunnel(arrivals: ArrivalProcess, local, ratio: float) -> FeasibilityTunnel:
     """Feasibility tunnel for the user computing its own share of each chunk.
 
-    The user CPU runs at a constant rate through the whole window, so the
-    capacity curve is the line ``rate * t``; otherwise the construction
-    mirrors the chunked-arrival transfer tunnel.
+    The user CPU runs at a constant rate through the whole window, so it is
+    the chunked construction of ``bursty_effective_tunnel`` over the user's
+    own profile of one idle epoch, with the kept share ``1 - ratio``.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"offload ratio must be in [0, 1], got {ratio}")
-    share = 1.0 - ratio
-    rate = local.cpu_hz / local.cycles_per_bit
     horizon = arrivals.horizon
-    at, sizes = arrivals.times, arrivals.sizes
-    inner = at[(at > TIME_ATOL) & (at < horizon - TIME_ATOL)]
-    times = np.concatenate(([0.0], inner, [horizon]))
-    bits = np.zeros(len(times))
-    chunks = sizes > 0
-    # each chunk goes to its nearest vertex, the earlier one on a tie
-    x = at[chunks]
-    right = np.clip(np.searchsorted(times, x), 1, len(times) - 1)
-    nearest = np.where(x - times[right - 1] <= times[right] - x, right - 1, right)
-    np.add.at(bits, nearest, sizes[chunks])
-    line = ([0.0, horizon], [0.0, rate * horizon], [True], rate)
-    total = share * arrivals.total
-    times = times.tolist()
-    values = [t * rate for t in times]
-    slack = rate * horizon - total
-    return _build_tunnel("local", line, times, values, total, slack, None, bits=bits.tolist(), share=share)
+    own = build_profile([Epoch(horizon, True)], local.cpu_hz, local.cycles_per_bit, horizon)
+    return _chunked_tunnel("local", own, arrivals, 1.0 - ratio, None, True)
 
 
 def max_offload_ratio(

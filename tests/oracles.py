@@ -6,6 +6,8 @@ reads back the schedule text the CLI writes (``format_schedule``).
 ``scan_minimize`` is a coarse grid scan with golden refinement, which needs
 no convexity, and ``scanned_buffer_first`` prices buffer-first with it, as
 the sweeps did before buffer-first was guided by its slope.
+``floor_following_schedule`` is the late-transmit policy as a schedule
+along the tunnel floor, which the sweeps price in closed form.
 ``matrix_local_compute_tunnel`` places each chunk at its nearest vertex
 through a chunks-by-vertices distance matrix, and ``looped_min_offload_ratio``
 steps through numpy scalars: the library's earlier ways of doing both.
@@ -34,7 +36,7 @@ import numpy as np
 
 from offloadsim.cpu_profile import TIME_ATOL, _curve_time, _curve_value, normalize_epochs
 from offloadsim.partition import golden_section
-from offloadsim.string_pull import OffloadSchedule, pull_string
+from offloadsim.string_pull import OffloadSchedule, _check_feasible, pull_string
 from offloadsim.tunnel import _build_tunnel, _fits, bits_tol, lazy_first_tunnel
 
 
@@ -92,6 +94,14 @@ def scanned_buffer_first(profile, channel, local, load_bits, buffer_bits, low, h
     if high - low <= 1.0:
         return fn(low)
     return scan_minimize(fn, low, high, coarse=13, tol=1.0)[1]
+
+
+def floor_following_schedule(tunnel) -> OffloadSchedule:
+    """The late-transmit policy: transmit as late as the tunnel floor
+    allows; raises ``InfeasibleError`` where no schedule fits."""
+    times, floor, ceiling = tunnel.lists[:3]
+    _check_feasible(tunnel, floor, ceiling)
+    return OffloadSchedule(times, floor)
 
 
 def matrix_local_compute_tunnel(arrivals, local, ratio):

@@ -1,10 +1,15 @@
-"""Every top-level definition in ``src/offloadsim`` is used in ``src/``.
+"""Every top-level definition in ``src/offloadsim`` is used in ``src/``,
+and every name a module imports is read in that module.
 
 A function, class or constant that only its own definition or the tests
 refer to is dead weight in the package: it belongs in ``tests/`` or
 nowhere. References are read with ``ast``, so a name in a comment or a
 docstring does not count; a name read, an attribute or an imported name
 does. Dunder names such as ``__version__`` are exempt.
+
+An import that its module never reads is dead weight too, and it keeps a
+definition elsewhere looking used. ``__init__.py``, which imports to
+re-export, and ``from __future__`` imports are exempt.
 """
 import ast
 from pathlib import Path
@@ -52,6 +57,25 @@ def unreferenced_definitions(root=SRC):
     return unused
 
 
+def unread_imports(root=SRC):
+    """``module:name`` of each name an import binds in a module under
+    ``root`` that the module never reads, ``__init__.py`` and ``from
+    __future__`` aside."""
+    unread = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.stem}:{name}")
+    return unread
+
+
 def test_every_definition_in_src_is_used_in_src():
     assert unreferenced_definitions() == []
 
@@ -66,3 +90,22 @@ def test_the_check_finds_a_definition_only_its_tests_would_call(tmp_path):
     )
     (tmp_path / "b.py").write_text("def used():\n    return 1\n")
     assert unreferenced_definitions(tmp_path) == ["a:helper"]
+
+
+def test_every_import_in_src_is_read():
+    assert unread_imports() == []
+
+
+def test_the_check_finds_an_import_its_module_never_reads(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import shown\n")
+    (tmp_path / "a.py").write_text(
+        '"""Mentions gone in a docstring."""\n'
+        "from __future__ import annotations\n\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .b import gone, kept, used as alias\n\n"
+        "def shown(x: kept):\n"
+        "    import json  # gone\n"
+        "    return np.sqrt(alias(x))\n"
+    )
+    assert unread_imports(tmp_path) == ["a:os", "a:gone", "a:json"]

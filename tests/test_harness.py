@@ -6,13 +6,14 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from offloadsim.cpu_profile import Epoch, build_profile
+from offloadsim.cpu_profile import Epoch, build_profile, merge_events
 from offloadsim.energy import schedule_energy
 from offloadsim.errors import ConfigError
-from offloadsim.partition import optimize_partition, partition_bounds
+from offloadsim.partition import optimize_partition, optimize_ratio, partition_bounds
 from offloadsim.sim_harness import (
     _TAGS,
     SimConfig,
+    _arrivals_from_draws,
     _buffer_first_energy,
     _profile_from_draws,
     _run_sweep,
@@ -28,9 +29,16 @@ from offloadsim.sim_harness import (
     write_csv,
 )
 from offloadsim.string_pull import energy_slope, offload_energy, pull_string
-from offloadsim.tunnel import bits_tol, full_utilization_tunnel, lazy_first_tunnel, proportional_tunnel
+from offloadsim.tunnel import (
+    bits_tol,
+    bursty_effective_tunnel,
+    effective_tunnel,
+    full_utilization_tunnel,
+    lazy_first_tunnel,
+    proportional_tunnel,
+)
 
-from oracles import scan_minimize, scanned_buffer_first
+from oracles import floor_following_schedule, scan_minimize, scanned_buffer_first
 
 SMALL = SimConfig(trials=40, seed=7)
 
@@ -207,6 +215,72 @@ def test_bursty_sweep_rows():
     for row in res.rows:
         if row["feasible"]:
             assert row["mean_opt_energy"] <= row["mean_bench_energy"] * (1 + 1e-12)
+
+
+def _floor_price(channel, local, rate, ends):
+    """The late-transmit price of ``ends``, pairs of kept bits and the
+    tunnel of the offload (None for none), read off the schedule along each
+    tunnel's floor, and the joules within which rounding leaves that
+    schedule's energy: a floor vertex rounds to ulps of the capacity curve
+    there, which moves the energy by ``p'(rate)`` per bit, and its time to
+    ulps of itself, which moves it by ``|h(rate)|`` per second, with ``h(r)
+    = p(r) - r p'(r)``."""
+    m = float(channel.marginal_energy_per_bit(rate))
+    h = abs(float(channel.rate_to_power(rate)) - rate * m)
+    price, rounding = np.inf, 0.0
+    for kept, tunnel in ends:
+        e = local.local_energy(kept)
+        if tunnel is not None:
+            assert tunnel.is_feasible()  # the closed form checks no tunnel
+            e += floor_following_schedule(tunnel).energy(channel)
+            times, _, _, capacity = tunnel.lists[:4]
+            rounding += sum(m * c + h * t for t, c in zip(times, capacity))
+        price = min(price, e)
+    return price, rounding
+
+
+def test_late_transmit_is_priced_as_its_floor_schedules():
+    # the late-transmit policy sends along the tunnel floor, at the helper's
+    # idle rate wherever it sends, so the sweeps price it in closed form;
+    # here each end of the feasible range is priced by its floor schedule.
+    # The two agree within 16 eps of that schedule's rounding, not of its
+    # energy: with few bits sent from a large capacity, or a short segment
+    # late in the window, rounding moves the schedule's energy by up to
+    # ~1e4 eps of itself (seed 7 at size scale 0.5)
+    cfg = SimConfig(trials=100)
+    eps = np.finfo(float).eps
+    ends = {"oneshot": 0, "bursty": 0}
+    oneshot = run_oneshot_sweep(cfg, "load_bits", (1.4e5, 7e5))
+    for load, cases in zip(oneshot.values, oneshot.per_trial):
+        for trial, ok, _, bench, _, _ in cases:
+            if not ok:
+                continue
+            profile, channel, local = trial_instance(cfg, "oneshot", trial)
+            sizes = partition_bounds(profile, local, load)
+            tunnels = [effective_tunnel(profile, l) if l > bits_tol(load) else None for l in sizes]
+            price, rounding = _floor_price(channel, local, profile.rate, zip([load - l for l in sizes], tunnels))
+            assert abs(bench - price) <= 16 * eps * (price + rounding), (load, trial)
+            ends["oneshot"] += len(tunnels) - tunnels.count(None)
+    bursty = run_bursty_sweep(cfg, "size_scale", (0.5, 1.0))
+    for scale, cases in zip(bursty.values, bursty.per_trial):
+        for trial, ok, _, _, bench, _ in cases:
+            profile, channel, local = trial_instance(cfg, "bursty", trial)
+            arrivals = _arrivals_from_draws(draw_trial(cfg.seed, _TAGS["bursty"], trial), cfg, scale)
+            if not ok or arrivals.total <= 0.0:
+                continue
+            total = arrivals.total
+            timeline = merge_events(profile, arrivals)
+            res = optimize_ratio(profile, arrivals, channel, local, timeline)
+            shares = (res.ratio_low, res.ratio_high)
+            tunnels = [
+                bursty_effective_tunnel(profile, arrivals, r, timeline) if r * total > bits_tol(total) else None
+                for r in shares
+            ]
+            kept = [(1.0 - r) * total for r in shares]
+            price, rounding = _floor_price(channel, local, profile.rate, zip(kept, tunnels))
+            assert abs(bench - price) <= 16 * eps * (price + rounding), (scale, trial)
+            ends["bursty"] += len(tunnels) - tunnels.count(None)
+    assert ends["oneshot"] > 100 and ends["bursty"] > 100
 
 
 def test_results_identical_across_worker_counts():

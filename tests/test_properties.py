@@ -29,7 +29,6 @@ from offloadsim.string_pull import (
     _taut_values,
     _zero_solution,
     energy_slope,
-    floor_following_schedule,
     min_energy_offload,
     min_energy_offload_bursty,
     offload_energy,
@@ -59,6 +58,7 @@ from oracles import (
     eager_pull,
     eager_taut_values,
     eager_zero_solution,
+    floor_following_schedule,
     same_array,
 )
 

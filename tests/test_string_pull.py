@@ -7,7 +7,6 @@ from offloadsim.errors import InfeasibleError
 from offloadsim.string_pull import (
     OffloadSchedule,
     energy_slope,
-    floor_following_schedule,
     format_schedule,
     min_energy_offload,
     min_energy_offload_bursty,
@@ -27,7 +26,7 @@ from offloadsim.tunnel import (
 )
 
 from convex_reference import convex_reference_schedule
-from oracles import parse_schedule
+from oracles import floor_following_schedule, parse_schedule
 
 HELPER_HZ = 5e9
 CPB = 500.0

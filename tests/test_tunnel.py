@@ -5,6 +5,7 @@ import pytest
 
 from offloadsim.cpu_profile import (
     _SHORT_SPAN,
+    TIME_ATOL,
     ArrivalProcess,
     Epoch,
     _curve_time,
@@ -302,13 +303,17 @@ def test_local_compute_tunnel_matches_the_distance_matrix():
     edges = ArrivalProcess.from_events(
         [(0.0, 1e5), (0.5e-12, 2e5), (0.03, 3e5), (0.06, 0.0), (0.099, 4e5)], 0.1
     )
-    for arr in (two_chunks(), edges, *default_seed_arrivals(), *default_seed_arrivals(2.0, 5)):
+    nothing = ArrivalProcess.from_events([], 0.1)  # the horizon event alone
+    near_zero = ArrivalProcess.from_events([(0.5 * TIME_ATOL, 2e5), (0.05, 1e5)], 0.1)
+    at_zero = ArrivalProcess([TIME_ATOL, 0.05, 0.1], [2e5, 1e5, 0.0], 0.1)  # a chunk TIME_ATOL after 0
+    samples = (*default_seed_arrivals(), *default_seed_arrivals(2.0, 5))
+    for arr in (two_chunks(), edges, nothing, near_zero, at_zero, *samples):
         for ratio in (0.0, 0.4, 1.0):
             assert_same_tunnel(local_compute_tunnel(arr, LOCAL, ratio), matrix_local_compute_tunnel(arr, LOCAL, ratio))
 
 
 def test_local_compute_tunnel_builds_for_100000_chunks():
-    # the distance matrix would hold 1e10 entries; sorted placement is linear-logarithmic
+    # the distance matrix would hold 1e10 entries; the merge of arrivals is linear
     n = 100_000
     arr = ArrivalProcess(np.append(np.linspace(0.0, 100.0, n, endpoint=False), 100.0), np.append(np.full(n, 1e3), 0.0), 100.0)
     tun = local_compute_tunnel(arr, LOCAL, 0.5)
