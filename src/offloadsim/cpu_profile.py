@@ -54,12 +54,16 @@ def as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _check_positive(**fields):
-    """Reject each field that is not positive and finite, by name (a
-    sampler would loop forever on a NaN or infinite one)."""
+def _check_positive(error=ValueError, /, **fields):
+    """Reject each field that is not positive and finite, by name, with an
+    ``error`` (``SimConfig`` passes ``ConfigError``). This is the package's
+    one positivity rule: the channel, the local CPU, the profile builder,
+    the arrivals, the samplers and the sweep configuration all check their
+    positive parameters here. A sampler would loop forever on a NaN or
+    infinite one."""
     for name, value in fields.items():
         if not (isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+            raise error(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -226,6 +230,19 @@ class CpuIdlingProfile(_ListRecord):
         return values[0] if ts.ndim == 0 else np.array(values).reshape(ts.shape)
 
 
+def _helper_rate(helper_hz, cycles_per_bit, horizon, error=ValueError) -> float:
+    """The helper's idle rate ``helper_hz / cycles_per_bit`` in bits/s, of
+    positive parameters; rejects, with an ``error``, one whose capacity over
+    a ``horizon`` that is all idle would overflow."""
+    rate = float(helper_hz / cycles_per_bit)
+    if not isfinite(rate * horizon):
+        raise error(
+            "the helper's capacity, helper_hz / cycles_per_bit * horizon, overflows: "
+            f"{helper_hz} / {cycles_per_bit} * {horizon}"
+        )
+    return rate
+
+
 def build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> CpuIdlingProfile:
     """Validate and normalize epochs into a capacity profile.
 
@@ -244,7 +261,7 @@ def build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> CpuIdlingProfil
     total = fsum(durs)
     if abs(total - horizon) > max(TIME_ATOL, len(epochs) * _EPS * total):
         raise ValueError(f"epoch durations sum to {total}, expected horizon {horizon}")
-    rate = float(helper_hz / cycles_per_bit)
+    rate = _helper_rate(helper_hz, cycles_per_bit, horizon)
     # running sums in epoch order, as np.cumsum adds
     boundaries = [0.0, *accumulate(durs)]
     boundaries[-1] = float(horizon)

@@ -16,11 +16,11 @@ passes its own, and makes arrays of anything else, or of longer lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import isfinite
 
 import numpy as np
 
-from .cpu_profile import _EPS, _SHORT_SPAN
+from .cpu_profile import _EPS, _SHORT_SPAN, _check_positive
 
 _LN2 = float(np.log(2.0))
 # expm1 cannot overflow below ln(DBL_MAX) = 709.78..., so a short schedule
@@ -43,12 +43,7 @@ class ChannelParams:
     noise_w: float  # noise power over the band, watts
 
     def __post_init__(self):
-        if not 0 < self.gain < inf:
-            raise ValueError(f"gain must be positive and finite, got {self.gain}")
-        if not 0 < self.bandwidth_hz < inf:
-            raise ValueError(f"bandwidth_hz must be positive and finite, got {self.bandwidth_hz}")
-        if not 0 < self.noise_w < inf:
-            raise ValueError(f"noise_w must be positive and finite, got {self.noise_w}")
+        _check_positive(gain=self.gain, bandwidth_hz=self.bandwidth_hz, noise_w=self.noise_w)
 
     def rate_to_power(self, rate):
         """Transmit power (W) needed to sustain ``rate`` bits/s."""
@@ -81,12 +76,16 @@ class LocalComputeParams:
     switched_cap: float  # effective switched capacitance, J*s^2
 
     def __post_init__(self):
-        if not 0 < self.cpu_hz < inf:
-            raise ValueError(f"cpu_hz must be positive and finite, got {self.cpu_hz}")
-        if not 0 < self.cycles_per_bit < inf:
-            raise ValueError(f"cycles_per_bit must be positive and finite, got {self.cycles_per_bit}")
-        if not 0 < self.switched_cap < inf:
-            raise ValueError(f"switched_cap must be positive and finite, got {self.switched_cap}")
+        _check_positive(cpu_hz=self.cpu_hz, cycles_per_bit=self.cycles_per_bit, switched_cap=self.switched_cap)
+        try:
+            finite = isfinite(self.bit_energy)
+        except OverflowError:  # a Python float's ** raises where numpy's gives inf
+            finite = False
+        if not finite:
+            raise ValueError(
+                "the local energy per bit, switched_cap * cpu_hz**2 * cycles_per_bit, overflows: "
+                f"{self.switched_cap} * {self.cpu_hz}**2 * {self.cycles_per_bit}"
+            )
 
     @property
     def cycle_energy(self) -> float:

@@ -41,7 +41,6 @@ from .energy import ChannelParams, LocalComputeParams
 from .errors import InfeasibleError, NumericError
 from .string_pull import (
     OffloadSchedule,
-    _marginal_powers,
     bursty_offload_energy,
     energy_slope,
     min_energy_offload,
@@ -293,7 +292,7 @@ def _share_slope(profile, arrivals, channel, local, timeline, ratio) -> float:
     local_slope = arrivals.total * local.bit_energy
     if ratio * arrivals.total <= bits_tol(arrivals.total):
         served = fsum(timeline.lists[1][: timeline.idle_end_index])  # chunks before the last idle instant
-        return _marginal_powers(channel, (0.0,))[0] * served - local_slope
+        return float(channel.energy_per_bit(0.0)) * served - local_slope
     schedule, tunnel = min_energy_offload_bursty(profile, arrivals, ratio, timeline)
     return energy_slope(schedule, tunnel, channel) - local_slope
 

@@ -36,13 +36,15 @@ import pickle
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from math import inf, isfinite, isnan, nan, sqrt
+from math import inf, isnan, nan, sqrt
 
 import numpy as np
 
 from .cpu_profile import (
     ArrivalProcess,
     CpuIdlingProfile,
+    _check_positive,
+    _helper_rate,
     arrivals_from_units,
     build_profile,
     epochs_from_units,
@@ -52,7 +54,6 @@ from .energy import ChannelParams, LocalComputeParams, schedule_energy
 from .errors import ConfigError, InfeasibleError
 from .partition import _split_slope, optimize_partition, optimize_ratio, partition_bounds, split_root
 from .string_pull import (
-    _marginal_powers,
     _scaled_slope,
     energy_slope,
     offload_energy,
@@ -94,10 +95,12 @@ class SimConfig:
             "bandwidth_hz", "noise_w", "mean_gain", "mean_idle", "mean_busy",
             "mean_interarrival",
         )
-        for name in positive:
-            v = getattr(self, name)
-            if not isfinite(v) or v <= 0:
-                raise ConfigError(f"{name} must be positive and finite, got {v}")
+        _check_positive(ConfigError, **{name: getattr(self, name) for name in positive})
+        _helper_rate(self.helper_hz, self.cycles_per_bit, self.horizon, ConfigError)
+        try:
+            self.local_params()
+        except ValueError as exc:
+            raise ConfigError(f"with cpu_hz = local_hz, {exc}") from None
         if not 0.0 <= self.idle_start_prob <= 1.0:
             raise ConfigError("idle_start_prob must be in [0, 1]")
         for name in ("load_bits", "buffer_bits"):
@@ -170,8 +173,7 @@ _AXES = {
 
 def _apply_axis(cfg: SimConfig, axis: str, value: float) -> SimConfig:
     if axis == "size_scale":
-        if not 0.0 < value < inf:
-            raise ConfigError(f"size_scale must be positive and finite, got {value}")
+        _check_positive(ConfigError, size_scale=value)
         return cfg
     return dataclasses.replace(cfg, **{axis: value})
 
@@ -310,7 +312,7 @@ def _buffer_first_energy(profile, channel, local, load_bits, buffer_bits, low, h
                 g = [energy_slope(schedule, tunnel, channel, c) for c in corners]
             else:  # nothing sent: the first bit goes out at a vanishing rate
                 e = local.local_energy(load_bits - l)
-                g = [_marginal_powers(channel, (0.0,))[0]]
+                g = [float(channel.energy_per_bit(0.0))]
             probed[l] = e, g[0] - local.bit_energy, g[-1] - local.bit_energy
         return probed[l]
 
@@ -477,14 +479,20 @@ class SweepResult:
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054):
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.
+
+    The low bound is exactly 0 with no successes and the high bound exactly
+    1 with all ``n``, where the formula's two terms cancel only to rounding.
+    """
     if n <= 0:
         raise ValueError("need at least one observation")
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * sqrt(p * (1.0 - p) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == n else min(1.0, center + half)
+    return low, high
 
 
 def _aggregate(kind, axis, value, cases) -> dict:

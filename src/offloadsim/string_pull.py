@@ -50,6 +50,7 @@ from .tunnel import (
     _SIZE_SLACK,
     FeasibilityTunnel,
     _build_tunnel,
+    _check_transfer,
     _fits,
     bits_tol,
     bursty_effective_tunnel,
@@ -415,21 +416,17 @@ def min_energy_offload(
 
     Picks the tunnel family by how the transfer compares to the helper's
     capacity and the receive buffer, then pulls the string through it.
+    The buffer is checked first, then ``tunnel._check_transfer`` rejects a
+    transfer that is not finite or does not fit the capacity, so a bad
+    buffer is a configuration error whatever the transfer. A transfer within
+    the size tolerance of zero is the empty one.
     """
-    if not 0 <= offload_bits < np.inf:
-        raise ValueError(f"offload_bits must be nonnegative and finite, got {offload_bits}")
     if not buffer_bits >= 0:
         raise ValueError(f"buffer_bits must be nonnegative, got {buffer_bits}")
-    cap = profile.capacity
-    tol = bits_tol(max(offload_bits, cap))
+    tol = _check_transfer(profile, offload_bits)
     if offload_bits <= tol:
         return _zero_solution(profile, buffer_bits)
-    if offload_bits > cap + tol:
-        raise InfeasibleError(
-            f"transfer of {offload_bits} bits exceeds helper capacity {cap}",
-            deficit=offload_bits - cap,
-        )
-    if offload_bits >= cap - tol:
+    if offload_bits >= profile.capacity - tol:
         tunnel = full_utilization_tunnel(profile, buffer_bits)
     elif buffer_bits >= offload_bits:
         tunnel = effective_tunnel(profile, offload_bits, buffer_bits)

@@ -154,9 +154,8 @@ class FeasibilityTunnel(_ListRecord):
         end = abs(float(self.floor[-1]) - self.total)
         return max(gap, end - bits_tol(self.total))
 
-    def is_feasible(self, tol: float | None = None) -> bool:
-        tol = bits_tol(self.total) if tol is None else tol
-        return _fits(self.lists[1], self.lists[2], self.total, tol)
+    def is_feasible(self) -> bool:
+        return _fits(self.lists[1], self.lists[2], self.total, bits_tol(self.total))
 
 
 def _increasing(t: list) -> bool:

@@ -180,6 +180,60 @@ def test_nan_or_infinite_physical_parameters_rejected(capsys, profile_file):
             assert "total_energy_j" not in out, argv
 
 
+_PHYSICAL_FLAGS = (
+    "--gain", "--noise-w", "--bandwidth-hz", "--helper-hz", "--local-hz", "--cycles-per-bit", "--switched-cap",
+)
+_EXTREMES = ("nan", "inf", "-1", "0", "1e-300", "1e160", "1e300")
+# positive, finite parameters whose local energy per bit or helper rate
+# overflows: solve flags, the fields its message names, the same as a config
+_OVERFLOWING = (
+    (("--load", "7e5", "--local-hz", "1e160"), ("cpu_hz",), {"local_hz": 1e160}),
+    (("--switched-cap", "1e300"), ("switched_cap",), {"switched_cap": 1e300}),
+    (
+        ("--offload", "7e5", "--helper-hz", "1e300", "--cycles-per-bit", "1e-10"),
+        ("helper_hz", "cycles_per_bit"),
+        {"helper_hz": 1e300, "cycles_per_bit": 1e-10},
+    ),
+)
+
+
+def test_extreme_physical_parameters_never_escape_or_print_nan(capsys, profile_file, tmp_path):
+    # each physical flag at each extreme value, in every solve mode: main
+    # returns an exit code, and a result it prints with exit 0 holds no nan
+    arrivals = tmp_path / "a.txt"
+    arrivals.write_text("0.01,1e5\n0.04,2e5\n")
+    modes = (("--load", "7e5"), ("--offload", "3e5"), ("--arrivals", str(arrivals)),
+             ("--arrivals", str(arrivals), "--ratio", "0.5"))
+    failures = []
+    for mode in modes:
+        for flag in _PHYSICAL_FLAGS:
+            for value in _EXTREMES:
+                argv = ("solve", "--profile", profile_file, *mode, flag, value)
+                try:
+                    code, out, _ = run_cli(capsys, *argv)
+                except Exception as exc:  # noqa: BLE001 - any escape is the failure reported
+                    failures.append((argv[3:], repr(exc)))
+                    continue
+                if code == 0 and "nan" in out:
+                    failures.append((argv[3:], out))
+    assert not failures, failures
+
+
+@pytest.mark.parametrize("flags, names, fields", _OVERFLOWING)
+def test_overflowing_parameters_rejected_by_name(capsys, profile_file, arrivals_file, tmp_path, flags, names, fields):
+    if "--load" not in flags and "--offload" not in flags:
+        flags = ("--arrivals", arrivals_file, *flags)
+    code, out, err = run_cli(capsys, "solve", "--profile", profile_file, *flags)
+    assert code == 1, (flags, out)
+    assert "configuration error" in err and all(name in err for name in names), err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**fields, "trials": 3}))
+    for command in ("oneshot", "buffer", "bursty"):
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 1, (command, out)
+        assert all(name in err for name in fields), (command, err)
+
+
 def test_tunnel_subcommand(capsys, profile_file, tmp_path):
     code, out, _ = run_cli(
         capsys, "tunnel", "--profile", profile_file, "--kind", "full",

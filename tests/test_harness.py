@@ -53,6 +53,14 @@ def trial_instance(cfg, kind, trial):
 def test_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(mean_idle=0.0)
+    positive = (
+        "horizon", "local_hz", "cycles_per_bit", "switched_cap", "helper_hz", "bandwidth_hz", "noise_w",
+        "mean_gain", "mean_idle", "mean_busy", "mean_interarrival",
+    )
+    for name in positive:
+        for bad in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ConfigError, match=f"^{name} must be positive and finite, got {bad}$"):
+                SimConfig(**{name: bad})
     with pytest.raises(ConfigError):
         SimConfig(trials=0)
     with pytest.raises(ConfigError):
@@ -165,9 +173,13 @@ def test_continued_draws_do_not_replay_the_trial_stream():
 
 def test_wilson_interval():
     lo, hi = wilson_interval(0, 50)
-    assert lo == pytest.approx(0.0, abs=1e-12) and hi < 0.1
+    assert lo == 0.0 and hi < 0.1
     lo, hi = wilson_interval(50, 50)
-    assert hi == pytest.approx(1.0) and lo > 0.9
+    assert hi == 1.0 and lo > 0.9
+    # the bound is exact at no and at every success, where the formula's
+    # terms cancel only to rounding for most n
+    for n in range(1, 2001):
+        assert wilson_interval(0, n)[0] == 0.0 and wilson_interval(n, n)[1] == 1.0, n
     lo, hi = wilson_interval(8, 10)
     assert 0.49 < lo < 0.51 and 0.94 < hi < 0.95  # textbook value for 80 percent
 
