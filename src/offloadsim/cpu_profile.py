@@ -34,16 +34,16 @@ _EPS = float(np.finfo(float).eps)
 # Size switch of the float-list branches: a curve over fewer than this many
 # interior vertices is handled as Python float lists, where numpy's fixed
 # cost per call would dominate. It bounds the taut string's chord scan and,
-# for a whole tunnel or schedule, the schedule energy, the tunnel envelopes,
-# the tunnel's strict-increase check and the multiplier sums of the energy
-# slopes (``string_pull.energy_slope`` and ``_scaled_slope``). Measured
-# crossovers against numpy: one chord scan breaks even at 32-40 vertices for
-# a chord that stays straight and about 50 for one that bends, and on whole
-# solves over ~100-vertex tunnels 24 ran fastest of 24, 32 and 48; a tunnel
-# build with its envelopes on lists breaks even at 16-24 vertices, the
-# schedule energy at 40-45 and a multiplier sum at 65-100. So at 24 each
-# list branch runs only up to about where it stops being the faster one.
-# The helper profile has no switch: it is built on lists at every size.
+# for a whole tunnel or schedule, the envelopes and checks of the tunnel, the
+# pull's feasibility check, the schedule energy, the multiplier sums of the
+# energy slopes and the share bounds. Crossovers against numpy (2-core Xeon,
+# Python 3.11.7, numpy 2.4.6): a chord scan at 32-50 vertices, a multiplier
+# sum at 65-100, the share bounds at 28-40; with the arrays a long build
+# keeps, the schedule energy near 40, the feasibility check near 70, the
+# build itself near 95 and a whole evaluation (build, pull, energy) near 55,
+# which at 106 vertices takes 69 us against 98 on lists. Whole solves over
+# ~100-vertex tunnels, most of whose chords are short, ran fastest at 24 of
+# 24, 32 and 48. The helper profile is built on lists at any size.
 _SHORT_SPAN = 24
 
 
@@ -76,21 +76,28 @@ class Epoch:
 
 def normalize_epochs(epochs) -> tuple[Epoch, ...]:
     """Merge adjacent epochs with identical state; reject degenerate ones."""
-    merged: list[Epoch] = []
+    return tuple(map(Epoch, *_merged_epochs(epochs)))
+
+
+def _merged_epochs(epochs) -> tuple[list, list]:
+    """``normalize_epochs`` as lists of durations and states, with no ``Epoch`` per epoch."""
+    durs: list[float] = []
+    idle: list[bool] = []
     for ep in epochs:
         dur = float(ep.duration)
         if not isfinite(dur) or dur <= 0:
             raise ValueError(f"epoch duration must be positive, got {dur}")
-        if merged and merged[-1].idle == ep.idle:
-            merged[-1] = Epoch(merged[-1].duration + dur, ep.idle)
+        if idle and idle[-1] == ep.idle:
+            durs[-1] += dur
         else:
-            merged.append(Epoch(dur, bool(ep.idle)))
-    if not merged:
+            durs.append(dur)
+            idle.append(bool(ep.idle))
+    if not durs:
         raise ValueError("profile needs at least one epoch")
-    for ep in merged:
-        if ep.duration < MIN_EPOCH:
-            raise ValueError(f"degenerate epoch of {ep.duration} s after merging")
-    return tuple(merged)
+    if min(durs) < MIN_EPOCH:
+        bad = next(d for d in durs if d < MIN_EPOCH)
+        raise ValueError(f"degenerate epoch of {bad} s after merging")
+    return durs, idle
 
 
 def _curve_value(parts: tuple, t: float) -> float:
@@ -255,9 +262,7 @@ def build_profile(epochs, helper_hz, cycles_per_bit, horizon) -> CpuIdlingProfil
     """
     _check_positive(helper_hz=helper_hz, cycles_per_bit=cycles_per_bit, horizon=horizon)
     epochs = list(epochs)
-    eps = normalize_epochs(epochs)
-    durs = [ep.duration for ep in eps]
-    idle = [ep.idle for ep in eps]
+    durs, idle = _merged_epochs(epochs)
     total = fsum(durs)
     if abs(total - horizon) > max(TIME_ATOL, len(epochs) * _EPS * total):
         raise ValueError(f"epoch durations sum to {total}, expected horizon {horizon}")

@@ -214,7 +214,9 @@ def optimize_partition(
     searched on its tunnel families: golden section on effective tunnels up
     to the buffer, a root of the envelope slope on proportional tunnels
     above it, and the better of the two where the buffer splits the range.
-    Every search stops at a 1-bit bracket.
+    Every search stops at a 1-bit bracket. The result keeps the string its
+    search pulled at the chosen size; a root, which no probe priced, and a
+    pinned or shortcut split are pulled once more.
     """
     if not 0 <= load_bits < np.inf:
         raise ValueError(f"load_bits must be nonnegative and finite, got {load_bits}")
@@ -228,13 +230,21 @@ def optimize_partition(
             deficit=low - high,
         )
     high = max(high, low)
+    kept = [inf]  # the cheapest evaluation yet: energy, size, transfer energy, (schedule, tunnel)
     if high - low <= 1.0:
         best, method = low, "pinned"
     elif use_shortcut and minimal_offload_is_best(profile, channel, local, load_bits):
         best, method = low, "shortcut"
     else:
+        pulled = []
+
         def objective(l):
-            return local.local_energy(load_bits - l) + offload_energy(profile, l, buffer_bits, channel)
+            e_loc = local.local_energy(load_bits - l)
+            e_off = offload_energy(profile, l, buffer_bits, channel, pulled)
+            e, pair = e_loc + e_off, pulled.pop()  # held no longer than this call unless the best
+            if e < kept[0]:  # strict, as golden_section keeps its best
+                kept[:] = e, l, e_off, pair
+            return e
 
         slope = partial(_split_slope, profile, channel, local, buffer_bits)  # for l > buffer_bits
         if buffer_bits >= high:
@@ -249,8 +259,11 @@ def optimize_partition(
             if objective(above) < e_eff:
                 best = above
         method = "search"
-    schedule, tunnel = min_energy_offload(profile, best, buffer_bits)
-    e_off = schedule.energy(channel)
+    if len(kept) > 1 and kept[1] == best:  # the search priced this size: no second pull
+        _, _, e_off, (schedule, tunnel) = kept
+    else:
+        schedule, tunnel = min_energy_offload(profile, best, buffer_bits)
+        e_off = schedule.energy(channel)
     e_loc = local.local_energy(load_bits - best)
     return PartitionResult(
         offload_bits=float(best),
@@ -292,7 +305,7 @@ def _share_slope(profile, arrivals, channel, local, timeline, ratio) -> float:
     local_slope = arrivals.total * local.bit_energy
     if ratio * arrivals.total <= bits_tol(arrivals.total):
         served = fsum(timeline.lists[1][: timeline.idle_end_index])  # chunks before the last idle instant
-        return float(channel.energy_per_bit(0.0)) * served - local_slope
+        return channel.energy_per_bit(0.0) * served - local_slope
     schedule, tunnel = min_energy_offload_bursty(profile, arrivals, ratio, timeline)
     return energy_slope(schedule, tunnel, channel) - local_slope
 

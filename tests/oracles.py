@@ -267,10 +267,11 @@ class EagerTunnel:
 
 
 def eager_build_tunnel(
-    kind, curve, times, values, total, slack, moves, buffer_bits=np.inf, bits=None, share=None, late=0.0
+    kind, curve, times, values, total, slack, moves, buffer_bits=np.inf, bits=None, share=None, late=0.0, base=None
 ):
     """``tunnel._build_tunnel`` with its arrays made at build time and its
-    envelopes computed with numpy at every size (``moves`` is not kept)."""
+    envelopes computed with numpy at every size (``moves`` is not kept, and
+    ``base`` is not read: every array is made of the lists)."""
     capacity = curve[1][-1]
     levels = [slack]
     if share is None and buffer_bits < total:

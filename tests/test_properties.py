@@ -2,6 +2,7 @@
 
 Under the default ``ci`` hypothesis profile (tests/conftest.py) every run
 draws the same examples; ``--hypothesis-profile=fuzz`` draws new ones."""
+import sys
 import warnings
 from math import fsum
 
@@ -44,6 +45,7 @@ from offloadsim.tunnel import (
     lazy_first_tunnel,
     local_compute_tunnel,
     max_offload_ratio,
+    min_offload_ratio,
     proportional_tunnel,
 )
 
@@ -374,6 +376,10 @@ def test_both_energy_branches_agree_on_edge_segments():
             assert np.isnan(by_numpy) and np.isnan(by_lists)
         else:
             assert by_numpy == by_lists == want
+    # a power past DBL_MAX at a rate expm1 still takes is inf, with no overflow warning
+    faint = ChannelParams(1e-300, 1e6, 1e-10)
+    times, cum = np.array([0.0, 0.01, 0.02]), np.array([0.0, 1e4, 2e6])
+    assert _by_each_branch(schedule_energy, times, cum, faint) == [np.inf] * 2
 
 
 PROFILE_ATTRIBUTES = (
@@ -582,6 +588,48 @@ def test_both_branches_build_the_same_long_chunked_tunnels():
         _same_chunked_tunnels(prof, arr, ratio)
 
 
+@settings(max_examples=200)
+@given(instance=chunked_instances())
+def test_both_branches_bound_the_share_alike(instance):
+    # up to 61 chunks and 100 timeline vertices, so the real size switch
+    # splits these instances too; emptied chunks end the tails early
+    prof, arr, _ = instance
+    tl = merge_events(prof, arr)
+    for bound, args in ((min_offload_ratio, (arr, LOCAL)), (max_offload_ratio, (prof, arr, tl))):
+        by_numpy, by_loops = _by_each_branch(bound, *args)
+        assert type(by_numpy) is float and repr(by_numpy) == repr(by_loops), bound.__name__
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    load_frac=st.one_of(st.floats(0.05, 1.0), st.floats(1.0, 1.4)),
+    gain_exp=st.floats(-2.0, 2.0),
+)
+def test_a_whole_split_solve_is_the_same_on_both_sides_of_the_size_switch(seed, load_frac, gain_exp):
+    # about 100 epochs over 1 s, so the real switch sends every tunnel,
+    # string and energy of the search through numpy; loads above the
+    # helper's capacity leave the local CPU a forced share
+    prof = build_profile(sample_cpu_process(seed, 1.0, 0.01, 0.01), 5e9, 500.0, 1.0)
+    assume(prof.capacity > 0.0)
+    load = load_frac * prof.capacity
+    solves = []
+    for span in (None, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            if span is not None:
+                for name, module in list(sys.modules.items()):
+                    if name.startswith("offloadsim.") and hasattr(module, "_SHORT_SPAN"):
+                        mp.setattr(module, "_SHORT_SPAN", span)
+            try:
+                res = optimize_partition(prof, channel(gain_exp), LOCAL, load)
+            except InfeasibleError as exc:
+                solves.append(repr(exc))
+                continue
+        assert len(res.tunnel.lists[0]) - 2 >= 24 or res.method != "search"
+        solves.append(repr((res.energy, res.offload_bits, res.method, res.schedule.lists, res.tunnel.lists)))
+    assert solves[0] == solves[1]
+
+
 def _slope_magnitude(schedule, chan, d_floor, d_ceiling, d_total) -> float:
     """Sum of the magnitudes that the multiplier sum of ``energy_slope``
     over ``schedule`` adds up: each multiplier's two marginal powers times
@@ -762,7 +810,7 @@ def test_both_feasibility_checks_read_ties_alike():
         env[envelope][k] += by
         tunnel = FeasibilityTunnel("tie", times, env["floor"], env["ceiling"], 0.0, np.zeros(3), np.zeros(3), np.inf)
         assert tunnel.is_feasible() == feasible, (envelope, k, by)
-        assert _verdict(pull_string, tunnel) == feasible, (envelope, k, by)
+        assert _by_each_branch(_verdict, pull_string, tunnel) == [feasible] * 2, (envelope, k, by)
 
 
 @st.composite
@@ -791,3 +839,4 @@ def perturbed_corridors(draw):
 def test_both_feasibility_checks_give_the_same_verdict(tunnel):
     for schedule in (pull_string, floor_following_schedule):
         assert _verdict(schedule, tunnel) == tunnel.is_feasible()
+    assert _by_each_branch(_verdict, pull_string, tunnel) == [tunnel.is_feasible()] * 2
