@@ -35,13 +35,13 @@ _EPS = float(np.finfo(float).eps)
 # interior vertices is handled as Python float lists, where numpy's fixed
 # cost per call would dominate. It bounds the taut string's chord scan and,
 # for a whole tunnel or schedule, the envelopes and checks of the tunnel, the
-# pull's feasibility check, the schedule energy, the multiplier sums of the
-# energy slopes and the share bounds. Crossovers against numpy (2-core Xeon,
-# Python 3.11.7, numpy 2.4.6): a chord scan at 32-50 vertices, a multiplier
-# sum at 65-100, the share bounds at 28-40; with the arrays a long build
+# pull's feasibility check, the schedule energy and the multiplier sums of
+# the energy slopes. Crossovers against numpy (2-core Xeon, Python 3.11.7,
+# numpy 2.4.6): a chord scan at 32-50 vertices, a multiplier sum at
+# 65-100; with the arrays a long build
 # keeps, the schedule energy near 40, the feasibility check near 70, the
-# build itself near 95 and a whole evaluation (build, pull, energy) near 55,
-# which at 106 vertices takes 69 us against 98 on lists. Whole solves over
+# build itself near 110 and a whole evaluation (build, pull, energy) near
+# 55, which at 106 vertices takes 74 us against 102 on lists. Whole solves over
 # ~100-vertex tunnels, most of whose chords are short, ran fastest at 24 of
 # 24, 32 and 48. The helper profile is built on lists at any size.
 _SHORT_SPAN = 24
@@ -74,13 +74,10 @@ class Epoch:
     idle: bool
 
 
-def normalize_epochs(epochs) -> tuple[Epoch, ...]:
-    """Merge adjacent epochs with identical state; reject degenerate ones."""
-    return tuple(map(Epoch, *_merged_epochs(epochs)))
-
-
 def _merged_epochs(epochs) -> tuple[list, list]:
-    """``normalize_epochs`` as lists of durations and states, with no ``Epoch`` per epoch."""
+    """Durations and states of ``epochs`` with adjacent ones of identical
+    state merged, as lists, with no ``Epoch`` per epoch; rejects degenerate
+    ones."""
     durs: list[float] = []
     idle: list[bool] = []
     for ep in epochs:

@@ -230,20 +230,19 @@ def optimize_partition(
             deficit=low - high,
         )
     high = max(high, low)
-    kept = [inf]  # the cheapest evaluation yet: energy, size, transfer energy, (schedule, tunnel)
+    kept = None  # the cheapest evaluation yet: energy, size, transfer energy, schedule, tunnel
     if high - low <= 1.0:
         best, method = low, "pinned"
     elif use_shortcut and minimal_offload_is_best(profile, channel, local, load_bits):
         best, method = low, "shortcut"
     else:
-        pulled = []
-
         def objective(l):
-            e_loc = local.local_energy(load_bits - l)
+            nonlocal kept
+            pulled = []
             e_off = offload_energy(profile, l, buffer_bits, channel, pulled)
-            e, pair = e_loc + e_off, pulled.pop()  # held no longer than this call unless the best
-            if e < kept[0]:  # strict, as golden_section keeps its best
-                kept[:] = e, l, e_off, pair
+            e = local.local_energy(load_bits - l) + e_off
+            if kept is None or e < kept[0]:  # strict, as golden_section keeps its best
+                kept = e, l, e_off, *pulled
             return e
 
         slope = partial(_split_slope, profile, channel, local, buffer_bits)  # for l > buffer_bits
@@ -259,8 +258,8 @@ def optimize_partition(
             if objective(above) < e_eff:
                 best = above
         method = "search"
-    if len(kept) > 1 and kept[1] == best:  # the search priced this size: no second pull
-        _, _, e_off, (schedule, tunnel) = kept
+    if kept is not None and kept[1] == best:  # the search priced this size: no second pull
+        _, _, e_off, schedule, tunnel = kept
     else:
         schedule, tunnel = min_energy_offload(profile, best, buffer_bits)
         e_off = schedule.energy(channel)

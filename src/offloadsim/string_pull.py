@@ -452,10 +452,10 @@ def min_energy_offload_bursty(
 
 def offload_energy(profile, offload_bits, buffer_bits, channel: ChannelParams, pulled=None) -> float:
     """Energy of the optimal one-shot transfer of ``offload_bits``. A list
-    ``pulled`` gets the ``(schedule, tunnel)`` the energy was read off appended."""
+    ``pulled`` is set to the schedule and tunnel the energy was read off."""
     schedule, tunnel = min_energy_offload(profile, offload_bits, buffer_bits)
     if pulled is not None:
-        pulled.append((schedule, tunnel))
+        pulled[:] = schedule, tunnel
     return schedule.energy(channel)
 
 

@@ -33,17 +33,16 @@ and the curve's values there as float lists, and inserts the crossings with
 ``bisect``, alike for every family. Only its envelope step and a tunnel's
 strict-increase check switch on size: below ``_SHORT_SPAN`` interior
 vertices they run on lists, where numpy's fixed cost per call would
-dominate, and above it with numpy, on slices of the arrays the profile or
-timeline keeps. Each list branch does the numpy branch's float64
-operations and comparisons, so both give the same arrays and verdicts bit
-for bit.
+dominate, and above it with numpy. Each list branch does the numpy branch's
+float64 operations and comparisons, so both give the same arrays and
+verdicts bit for bit.
 
 A tunnel is a list record (``cpu_profile._ListRecord``): ``_fits``, the
 one feasibility rule, the string pull and the energy slopes read the float
 lists the build made, so a short tunnel priced end to end makes no array;
 a long one keeps the arrays its build made for the numpy steps after it.
-The chunked tunnels read the merged timeline's and the arrivals' lists the
-same way, as the share bounds do below the size switch.
+The chunked tunnels and the share bounds read the merged timeline's and
+the arrivals' lists the same way.
 """
 from __future__ import annotations
 
@@ -193,7 +192,6 @@ def _build_tunnel(
     bits: list | None = None,
     share: float | None = None,
     late: float = 0.0,
-    base=None,
 ) -> FeasibilityTunnel:
     """The one tunnel construction every family goes through.
 
@@ -209,9 +207,6 @@ def _build_tunnel(
     lifts the floor's end above ``total``. Vertices are added where the curve
     crosses ``slack`` and, for a buffer smaller than the transfer, ``capacity
     - buffer_bits``. ``moves`` is kept as ``FeasibilityTunnel.moves``.
-    ``base`` holds the base ``times`` and ``values`` as arrays, into which
-    the crossings are spliced too, for a long build to read; a family passes
-    it from ``_SHORT_SPAN`` base vertices on (a build adds two at most).
     """
     if not buffer_bits >= 0:
         raise ValueError(f"buffer_bits must be nonnegative, got {buffer_bits}")
@@ -231,8 +226,6 @@ def _build_tunnel(
                 values.insert(i, _curve_value(curve, t))
                 if bits is not None:
                     bits.insert(i, 0.0)
-                if base is not None:
-                    base = _spliced(base[0], i, t), _spliced(base[1], i, values[i])
             if level == slack:
                 corner = i - 1 if near_left else i
     if slack <= 0.0:
@@ -249,7 +242,7 @@ def _build_tunnel(
         else:
             ceiling = [0.0] + [share * a for a in accumulate(bits[:-1])]
     else:
-        at, cum = base if base is not None else (np.fromiter(times, float, n), np.fromiter(values, float, n))
+        at, cum = np.fromiter(times, float, n), np.fromiter(values, float, n)
         floor = np.maximum(cum - slack, 0.0)
         if slack > 0.0:
             floor[-1] = total
@@ -272,15 +265,6 @@ def _build_tunnel(
         kind, times, floor.tolist(), ceiling.tolist(), total, values, bits, buffer_bits, corner, share, moves,
         curve[3], (at, floor, ceiling, cum),
     )
-
-
-def _spliced(array: np.ndarray, i: int, value: float) -> np.ndarray:
-    """``array`` with ``value`` inserted at ``i``, cheaper than ``np.concatenate``."""
-    out = np.empty(len(array) + 1)
-    out[:i] = array[:i]
-    out[i] = value
-    out[i + 1 :] = array[i:]
-    return out
 
 
 def _idle_span(profile: CpuIdlingProfile) -> int:
@@ -313,8 +297,7 @@ def full_utilization_tunnel(profile: CpuIdlingProfile, buffer_bits=np.inf) -> Fe
     n = _idle_span(profile)
     curve = profile.parts
     cap = profile.capacity
-    base = (profile.boundaries[:n], profile.cum_bits[:n]) if n >= _SHORT_SPAN else None
-    return _build_tunnel("full", curve, curve[0][:n], curve[1][:n], cap, 0.0, (cap, 0.0, 1.0), buffer_bits, base=base)
+    return _build_tunnel("full", curve, curve[0][:n], curve[1][:n], cap, 0.0, (cap, 0.0, 1.0), buffer_bits)
 
 
 def effective_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits=np.inf) -> FeasibilityTunnel:
@@ -337,8 +320,7 @@ def _slack_tunnel(kind: str, profile: CpuIdlingProfile, offload_bits: float, buf
     n = _idle_span(profile)
     curve = profile.parts
     slack = profile.capacity - total
-    base = (profile.boundaries[:n], profile.cum_bits[:n]) if n >= _SHORT_SPAN else None
-    return _build_tunnel(kind, curve, curve[0][:n], curve[1][:n], total, slack, _SIZE_SLACK, buffer_bits, base=base)
+    return _build_tunnel(kind, curve, curve[0][:n], curve[1][:n], total, slack, _SIZE_SLACK, buffer_bits)
 
 
 def proportional_tunnel(profile: CpuIdlingProfile, offload_bits: float, buffer_bits) -> FeasibilityTunnel:
@@ -391,10 +373,7 @@ def _chunked_tunnel(kind, profile, arrivals, ratio, timeline, effective) -> Feas
     total = ratio * served
     slack = profile.capacity - total if effective else 0.0
     moves = (np.inf, -served if effective else 0.0, served)
-    base = (tl.times[:end], tl.cum_capacity[:end]) if end >= _SHORT_SPAN else None
-    return _build_tunnel(
-        kind, profile.parts, times, values, total, slack, moves, bits=bits, share=ratio, late=late, base=base
-    )
+    return _build_tunnel(kind, profile.parts, times, values, total, slack, moves, bits=bits, share=ratio, late=late)
 
 
 def bursty_effective_tunnel(
@@ -458,11 +437,6 @@ def max_offload_ratio(
         return 0.0
     cap = profile.capacity
     _, bits, cum = tl.lists
-    if len(bits) - 2 >= _SHORT_SPAN:
-        tails, stop = _tails(tl.arrival_bits)
-        with np.errstate(over="ignore"):  # as a float division, a tiny tail's overflows to inf
-            room = np.maximum(cap - tl.cum_capacity[:stop], 0.0) / tails[:stop]
-        return float(np.fmin.reduce(room, initial=1.0))
     tails = [*accumulate(reversed(bits))][::-1]  # bits arriving at or after each vertex, as np.cumsum adds
     best = 1.0
     for used, tail in zip(cum, tails):
@@ -470,16 +444,6 @@ def max_offload_ratio(
             break
         best = min(best, max(cap - used, 0.0) / tail)
     return best
-
-
-def _tails(sizes: np.ndarray) -> tuple[np.ndarray, int]:
-    """The data arriving at or after each instant, summed as the share
-    bounds' loops sum it, and how many lead up to the first that is not
-    positive, where the loops stop. ``np.fmin`` and ``np.fmax`` then skip a
-    NaN, as the loops' ``min`` and ``max`` do."""
-    tails = sizes[::-1].cumsum()[::-1]
-    spent = np.flatnonzero(tails <= 0.0)
-    return tails, int(spent[0]) if len(spent) else len(tails)
 
 
 def min_offload_ratio(arrivals: ArrivalProcess, local) -> float:
@@ -493,11 +457,6 @@ def min_offload_ratio(arrivals: ArrivalProcess, local) -> float:
     rate = local.cpu_hz / local.cycles_per_bit
     horizon = arrivals.horizon
     times, sizes = arrivals.lists
-    if len(sizes) - 2 >= _SHORT_SPAN:
-        tails, stop = _tails(arrivals.sizes)
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf / inf is NaN, as a float's, and skipped
-            need = 1.0 - rate * (horizon - arrivals.times[:stop]) / tails[:stop]
-        return float(np.fmax.reduce(need, initial=0.0))
     tails = [*accumulate(reversed(sizes))][::-1]  # bits arriving at or after each chunk, as np.cumsum adds
     worst = 0.0
     for t, tail in zip(times, tails):

@@ -1,5 +1,7 @@
 """Small reference helpers the tests check the library against.
 
+``normalize_epochs`` is ``build_profile``'s epoch merge
+(``cpu_profile._merged_epochs``) returned as ``Epoch``s.
 ``epoch_energy`` prices one constant-rate segment on its own, the plain
 per-segment sum that ``schedule_energy`` vectorizes. ``parse_schedule``
 reads back the schedule text the CLI writes (``format_schedule``).
@@ -34,10 +36,15 @@ from math import fsum
 
 import numpy as np
 
-from offloadsim.cpu_profile import TIME_ATOL, _curve_time, _curve_value, normalize_epochs
+from offloadsim.cpu_profile import TIME_ATOL, Epoch, _curve_time, _curve_value, _merged_epochs
 from offloadsim.partition import golden_section
 from offloadsim.string_pull import OffloadSchedule, _check_feasible, pull_string
 from offloadsim.tunnel import _build_tunnel, _fits, bits_tol, lazy_first_tunnel
+
+
+def normalize_epochs(epochs) -> tuple[Epoch, ...]:
+    """Merge adjacent epochs with identical state; reject degenerate ones."""
+    return tuple(map(Epoch, *_merged_epochs(epochs)))
 
 
 def epoch_energy(channel, bits: float, duration: float) -> float:
@@ -267,11 +274,10 @@ class EagerTunnel:
 
 
 def eager_build_tunnel(
-    kind, curve, times, values, total, slack, moves, buffer_bits=np.inf, bits=None, share=None, late=0.0, base=None
+    kind, curve, times, values, total, slack, moves, buffer_bits=np.inf, bits=None, share=None, late=0.0
 ):
     """``tunnel._build_tunnel`` with its arrays made at build time and its
-    envelopes computed with numpy at every size (``moves`` is not kept, and
-    ``base`` is not read: every array is made of the lists)."""
+    envelopes computed with numpy at every size (``moves`` is not kept)."""
     capacity = curve[1][-1]
     levels = [slack]
     if share is None and buffer_bits < total:

@@ -6,12 +6,12 @@ from offloadsim.cpu_profile import (
     Epoch,
     build_profile,
     merge_events,
-    normalize_epochs,
     parse_arrivals,
     parse_epochs,
     sample_arrivals,
     sample_cpu_process,
 )
+from oracles import normalize_epochs
 
 HELPER_HZ = 5e9
 CPB = 500.0  # cycles per bit, so the idle rate is 1e7 bits/s

@@ -18,7 +18,6 @@ from offloadsim.cpu_profile import (
     Epoch,
     build_profile,
     merge_events,
-    normalize_epochs,
     sample_arrivals,
     sample_cpu_process,
 )
@@ -45,7 +44,6 @@ from offloadsim.tunnel import (
     lazy_first_tunnel,
     local_compute_tunnel,
     max_offload_ratio,
-    min_offload_ratio,
     proportional_tunnel,
 )
 
@@ -61,6 +59,7 @@ from oracles import (
     eager_taut_values,
     eager_zero_solution,
     floor_following_schedule,
+    normalize_epochs,
     same_array,
 )
 
@@ -376,7 +375,10 @@ def test_both_energy_branches_agree_on_edge_segments():
             assert np.isnan(by_numpy) and np.isnan(by_lists)
         else:
             assert by_numpy == by_lists == want
-    # a power past DBL_MAX at a rate expm1 still takes is inf, with no overflow warning
+
+
+def test_both_energy_branches_price_a_power_past_dbl_max_as_inf():
+    # a rate expm1 still takes, whose power overflows: inf, with no overflow warning
     faint = ChannelParams(1e-300, 1e6, 1e-10)
     times, cum = np.array([0.0, 0.01, 0.02]), np.array([0.0, 1e4, 2e6])
     assert _by_each_branch(schedule_energy, times, cum, faint) == [np.inf] * 2
@@ -586,18 +588,6 @@ def test_both_branches_build_the_same_long_chunked_tunnels():
     assert len(merge_events(prof, arr).times) > 4000
     for ratio in (0.3, min(max_offload_ratio(prof, arr), 1.0)):
         _same_chunked_tunnels(prof, arr, ratio)
-
-
-@settings(max_examples=200)
-@given(instance=chunked_instances())
-def test_both_branches_bound_the_share_alike(instance):
-    # up to 61 chunks and 100 timeline vertices, so the real size switch
-    # splits these instances too; emptied chunks end the tails early
-    prof, arr, _ = instance
-    tl = merge_events(prof, arr)
-    for bound, args in ((min_offload_ratio, (arr, LOCAL)), (max_offload_ratio, (prof, arr, tl))):
-        by_numpy, by_loops = _by_each_branch(bound, *args)
-        assert type(by_numpy) is float and repr(by_numpy) == repr(by_loops), bound.__name__
 
 
 @settings(max_examples=30)
@@ -810,7 +800,12 @@ def test_both_feasibility_checks_read_ties_alike():
         env[envelope][k] += by
         tunnel = FeasibilityTunnel("tie", times, env["floor"], env["ceiling"], 0.0, np.zeros(3), np.zeros(3), np.inf)
         assert tunnel.is_feasible() == feasible, (envelope, k, by)
-        assert _by_each_branch(_verdict, pull_string, tunnel) == [feasible] * 2, (envelope, k, by)
+        assert _verdict(pull_string, tunnel) == feasible, (envelope, k, by)
+
+
+def test_the_pull_reads_ties_alike_on_each_branch():
+    # the cases above, with the pull's check also on the arrays a long tunnel keeps
+    assert _by_each_branch(test_both_feasibility_checks_read_ties_alike) == [None, None]
 
 
 @st.composite
@@ -839,4 +834,9 @@ def perturbed_corridors(draw):
 def test_both_feasibility_checks_give_the_same_verdict(tunnel):
     for schedule in (pull_string, floor_following_schedule):
         assert _verdict(schedule, tunnel) == tunnel.is_feasible()
+
+
+@settings(max_examples=200)
+@given(tunnel=perturbed_corridors())
+def test_the_pull_gives_the_same_verdict_on_each_branch(tunnel):
     assert _by_each_branch(_verdict, pull_string, tunnel) == [tunnel.is_feasible()] * 2
