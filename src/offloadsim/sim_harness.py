@@ -338,8 +338,9 @@ def _paced_energy(profile, channel, local, load_bits, buffer_bits, low, high) ->
     slope minus the local energy per bit, to a thousandth of a bit. Its
     tunnel's floor ``(l/C) c(t)`` is linear in the size ``l`` and its ceiling
     ``min(floor + B, l)`` concave, so the energy is convex in ``l``. A size
-    the buffer holds is priced on the full-utilization string scaled by
-    ``l / C``, pulled at most once; a larger one on its own tunnel."""
+    the buffer holds is priced on the pieces of the full-utilization string
+    scaled by ``l / C``, pulled at most once; a larger one on its own
+    tunnel."""
     if high <= bits_tol(load_bits):  # nothing to offload; a never-idle profile has no string
         return local.local_energy(load_bits - low)
     full = cache(lambda: pull_string(full_utilization_tunnel(profile, inf)))
@@ -352,7 +353,7 @@ def _paced_energy(profile, channel, local, load_bits, buffer_bits, low, high) ->
     def transfer_energy(l):
         if l > buffer_bits:
             return offload_energy(profile, l, buffer_bits, channel)
-        times, cumulative = full().lists
+        times, cumulative = full().pieces
         scale = l / cumulative[-1]
         return schedule_energy(times, [scale * c for c in cumulative], channel)
 

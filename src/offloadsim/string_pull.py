@@ -13,16 +13,18 @@ The feasibility check before the pull switches at the same size, onto the
 arrays a long build keeps: at 106 vertices they take 3.1 us against 4.5 on
 the lists, and the two break even near 70, below which the arrays lose at
 most 1 us (2-core Xeon, Python 3.11.7, numpy 2.4.6). The schedule the pull
-returns is a list record (``cpu_profile._ListRecord``), as a tunnel is: the
-slopes and a short schedule's energy read its lists; a long schedule takes
-its tunnel's ``times`` array and prices its energy on arrays.
+returns is a list record (``cpu_profile._ListRecord``), as a tunnel is, and
+records as its pieces the vertices the scan fixed on an envelope. Between
+two of them the string is one chord, so its energy and slopes read one
+segment per piece, as the optimality conditions have the rate change only
+where the string touches an envelope.
 ``energy_slope`` reads off a pulled string how its energy moves with its
 tunnel family's parameter (a transfer size or a share), from the
 multipliers at its contacts and the scalars the tunnel recorded
 (``FeasibilityTunnel.moves``), or in closed form where that sum
 telescopes; ``_scaled_slope`` is the slope of a string scaled to a size.
-Below ``_SHORT_SPAN`` interior vertices both sum in Python floats, from
-the schedule's lists and per-vertex slopes derived from the tunnel's
+Below ``_SHORT_SPAN`` interior piece ends both sum in Python floats, from
+the schedule's pieces and per-vertex slopes derived from the tunnel's
 lists; this module alone decides the branch.
 """
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .cpu_profile import (
     _ListArray,
     _ListRecord,
     _float_lists,
-    _keep,
 )
 from .energy import _LN2, ChannelParams, schedule_energy
 from .errors import InfeasibleError
@@ -62,14 +63,27 @@ class OffloadSchedule(_ListRecord):
     """Piecewise-constant-rate transmission plan as a cumulative curve.
 
     A list record (``cpu_profile._ListRecord``) of ``lists`` (times,
-    cumulative), which the energy and the slopes read.
+    cumulative). ``ends`` are the indices of the vertices where its straight
+    pieces meet, the first and last included: ``pull_string`` records the
+    vertices its chord scan fixed on an envelope, and a schedule built any
+    other way (None) has one piece per segment. The energy and the slopes
+    read one segment per piece, from ``pieces``.
     """
 
     times = _ListArray(0)
     cumulative = _ListArray(1)
 
-    def __init__(self, times, cumulative):
+    def __init__(self, times, cumulative, ends=None):
         self.lists = _float_lists(self, (times, cumulative))
+        self.ends = ends
+
+    @property
+    def pieces(self) -> tuple[list, list]:
+        """Times and cumulative bits at the ends of the pieces, as float lists."""
+        t, c = self.lists
+        if self.ends is None:
+            return t, c
+        return [t[k] for k in self.ends], [c[k] for k in self.ends]
 
     @property
     def bits(self) -> np.ndarray:
@@ -84,12 +98,11 @@ class OffloadSchedule(_ListRecord):
         return float(self.lists[1][-1])
 
     def energy(self, channel: ChannelParams) -> float:
-        if len(self.lists[0]) - 2 < _SHORT_SPAN:
-            return schedule_energy(*self.lists, channel)
-        return schedule_energy(self.times, self.cumulative, channel)  # arrays made once, not per call
+        """Power times duration summed over the pieces (``schedule_energy``)."""
+        return schedule_energy(*self.pieces, channel)
 
 
-def _taut_values(tunnel: FeasibilityTunnel, tol: float) -> list:
+def _taut_values(tunnel: FeasibilityTunnel, tol: float, ends=None) -> list:
     """Vertex values of the shortest path through the tunnel, as a float list.
 
     Endpoints are pinned to the envelope midpoints (equal there for any
@@ -98,16 +111,23 @@ def _taut_values(tunnel: FeasibilityTunnel, tol: float) -> list:
     earliest vertex among equals, then splits. A short chord is scanned on the
     tunnel's float lists, a long one on its arrays; both evaluate the chord as
     ``y_lo + slope * (t - t_lo)`` in float64, so they give the same bits.
+
+    Between two fixed vertices the string is one chord. A list ``ends`` is
+    extended with the first vertex and the last of each chord, in order:
+    the recursion takes the left half first, so chords finish left to right.
     """
     t, f, c = tunnel.lists[:3]
     n = len(t) - 1
     y = [0.0] * (n + 1)
     y[0] = 0.5 * (f[0] + c[0])
     y[n] = 0.5 * (f[n] + c[n])
+    done = [] if ends is None else ends
+    done.append(0)
     stack = [(0, n)]
     while stack:
         lo, hi = stack.pop()
         if hi - lo < 2:
+            done.append(hi)
             continue
         y_lo, t_lo = y[lo], t[lo]
         slope = (y[hi] - y_lo) / (t[hi] - t_lo)
@@ -124,6 +144,7 @@ def _taut_values(tunnel: FeasibilityTunnel, tol: float) -> list:
             if not idx:
                 for i in range(lo + 1, hi):
                     y[i] = y_lo + slope * (t[i] - t_lo)
+                done.append(hi)
                 continue
             s = y_lo + slope * (t[idx] - t_lo)
             y[idx] = f[idx] if f[idx] - s >= s - c[idx] else c[idx]
@@ -135,6 +156,7 @@ def _taut_values(tunnel: FeasibilityTunnel, tol: float) -> list:
             k = int(viol.argmax())
             if viol[k] <= tol:
                 y[lo + 1 : hi] = seg.tolist()
+                done.append(hi)
                 continue
             idx = lo + 1 + k
             y[idx] = f[idx] if below[k] >= above[k] else c[idx]
@@ -159,21 +181,21 @@ def _check_feasible(tunnel: FeasibilityTunnel, floor: list, ceiling: list) -> fl
 
 
 def pull_string(tunnel: FeasibilityTunnel) -> OffloadSchedule:
-    """Minimum-energy schedule through a feasible tunnel."""
+    """Minimum-energy schedule through a feasible tunnel, its pieces ending
+    at the vertices its chord scan fixed on an envelope and at both ends."""
     times, floor, ceiling = tunnel.lists[:3]
     tol = _check_feasible(tunnel, floor, ceiling)
-    schedule = OffloadSchedule(times, _taut_values(tunnel, 1e-3 * tol))
-    if len(times) - 2 >= _SHORT_SPAN:
-        _keep(schedule, "times", tunnel.times)  # a long tunnel made this array at construction
-    return schedule
+    ends = []
+    return OffloadSchedule(times, _taut_values(tunnel, 1e-3 * tol, ends), ends)
 
 
 def energy_slope(schedule: OffloadSchedule, tunnel: FeasibilityTunnel, channel: ChannelParams, corner=None) -> float:
     """Slope of the energy of the taut string ``schedule`` through
     ``tunnel`` in the family's own parameter, read off its ``moves``.
 
-    With ``m`` the marginal power ``p'(rate)`` of each segment, the string
-    is held at interior vertex k by the multiplier ``w_k = m_{k-1} - m_k``:
+    With ``m`` the marginal power ``p'(rate)`` of each of its pieces, the
+    string is held at the interior end k of a piece by the multiplier
+    ``w_k = m_{k-1} - m_k`` of the pieces before and after it:
     positive where it bends down onto the floor, negative where it bends up
     under the ceiling. By the envelope theorem the energy moves by ``sum
     max(w, 0) * d_floor + sum min(w, 0) * d_ceiling + m_last * d_total``:
@@ -227,12 +249,19 @@ def energy_slope(schedule: OffloadSchedule, tunnel: FeasibilityTunnel, channel: 
 
 def _multiplier_sum(schedule: OffloadSchedule, channel: ChannelParams, d_floor, d_ceiling, d_total: float) -> float:
     """The multiplier sum of ``energy_slope``, given the envelopes' slopes
-    as float lists: in Python floats below ``_SHORT_SPAN`` interior
-    vertices, with numpy above. The two agree to rounding, not bit for bit
-    (another summation order, another power function)."""
-    t, c = schedule.lists
+    at every vertex as float lists. Only the ends of the schedule's pieces
+    carry a multiplier, each between its two pieces' marginal powers; the
+    segments inside a piece share its rate, and their rounding noise is no
+    contact. In Python floats below ``_SHORT_SPAN`` interior piece ends,
+    with numpy above. The two agree to rounding, not bit for bit (another
+    summation order, another power function)."""
+    t, c = schedule.pieces
+    if schedule.ends is not None:
+        d_floor = [d_floor[k] for k in schedule.ends]
+        d_ceiling = [d_ceiling[k] for k in schedule.ends]
     if len(t) - 2 >= _SHORT_SPAN:
-        m = channel.marginal_energy_per_bit(schedule.rates)
+        t, c = np.array(t), np.array(c)
+        m = channel.marginal_energy_per_bit(np.diff(c) / np.diff(t))
         top = float(np.max(m))
         if not 0.0 < top < np.inf:
             return top
@@ -257,17 +286,19 @@ def _multiplier_sum(schedule: OffloadSchedule, channel: ChannelParams, d_floor, 
 
 def _scaled_slope(full: OffloadSchedule, channel: ChannelParams, offload_bits: float) -> float:
     """Slope in the transfer size of the energy of ``full`` scaled to
-    ``offload_bits``: ``sum over segments of p'(s r) * bits / C`` with ``s =
-    offload_bits / C``, ``r`` and ``bits`` the segments' rates and bits and
-    ``C`` the string's total, in Python floats below ``_SHORT_SPAN`` interior
-    vertices and with numpy above, as ``energy_slope``. An overflowing
-    ``p'`` only meets positive bits, so the slope is then ``+inf``, never
-    NaN."""
-    t, c = full.lists
+    ``offload_bits``: ``sum over pieces of p'(s r) * bits / C`` with ``s =
+    offload_bits / C``, ``r`` and ``bits`` the pieces' rates and bits and
+    ``C`` the string's total, in Python floats below ``_SHORT_SPAN``
+    interior piece ends and with numpy above, as ``energy_slope``. An
+    overflowing ``p'`` only meets positive bits, so the slope is then
+    ``+inf``, never NaN."""
+    t, c = full.pieces
     total = c[-1]
     s = offload_bits / total
     if len(t) - 2 >= _SHORT_SPAN:
-        return float(channel.marginal_energy_per_bit(s * full.rates) @ full.bits) / total
+        t, c = np.array(t), np.array(c)
+        bits = np.diff(c)
+        return float(channel.marginal_energy_per_bit(s * (bits / np.diff(t))) @ bits) / total
     bits = [c1 - c0 for c0, c1 in zip(c, c[1:])]
     rates = [b / (t1 - t0) for b, t0, t1 in zip(bits, t, t[1:])]
     slope = 0.0
@@ -416,22 +447,26 @@ def min_energy_offload(
 
     Picks the tunnel family by how the transfer compares to the helper's
     capacity and the receive buffer, then pulls the string through it.
-    The buffer is checked first, then ``tunnel._check_transfer`` rejects a
-    transfer that is not finite or does not fit the capacity, so a bad
-    buffer is a configuration error whatever the transfer. A transfer within
-    the size tolerance of zero is the empty one.
+    The buffer is checked first, then the transfer, once: a size inside
+    the capacity by the effective or proportional builder, any other by
+    ``tunnel._check_transfer``, which rejects a transfer that is not finite
+    or does not fit the capacity, so a bad buffer is a configuration error
+    whatever the transfer. A transfer within the size tolerance of zero is
+    the empty one.
     """
     if not buffer_bits >= 0:
         raise ValueError(f"buffer_bits must be nonnegative, got {buffer_bits}")
-    tol = _check_transfer(profile, offload_bits)
+    tol = bits_tol(max(offload_bits, profile.capacity))  # _check_transfer's tolerance
+    if tol < offload_bits < profile.capacity - tol:
+        if buffer_bits >= offload_bits:
+            tunnel = effective_tunnel(profile, offload_bits, buffer_bits)
+        else:
+            tunnel = proportional_tunnel(profile, offload_bits, buffer_bits)
+        return pull_string(tunnel), tunnel
+    _check_transfer(profile, offload_bits, tol)
     if offload_bits <= tol:
         return _zero_solution(profile, buffer_bits)
-    if offload_bits >= profile.capacity - tol:
-        tunnel = full_utilization_tunnel(profile, buffer_bits)
-    elif buffer_bits >= offload_bits:
-        tunnel = effective_tunnel(profile, offload_bits, buffer_bits)
-    else:
-        tunnel = proportional_tunnel(profile, offload_bits, buffer_bits)
+    tunnel = full_utilization_tunnel(profile, buffer_bits)
     return pull_string(tunnel), tunnel
 
 

@@ -275,10 +275,14 @@ def _idle_span(profile: CpuIdlingProfile) -> int:
     return k + 2
 
 
-def _check_transfer(profile: CpuIdlingProfile, total: float):
+def _check_transfer(profile: CpuIdlingProfile, total: float, tol: float | None = None) -> float:
+    """The size tolerance of a transfer of ``total`` bits (``tol``, if the
+    caller already has it); raises if the transfer is not finite and
+    nonnegative or does not fit the helper's capacity."""
     if not 0 <= total < np.inf:
         raise ValueError(f"offload_bits must be nonnegative and finite, got {total}")
-    tol = bits_tol(max(total, profile.capacity))
+    if tol is None:
+        tol = bits_tol(max(total, profile.capacity))
     if total > profile.capacity + tol:
         raise InfeasibleError(
             f"transfer of {total} bits exceeds helper capacity {profile.capacity}",

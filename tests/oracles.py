@@ -25,7 +25,9 @@ string pull as they made every array when they ran: ``np.fromiter`` and
 ``np.asarray`` at build time, envelopes and chord scans in numpy at every
 size, and ``np.array`` of the string's values at pull time. The library
 keeps float lists and makes each array on its first read; these give the
-arrays it must read the same, byte for byte. ``eager_proportional_tunnel``
+arrays it must read the same, byte for byte. The eager pull also keeps the
+vertices its own recursion fixed, and prices its string once per chord
+between them, as the library prices a pulled string. ``eager_proportional_tunnel``
 derates the idle curve with numpy, and ``eager_zero_solution`` builds the
 empty transfer eagerly too.
 ``assert_same_attributes`` compares two tunnels or schedules byte for byte.
@@ -37,6 +39,7 @@ from math import fsum
 import numpy as np
 
 from offloadsim.cpu_profile import TIME_ATOL, Epoch, _curve_time, _curve_value, _merged_epochs
+from offloadsim.energy import schedule_energy
 from offloadsim.partition import golden_section
 from offloadsim.string_pull import OffloadSchedule, _check_feasible, pull_string
 from offloadsim.tunnel import _build_tunnel, _fits, bits_tol, lazy_first_tunnel
@@ -337,14 +340,16 @@ def eager_zero_solution(profile, buffer_bits):
     return (tunnel.times, np.zeros(2)), tunnel
 
 
-def eager_taut_values(times, floor, ceiling, tol) -> np.ndarray:
+def _eager_string(times, floor, ceiling, tol):
     """The taut string's vertex values, every chord scanned with numpy, as
-    ``np.array`` of the values."""
+    a float list, and the ends of its chords: the vertices it fixed on an
+    envelope and both ends, in order."""
     t, f, c = times.tolist(), floor.tolist(), ceiling.tolist()
     n = len(t) - 1
     y = [0.0] * (n + 1)
     y[0] = 0.5 * (f[0] + c[0])
     y[n] = 0.5 * (f[n] + c[n])
+    fixed = [0, n]
     stack = [(0, n)]
     while stack:
         lo, hi = stack.pop()
@@ -362,15 +367,41 @@ def eager_taut_values(times, floor, ceiling, tol) -> np.ndarray:
             continue
         idx = lo + 1 + k
         y[idx] = f[idx] if below[k] >= above[k] else c[idx]
+        fixed.append(idx)
         stack.append((idx, hi))
         stack.append((lo, idx))
-    return np.array(y)
+    return y, sorted(fixed)
+
+
+def eager_taut_values(times, floor, ceiling, tol) -> np.ndarray:
+    """The taut string's vertex values, every chord scanned with numpy, as
+    ``np.array`` of the values."""
+    return np.array(_eager_string(times, floor, ceiling, tol)[0])
+
+
+@dataclass(frozen=True, eq=False)
+class EagerString:
+    """A pulled string's arrays and the ends of its chords; it unpacks as
+    the pair ``(times, cumulative)``."""
+
+    times: np.ndarray
+    cumulative: np.ndarray
+    ends: list
+
+    def __iter__(self):
+        return iter((self.times, self.cumulative))
+
+    def energy(self, channel) -> float:
+        """``schedule_energy`` of the chord ends: each chord priced once."""
+        return schedule_energy(self.times[self.ends], self.cumulative[self.ends], channel)
 
 
 def eager_pull(tunnel):
     """``pull_string`` making its arrays as it pulls: ``times.copy()`` and the
-    taut values; None for a tunnel that admits no schedule."""
+    taut values, with the chord ends; None for a tunnel that admits no
+    schedule."""
     tol = bits_tol(tunnel.total)
     if not _fits(tunnel.floor.tolist(), tunnel.ceiling.tolist(), tunnel.total, tol):
         return None
-    return tunnel.times.copy(), eager_taut_values(tunnel.times, tunnel.floor, tunnel.ceiling, 1e-3 * tol)
+    y, ends = _eager_string(tunnel.times, tunnel.floor, tunnel.ceiling, 1e-3 * tol)
+    return EagerString(tunnel.times.copy(), np.array(y), ends)

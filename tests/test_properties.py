@@ -24,6 +24,7 @@ from offloadsim.cpu_profile import (
 from offloadsim.energy import ChannelParams, LocalComputeParams, schedule_energy
 from offloadsim.errors import InfeasibleError
 from offloadsim.partition import _share_slope, optimize_partition, partition_bounds
+from offloadsim.sim_harness import _TAGS, SimConfig, _profile_from_draws, draw_trial
 from offloadsim.string_pull import (
     _scaled_slope,
     _taut_values,
@@ -255,7 +256,8 @@ def _pulled(build, *args):
 def _same_as_eager(build, *args):
     """On both sides of every size switch, ``build(*args)`` refuses alike or
     reads the eager oracle's arrays byte for byte, and so does the string
-    pulled through it, at the same energy. Returns the tunnel, or None."""
+    pulled through it, with the same chord ends and energy. Returns the
+    tunnel, or None."""
     by_numpy, by_lists = _by_each_branch(_pulled, build, *args)
     if isinstance(by_numpy, Exception):
         assert _same_error(by_numpy, by_lists), build.__name__
@@ -267,8 +269,9 @@ def _same_as_eager(build, *args):
         if pulled is None:
             assert isinstance(schedule, InfeasibleError), build.__name__
             continue
-        assert same_array(schedule.times, pulled[0]) and same_array(schedule.cumulative, pulled[1])
-        want = schedule_energy(*pulled, channel(0.0))
+        assert same_array(schedule.times, pulled.times) and same_array(schedule.cumulative, pulled.cumulative)
+        assert schedule.ends == pulled.ends, build.__name__
+        want = pulled.energy(channel(0.0))
         assert joules == want or (np.isnan(joules) and np.isnan(want)), build.__name__
     return by_numpy[0]
 
@@ -768,6 +771,81 @@ def test_energy_slope_matches_central_differences_on_every_family(
         sums, magnitude = _corner_sum(schedule, tunnel, chan)
         for general in sums:
             _agree_to_rounding(closed, general, len(schedule.lists[0]), magnitude)
+
+
+def _per_piece_and_per_segment(tunnel, chan, size):
+    """The energy and the scaled slope of the string pulled through
+    ``tunnel``, priced once per piece and once per segment (the same curve
+    as a schedule built from its lists, which has a piece per segment),
+    and its segment count."""
+    schedule = pull_string(tunnel)
+    segments = string_pull.OffloadSchedule(schedule.times, schedule.cumulative)
+    assert segments.energy(chan) == schedule_energy(schedule.times, schedule.cumulative, chan)
+    return [
+        (s.energy(chan), _scaled_slope(s, chan, size)) for s in (schedule, segments)
+    ], len(schedule.lists[0]) - 1
+
+
+def _within_segments_rounding(a, b, n):
+    """``a`` and ``b`` agree within ``8 n eps`` relative, or are both NaN."""
+    assert a == b or abs(a - b) <= 8 * n * np.finfo(float).eps * abs(b) or (np.isnan(a) and np.isnan(b)), (a, b, n)
+
+
+@pytest.mark.parametrize("family", [*_SIZE_FAMILIES, "full", "bursty-effective"])
+@settings(max_examples=40)
+@given(
+    durations=st.lists(st.floats(1e-3, 3e-2), min_size=1, max_size=40),
+    idle_first=st.booleans(),
+    scale_exp=st.integers(-2, 3),
+    frac=st.floats(0.05, 0.95),
+    buffer_frac=st.floats(0.0, 0.999),
+    gain_exp=st.floats(-2.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_string_priced_per_piece_agrees_with_its_segments(
+    family, durations, idle_first, scale_exp, frac, buffer_frac, gain_exp, seed
+):
+    # the segments inside one piece share its rate up to rounding, so pricing
+    # each piece once moves the energy and the scaled slope by rounding only,
+    # on both size branches
+    durations = np.array(durations) * 10.0**scale_exp
+    epochs = [Epoch(d, (i % 2 == 0) == idle_first) for i, d in enumerate(durations)]
+    horizon = float(durations.sum())
+    prof = build_profile(epochs, 5e9, 500.0, horizon)
+    assume(prof.capacity > 1e3)
+    if family == "bursty-effective":
+        arr = sample_arrivals(seed, horizon, horizon / 8, 5e4, 1.5e5)
+        ratio = frac * min(max_offload_ratio(prof, arr), 1.0)
+        assume(ratio * arr.total > 1e3)
+        tunnel = bursty_effective_tunnel(prof, arr, ratio)
+    elif family == "full":
+        tunnel = full_utilization_tunnel(prof, buffer_frac * prof.capacity)
+    else:
+        size = frac * prof.capacity
+        tunnel = _SIZE_FAMILIES[family](prof, size, np.inf if family == "effective" else buffer_frac * size)
+    chan = channel(gain_exp)
+    for out in _by_each_branch(_per_piece_and_per_segment, tunnel, chan, frac * tunnel.total):
+        if isinstance(out, InfeasibleError):
+            continue
+        (energy_by_piece, slope_by_piece), (energy_by_segment, slope_by_segment) = out[0]
+        _within_segments_rounding(energy_by_piece, energy_by_segment, out[1])
+        _within_segments_rounding(slope_by_piece, slope_by_segment, out[1])
+
+
+def test_the_multiplier_sum_reads_no_rounding_noise_as_a_contact():
+    # a 532-vertex full-utilization string of the buffer sweep (seed 12345,
+    # trial 395, 10 s horizon), whose 0.109-bit segment once gave multipliers
+    # of about 6e-8 of the marginal power at vertices that touch no envelope,
+    # moving the slope by 1.7e-8 from the exact sum of the scaled string
+    cfg = SimConfig(horizon=10.0, seed=12345)
+    draws = draw_trial(cfg.seed, _TAGS["buffer"], 395)
+    prof = _profile_from_draws(draws, cfg)
+    chan = cfg.channel(cfg.mean_gain * draws.gain_unit)
+    tunnel = full_utilization_tunnel(prof, np.inf)
+    full = pull_string(tunnel)
+    assert len(full.lists[0]) == 532
+    for slope in _by_each_branch(energy_slope, full, tunnel, chan):
+        assert slope == pytest.approx(_scaled_slope(full, chan, full.total), rel=1e-12)
 
 
 def _verdict(schedule, tunnel):

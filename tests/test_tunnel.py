@@ -17,7 +17,7 @@ from offloadsim.cpu_profile import (
 from offloadsim.energy import LocalComputeParams
 from offloadsim.errors import InfeasibleError
 from offloadsim.sim_harness import _TAGS, SimConfig, _arrivals_from_draws, draw_trial
-from offloadsim.string_pull import pull_string
+from offloadsim.string_pull import min_energy_offload, pull_string
 from offloadsim.tunnel import (
     FeasibilityTunnel,
     bursty_effective_tunnel,
@@ -158,6 +158,18 @@ def test_one_shot_builders_reject_nan_or_negative_buffer():
             with pytest.raises(ValueError, match="buffer_bits"):
                 build(bad)
         assert build(np.inf).is_feasible()
+
+
+def test_one_shot_builders_and_the_solver_reject_a_bad_transfer_alike():
+    # the solver checks each transfer once, the builders on their own too
+    prof = oneshot_profile()
+    for bad in (np.nan, np.inf, -1.0, prof.capacity + 1e3):
+        errors = []
+        for build in (effective_tunnel, lazy_first_tunnel, proportional_tunnel, min_energy_offload):
+            with pytest.raises((ValueError, InfeasibleError)) as exc:
+                build(prof, bad, 1e5)
+            errors.append((type(exc.value), str(exc.value), getattr(exc.value, "deficit", None)))
+        assert errors[1:] == errors[:-1], bad
 
 
 def test_lazy_first_with_whole_buffer_is_effective_tunnel():
