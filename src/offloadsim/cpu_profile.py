@@ -35,15 +35,16 @@ _EPS = float(np.finfo(float).eps)
 # interior vertices is handled as Python float lists, where numpy's fixed
 # cost per call would dominate. It counts vertices for the taut string's
 # chord scan and, for a whole tunnel, its build, its checks and the pull's
-# feasibility check; for a pulled string's energy and the multiplier sums of
-# its slopes it counts the interior ends of the string's straight pieces,
-# since those are priced once per piece. Crossovers against numpy (2-core
-# Xeon, Python 3.11.7, numpy 2.4.6): a chord scan at 32-50 vertices, a
-# multiplier sum at 65-100 pieces, the energy of piece lists near 40-50
-# pieces; with the arrays a long build keeps, the feasibility check near 70
-# vertices and the build itself near 110. Whole solves over ~100-vertex
-# tunnels, most of whose chords are short, ran fastest at 24 of 24, 32 and
-# 48. The helper profile is built on lists at any size.
+# feasibility check; for a pulled string's energy it counts the interior
+# ends of the string's straight pieces, since those are priced once per
+# piece. Both sides give every number the same, bit for bit. Crossovers
+# against numpy (2-core Xeon, Python 3.11.7, numpy 2.4.6): a chord scan at
+# 32-50 vertices, the energy of piece lists near 40-50 pieces; with the
+# arrays a long build keeps, the feasibility check near 70 vertices and the
+# build itself near 110. Whole solves over ~100-vertex tunnels, most of
+# whose chords are short, ran fastest at 24 of 24, 32 and 48. The helper
+# profile is built on lists at any size, and the slopes of a pulled string
+# are summed on lists at its piece ends.
 _SHORT_SPAN = 24
 
 

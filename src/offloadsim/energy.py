@@ -8,20 +8,17 @@ capacitance and the local CPU frequency.
 
 ``schedule_energy`` prices a schedule over fewer than ``_SHORT_SPAN`` interior
 vertices on Python float lists, calling numpy only for ``expm1``; a longer one
-with array arithmetic. Both do the same float64 operations per segment and
-add the segments in order, so they give the same energy bit for bit. It
-reads two short lists as they are and makes arrays of anything else, or of
-longer lists. ``OffloadSchedule.energy`` passes the ends of its straight
-pieces as lists, so a pulled string is priced once per piece: a mean of 3.3
-pieces on the ~104-vertex strings of a 1 s horizon, which take the list
-branch. Only strings that zig-zag under a small buffer over long horizons
-reach the arrays, which overtake the lists near 40-50 pieces and at 100
-take 32 us against 56 (2-core Xeon, Python 3.11.7, numpy 2.4.6).
+masks the segments that send nothing and prices the rest with
+``ChannelParams.rate_to_power``. Both do the same float64 operations per
+segment and add the segments in order, so they give the same energy bit for
+bit. It reads two short lists as they are and makes arrays of anything else,
+or of longer lists. ``OffloadSchedule.energy`` passes the ends of its
+straight pieces as lists, so a pulled string is priced once per piece.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import expm1, isfinite
+from math import isfinite
 
 import numpy as np
 
@@ -33,7 +30,6 @@ _LN2 = float(np.log(2.0))
 # 40% to the call: 8.6 vs 6.2 us for a 10-vertex schedule (min of
 # 5x5 rounds of 5000 calls, 2-core Xeon, Python 3.11.7, numpy 2.4.6)
 _EXPM1_SAFE = 709.0
-_POWER_SAFE = 1e307  # a bound on a long schedule's powers, far enough below overflow to round
 # A drop of the cumulative curve is a decrease only past 1e-6 bits and past a
 # few ulps of the value it drops from: two vertices at one level, computed
 # along different paths, can round an ulp apart, which at 1e10 bits is 2e-6
@@ -136,30 +132,17 @@ def schedule_energy(times, cumulative, channel: ChannelParams) -> float:
     if len(times) - 2 < _SHORT_SPAN:
         return _list_energy(times.tolist(), cum.tolist(), channel)
     bits = cum[1:] - cum[:-1]
-    low = bits.min()  # NaN if any segment is
-    if not low >= -1e-6:
-        drop = bits < -1e-6
-        if (bits[drop] < -_DROP_ULPS * _EPS * np.abs(cum[:-1][drop])).any():
-            raise ValueError("cumulative curve must be nondecreasing")
-    tau = times[1:] - times[:-1]
-    if not low > 0:  # some segment sends nothing: price the others
-        sent = bits > 0
-        if not sent.any():
-            return 0.0
-        bits, tau = bits[sent], tau[sent]
+    drop = bits < -1e-6
+    if (bits[drop] < -_DROP_ULPS * _EPS * np.abs(cum[:-1][drop])).any():
+        raise ValueError("cumulative curve must be nondecreasing")
+    sent = bits > 0  # a NaN segment sends nothing, as in _list_energy
+    if not sent.any():
+        return 0.0
+    bits, tau = bits[sent], (times[1:] - times[:-1])[sent]
     if tau.min() <= 0:
         return np.inf  # bits to send in no time
-    # rate_to_power's operations, in np.errstate only where they can overflow, as in _list_energy
-    noise, gain = float(channel.noise_w), float(channel.gain)  # so the bound below cannot warn
-    x = bits / tau / channel.bandwidth_hz * _LN2
-    top = x.max()
-    if top <= _EXPM1_SAFE and noise * expm1(top) / gain < _POWER_SAFE:
-        power = noise * np.expm1(x) / gain
-    else:
-        with np.errstate(over="ignore"):
-            power = noise * np.expm1(x) / gain
     # summed in segment order, so it equals a plain loop adding one segment at a time
-    return float((power * tau).cumsum()[-1])
+    return float((channel.rate_to_power(bits / tau) * tau).cumsum()[-1])
 
 
 def _list_energy(t: list, c: list, channel: ChannelParams) -> float:

@@ -23,9 +23,8 @@ tunnel family's parameter (a transfer size or a share), from the
 multipliers at its contacts and the scalars the tunnel recorded
 (``FeasibilityTunnel.moves``), or in closed form where that sum
 telescopes; ``_scaled_slope`` is the slope of a string scaled to a size.
-Below ``_SHORT_SPAN`` interior piece ends both sum in Python floats, from
-the schedule's pieces and per-vertex slopes derived from the tunnel's
-lists; this module alone decides the branch.
+Both sum in Python floats at the ends of the schedule's pieces, at every
+length, so no slope depends on the size switch.
 """
 from __future__ import annotations
 
@@ -222,11 +221,12 @@ def energy_slope(schedule: OffloadSchedule, tunnel: FeasibilityTunnel, channel: 
     scale, d_slack, d_total = tunnel.moves
     if tunnel.share is not None or scale != inf or d_slack != -d_total:
         _, floor, ceiling, values = tunnel.lists[:4]
-        d_floor = [v / scale - d_slack if f > 0.0 else 0.0 for f, v in zip(floor, values)]
+        ends = range(len(floor)) if schedule.ends is None else schedule.ends
+        d_floor = [values[k] / scale - d_slack if floor[k] > 0.0 else 0.0 for k in ends]
         if tunnel.share is None:
-            d_ceiling = [d_total if c >= tunnel.total else d for c, d in zip(ceiling, d_floor)]
+            d_ceiling = [d_total if ceiling[k] >= tunnel.total else d for k, d in zip(ends, d_floor)]
         else:
-            d_ceiling = [c / tunnel.share for c in ceiling]
+            d_ceiling = [ceiling[k] / tunnel.share for k in ends]
         return _multiplier_sum(schedule, channel, d_floor, d_ceiling, d_total)
     times, cumulative = schedule.lists
     n = len(times) - 1
@@ -249,26 +249,11 @@ def energy_slope(schedule: OffloadSchedule, tunnel: FeasibilityTunnel, channel: 
 
 def _multiplier_sum(schedule: OffloadSchedule, channel: ChannelParams, d_floor, d_ceiling, d_total: float) -> float:
     """The multiplier sum of ``energy_slope``, given the envelopes' slopes
-    at every vertex as float lists. Only the ends of the schedule's pieces
+    at the ends of the schedule's pieces as float lists. Only those ends
     carry a multiplier, each between its two pieces' marginal powers; the
     segments inside a piece share its rate, and their rounding noise is no
-    contact. In Python floats below ``_SHORT_SPAN`` interior piece ends,
-    with numpy above. The two agree to rounding, not bit for bit (another
-    summation order, another power function)."""
+    contact."""
     t, c = schedule.pieces
-    if schedule.ends is not None:
-        d_floor = [d_floor[k] for k in schedule.ends]
-        d_ceiling = [d_ceiling[k] for k in schedule.ends]
-    if len(t) - 2 >= _SHORT_SPAN:
-        t, c = np.array(t), np.array(c)
-        m = channel.marginal_energy_per_bit(np.diff(c) / np.diff(t))
-        top = float(np.max(m))
-        if not 0.0 < top < np.inf:
-            return top
-        m = m / top  # so no sum below can overflow into inf - inf
-        w = m[:-1] - m[1:]
-        s = np.maximum(w, 0.0) @ d_floor[1:-1] + np.minimum(w, 0.0) @ d_ceiling[1:-1] + m[-1] * d_total
-        return top * float(s)
     m = _marginal_powers(channel, [(c1 - c0) / (t1 - t0) for t0, t1, c0, c1 in zip(t, t[1:], c, c[1:])])
     top = max(m)
     if not 0.0 < top < inf:
@@ -288,17 +273,11 @@ def _scaled_slope(full: OffloadSchedule, channel: ChannelParams, offload_bits: f
     """Slope in the transfer size of the energy of ``full`` scaled to
     ``offload_bits``: ``sum over pieces of p'(s r) * bits / C`` with ``s =
     offload_bits / C``, ``r`` and ``bits`` the pieces' rates and bits and
-    ``C`` the string's total, in Python floats below ``_SHORT_SPAN``
-    interior piece ends and with numpy above, as ``energy_slope``. An
-    overflowing ``p'`` only meets positive bits, so the slope is then
-    ``+inf``, never NaN."""
+    ``C`` the string's total, in Python floats. An overflowing ``p'`` only
+    meets positive bits, so the slope is then ``+inf``, never NaN."""
     t, c = full.pieces
     total = c[-1]
     s = offload_bits / total
-    if len(t) - 2 >= _SHORT_SPAN:
-        t, c = np.array(t), np.array(c)
-        bits = np.diff(c)
-        return float(channel.marginal_energy_per_bit(s * (bits / np.diff(t))) @ bits) / total
     bits = [c1 - c0 for c0, c1 in zip(c, c[1:])]
     rates = [b / (t1 - t0) for b, t0, t1 in zip(bits, t, t[1:])]
     slope = 0.0

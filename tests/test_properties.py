@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from offloadsim import energy, string_pull, tunnel as tunnel_module
 from offloadsim.cpu_profile import (
+    _SHORT_SPAN,
     TIME_ATOL,
     ArrivalProcess,
     Epoch,
@@ -23,7 +24,7 @@ from offloadsim.cpu_profile import (
 )
 from offloadsim.energy import ChannelParams, LocalComputeParams, schedule_energy
 from offloadsim.errors import InfeasibleError
-from offloadsim.partition import _share_slope, optimize_partition, partition_bounds
+from offloadsim.partition import _share_slope, optimize_partition, optimize_ratio, partition_bounds
 from offloadsim.sim_harness import _TAGS, SimConfig, _profile_from_draws, draw_trial
 from offloadsim.string_pull import (
     _scaled_slope,
@@ -31,7 +32,6 @@ from offloadsim.string_pull import (
     _zero_solution,
     energy_slope,
     min_energy_offload,
-    min_energy_offload_bursty,
     offload_energy,
     pull_string,
 )
@@ -593,19 +593,39 @@ def test_both_branches_build_the_same_long_chunked_tunnels():
         _same_chunked_tunnels(prof, arr, ratio)
 
 
+def _whole_result(solve, *args):
+    """``solve(*args)``, or its refusal, as one ``repr``: every field, with
+    the schedule by its lists and piece ends and the tunnel by its lists."""
+    try:
+        res = solve(*args)
+    except InfeasibleError as exc:
+        return repr(exc)
+    fields = dict(vars(res))
+    fields["schedule"] = res.schedule.lists, res.schedule.ends
+    fields["tunnel"] = res.tunnel and res.tunnel.lists
+    return repr(fields)
+
+
 @settings(max_examples=30)
 @given(
     seed=st.integers(0, 2**32 - 1),
     load_frac=st.one_of(st.floats(0.05, 1.0), st.floats(1.0, 1.4)),
+    buffer_frac=st.floats(0.0, 0.999),
     gain_exp=st.floats(-2.0, 2.0),
 )
-def test_a_whole_split_solve_is_the_same_on_both_sides_of_the_size_switch(seed, load_frac, gain_exp):
+def test_a_whole_split_solve_is_the_same_on_both_sides_of_the_size_switch(seed, load_frac, buffer_frac, gain_exp):
     # about 100 epochs over 1 s, so the real switch sends every tunnel,
     # string and energy of the search through numpy; loads above the
-    # helper's capacity leave the local CPU a forced share
+    # helper's capacity leave the local CPU a forced share. The split is
+    # solved with no buffer, a buffer below the feasible range and one
+    # inside it, and the share for the same load in about 50 chunks
     prof = build_profile(sample_cpu_process(seed, 1.0, 0.01, 0.01), 5e9, 500.0, 1.0)
     assume(prof.capacity > 0.0)
+    assert len(effective_tunnel(prof, 0.5 * prof.capacity).lists[0]) - 2 >= _SHORT_SPAN
     load = load_frac * prof.capacity
+    low, high = partition_bounds(prof, LOCAL, load)
+    arr = sample_arrivals(seed, 1.0, 0.02, 0.0, load / 25)
+    chan = channel(gain_exp)
     solves = []
     for span in (None, 10**9):
         with pytest.MonkeyPatch.context() as mp:
@@ -613,13 +633,9 @@ def test_a_whole_split_solve_is_the_same_on_both_sides_of_the_size_switch(seed, 
                 for name, module in list(sys.modules.items()):
                     if name.startswith("offloadsim.") and hasattr(module, "_SHORT_SPAN"):
                         mp.setattr(module, "_SHORT_SPAN", span)
-            try:
-                res = optimize_partition(prof, channel(gain_exp), LOCAL, load)
-            except InfeasibleError as exc:
-                solves.append(repr(exc))
-                continue
-        assert len(res.tunnel.lists[0]) - 2 >= 24 or res.method != "search"
-        solves.append(repr((res.energy, res.offload_bits, res.method, res.schedule.lists, res.tunnel.lists)))
+            buffers = (np.inf, buffer_frac * low, low + buffer_frac * (high - low))
+            results = [_whole_result(optimize_partition, prof, chan, LOCAL, load, b) for b in buffers]
+            solves.append([*results, _whole_result(optimize_ratio, prof, arr, chan, LOCAL)])
     assert solves[0] == solves[1]
 
 
@@ -633,16 +649,23 @@ def _slope_magnitude(schedule, chan, d_floor, d_ceiling, d_total) -> float:
     return float(((m[:-1] + m[1:]) * np.abs(d)).sum() + m[-1] * abs(d_total))
 
 
-def _agree_to_rounding(by_numpy, by_lists, n, magnitude):
-    """The two slope branches agree within ``8 n eps`` of the magnitude of
-    what they add, the bound of an n-term float64 sum with a few ulps of
-    error in each term (Higham, ch. 3); an error or a NaN on both sides."""
+def _agree_to_rounding(closed, general, n, magnitude):
+    """Two formulas for one slope agree within ``8 n eps`` of the magnitude
+    of what they add, the bound of an n-term float64 sum with a few ulps of
+    error in each term (Higham, ch. 3), or are both NaN."""
+    if np.isnan(closed):
+        assert np.isnan(general)
+    else:
+        assert closed == general or abs(closed - general) <= 8 * n * np.finfo(float).eps * magnitude
+
+
+def _same_result(by_numpy, by_lists):
+    """The two sides of the size switch give the same number, the same
+    error, or NaN both."""
     if isinstance(by_numpy, Exception):
         assert _same_error(by_numpy, by_lists)
-    elif np.isnan(by_numpy):
-        assert np.isnan(by_lists)
     else:
-        assert by_numpy == by_lists or abs(by_numpy - by_lists) <= 8 * n * np.finfo(float).eps * magnitude
+        assert by_numpy == by_lists or (np.isnan(by_numpy) and np.isnan(by_lists)), (by_numpy, by_lists)
 
 
 @settings(max_examples=100)
@@ -655,22 +678,17 @@ def _agree_to_rounding(by_numpy, by_lists, n, magnitude):
 )
 def test_both_branches_read_the_same_split_slopes(durations, idle_first, size_frac, buffer_frac, gain_exp):
     # the slope of a transfer above its buffer (a proportional or full
-    # tunnel's string) and of the full string scaled to a size, in Python
-    # floats and with numpy
+    # tunnel's string) and of the full string scaled to a size, on both
+    # sides of the size switch
     epochs = [Epoch(d, (i % 2 == 0) == idle_first) for i, d in enumerate(durations)]
     prof = build_profile(epochs, 5e9, 500.0, float(np.sum(durations)))
     size = size_frac * prof.capacity
     assume(size > bits_tol(prof.capacity))
     chan = channel(gain_exp)
     schedule, tunnel = min_energy_offload(prof, size, buffer_frac * size)
-    n = len(schedule.lists[0])
-    share = tunnel.floor / tunnel.total
-    magnitude = _slope_magnitude(schedule, chan, share, np.where(tunnel.ceiling >= tunnel.total, 1.0, share), 1.0)
-    _agree_to_rounding(*_by_each_branch(energy_slope, schedule, tunnel, chan), n, magnitude)
+    _same_result(*_by_each_branch(energy_slope, schedule, tunnel, chan))
     full = pull_string(full_utilization_tunnel(prof, np.inf))
-    s = size / full.total
-    magnitude = float((chan.marginal_energy_per_bit(s * full.rates) * full.bits).sum()) / full.total
-    _agree_to_rounding(*_by_each_branch(_scaled_slope, full, chan, size), len(full.lists[0]), magnitude)
+    _same_result(*_by_each_branch(_scaled_slope, full, chan, size))
 
 
 @settings(max_examples=100)
@@ -678,25 +696,16 @@ def test_both_branches_read_the_same_split_slopes(durations, idle_first, size_fr
 def test_both_branches_read_the_same_share_slope(instance, gain_exp):
     prof, arr, ratio = instance
     tl = merge_events(prof, arr)
-    chan = channel(gain_exp)
-    by_numpy, by_lists = _by_each_branch(_share_slope, prof, arr, chan, LOCAL, tl, ratio)
-    n, magnitude = 1, arr.total * LOCAL.bit_energy
-    if ratio * arr.total > bits_tol(arr.total) and not isinstance(by_numpy, Exception):
-        schedule, tunnel = min_energy_offload_bursty(prof, arr, ratio, tl)
-        served = float(tl.arrival_bits[: tl.idle_end_index].sum())
-        d_floor = np.where(tunnel.floor > 0.0, served, 0.0)
-        n = len(schedule.lists[0])
-        magnitude += _slope_magnitude(schedule, chan, d_floor, tunnel.ceiling / ratio, served)
-    _agree_to_rounding(by_numpy, by_lists, n, magnitude)
+    _same_result(*_by_each_branch(_share_slope, prof, arr, channel(gain_exp), LOCAL, tl, ratio))
 
 
 _SIZE_FAMILIES = {"effective": effective_tunnel, "lazy": lazy_first_tunnel, "proportional": proportional_tunnel}
 
 
 def _corner_sum(schedule, tunnel, chan):
-    """The multiplier sum of a slack family's string (both branches) with
-    every envelope past the corner moving with the total, plus the corner's
-    time term, and the magnitude of what they add up."""
+    """The multiplier sum of a slack family's string with every envelope
+    past the corner moving with the total, plus the corner's time term, and
+    the magnitude of what they add up."""
     floor, ceiling = tunnel.lists[1:3]
     n = len(floor) - 1
     c = n if tunnel.corner is None else tunnel.corner
@@ -709,8 +718,9 @@ def _corner_sum(schedule, tunnel, chan):
         h = chan.rate_to_power(r) - r * chan.marginal_energy_per_bit(r)
         time_term = float(h[1] - h[0]) / tunnel.rate
         magnitude += float(np.abs(h).sum()) / tunnel.rate
-    sums = _by_each_branch(string_pull._multiplier_sum, schedule, chan, d_floor, d_ceiling, 1.0)
-    return [s + time_term for s in sums], magnitude
+    ends = schedule.ends  # the multiplier sum reads the slopes at the piece ends
+    general = string_pull._multiplier_sum(schedule, chan, [d_floor[k] for k in ends], [d_ceiling[k] for k in ends], 1.0)
+    return general + time_term, magnitude
 
 
 @pytest.mark.parametrize("family", [*_SIZE_FAMILIES, "full", "bursty-effective"])
@@ -762,15 +772,14 @@ def test_energy_slope_matches_central_differences_on_every_family(
     ahead = (pull_string(tunnel_at(x + delta)).energy(chan) - e) / delta
     behind = (e - pull_string(tunnel_at(x - delta)).energy(chan)) / delta
     mid = 0.5 * (ahead + behind)
+    by_numpy, by_lists = _by_each_branch(energy_slope, schedule, tunnel, chan)
+    _same_result(by_numpy, by_lists)
     if abs(ahead - behind) <= 1e-4 * abs(mid):  # no kink within delta
-        for slope in _by_each_branch(energy_slope, schedule, tunnel, chan):
-            assert slope == pytest.approx(mid, rel=1e-6), family
+        assert by_numpy == pytest.approx(mid, rel=1e-6), family
     if family in ("effective", "lazy"):
         # the closed form is the telescoped multiplier sum plus the corner's time term
-        closed = energy_slope(schedule, tunnel, chan)
-        sums, magnitude = _corner_sum(schedule, tunnel, chan)
-        for general in sums:
-            _agree_to_rounding(closed, general, len(schedule.lists[0]), magnitude)
+        general, magnitude = _corner_sum(schedule, tunnel, chan)
+        _agree_to_rounding(by_numpy, general, len(schedule.lists[0]), magnitude)
 
 
 def _per_piece_and_per_segment(tunnel, chan, size):
@@ -846,6 +855,34 @@ def test_the_multiplier_sum_reads_no_rounding_noise_as_a_contact():
     assert len(full.lists[0]) == 532
     for slope in _by_each_branch(energy_slope, full, tunnel, chan):
         assert slope == pytest.approx(_scaled_slope(full, chan, full.total), rel=1e-12)
+
+
+def _slope_and_central_difference(prof, size, buffer_bits, chan):
+    """The interior piece ends of the string of a ``size``-bit transfer, its
+    energy slope and a central difference of its pulled energy."""
+    schedule, tunnel = min_energy_offload(prof, size, buffer_bits)
+    delta = 1e-6 * size
+    ahead, behind = (offload_energy(prof, size + d, buffer_bits, chan) for d in (delta, -delta))
+    return len(schedule.ends) - 2, energy_slope(schedule, tunnel, chan), (ahead - behind) / (2.0 * delta)
+
+
+def test_the_slope_of_a_string_of_many_pieces_matches_central_differences():
+    # half the capacity under a 1e4-bit buffer on the buffer sweep's 1 s
+    # profiles (seed 12345, trials 0-5): proportional strings of 38-45
+    # interior piece ends, past the size switch, on both of its sides
+    cfg = SimConfig(horizon=1.0, seed=12345)
+    pieces = []
+    for trial in range(6):
+        draws = draw_trial(cfg.seed, _TAGS["buffer"], trial)
+        prof = _profile_from_draws(draws, cfg)
+        chan = cfg.channel(cfg.mean_gain * draws.gain_unit)
+        by_numpy, by_lists = _by_each_branch(_slope_and_central_difference, prof, 0.5 * prof.capacity, 1e4, chan)
+        assert by_numpy == by_lists, trial
+        count, slope, central = by_numpy
+        assert slope == pytest.approx(central, rel=1e-8), trial
+        pieces.append(count)
+    assert pieces == [41, 45, 39, 38, 44, 39]
+    assert min(pieces) >= _SHORT_SPAN
 
 
 def _verdict(schedule, tunnel):
